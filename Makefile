@@ -1,11 +1,10 @@
-# Development targets. `make ci` is the gate a change must pass;
-# `make bench-obs` snapshots the observability overhead claim.
+# Development targets. `make ci` is the gate a change must pass.
 
 GO ?= go
 FUZZTIME ?= 10s
 LOAD_ADDR ?= http://localhost:8080
 
-.PHONY: all build test race vet lint lint-sarif lint-fix-check fmt-check ci bench bench-obs bench-perf bench-compare fuzz-smoke serve-smoke cluster-smoke loadtest
+.PHONY: all build test race vet lint lint-sarif lint-fix-check fmt-check ci bench bench-perf bench-compare fuzz-smoke serve-smoke cluster-smoke loadtest
 
 all: build
 
@@ -82,24 +81,21 @@ loadtest:
 	$(GO) run ./cmd/csload -addr $(LOAD_ADDR)
 
 # Short fuzz sessions over the boundary-facing parsers — the CLI spec
-# parsers and the wire-facing traceparent header parser: no panics, and
-# accepted inputs must round-trip through their canonical forms.
+# parsers, the wire-facing traceparent header parser and the raw
+# /v1/plan and /v1/estimate bodies: no panics or 500s, and accepted
+# inputs must round-trip through their canonical forms.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDist$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildLife$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanBody$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimateBody$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCSDirective$$' -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHotpathDirective$$' -fuzztime $(FUZZTIME) ./internal/analysis/callgraph
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Writes BENCH_obs.json: baseline vs nil-sink vs jsonl-sink episode
-# runner timings, plus the measured nil-sink overhead percentage.
-bench-obs:
-	BENCH_OBS_OUT=$(CURDIR)/BENCH_obs.json $(GO) test ./internal/nowsim -run TestObsOverheadSnapshot -v
-	@cat $(CURDIR)/BENCH_obs.json
 
 # Writes BENCH_perf.json: calibrated micro-benchmarks over the episode,
 # farm and sink hot paths (ns/op, allocs/op; min and median of N runs),

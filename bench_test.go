@@ -1,6 +1,7 @@
 package cyclesteal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -188,7 +189,7 @@ func BenchmarkMonteCarloSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nowsim.MonteCarlo(nowsim.NewSchedulePolicy(plan.Schedule, "bench"), owner, 1, 20_000, 1)
+		nowsim.MonteCarloCtx(context.Background(), nowsim.NewSchedulePolicy(plan.Schedule, "bench"), owner, 1, 20_000, 1, nowsim.Obs{})
 	}
 }
 
@@ -200,7 +201,7 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nowsim.MonteCarloParallel(factory, owner, 1, 20_000, 1, 0)
+		nowsim.MonteCarloParallel(factory, owner, 1, 20_000, 1, 0, nowsim.Obs{})
 	}
 }
 

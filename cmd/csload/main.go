@@ -95,13 +95,10 @@ type report struct {
 
 // result is one request's outcome, written only by its own worker.
 type result struct {
-	status     int // 0 on transport error
-	cached     bool
-	coalesced  bool
-	peerFilled bool
-	latencyMS  float64
-	elapsedMS  float64
-	traceID    string
+	status int // 0 on transport error
+	serve.Served
+	latencyMS float64
+	traceID   string
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -319,14 +316,14 @@ func runWave(client *http.Client, urls []string, wave int, bodies [][]byte, keys
 		}
 		if r.status == http.StatusOK {
 			rep.OK++
-			rep.ServerElapsedMS += r.elapsedMS
+			rep.ServerElapsedMS += r.ElapsedMS
 			// A fresh computation is one nothing deduplicated: not a
 			// cache hit, not coalesced onto another in-flight request,
 			// not filled from a peer. The per-key max is the cluster's
 			// compute-once invariant made observable: > 1 means two
 			// replicas (or two waves of one replica) paid for the same
 			// question.
-			if !r.cached && !r.coalesced && !r.peerFilled {
+			if !r.Cached && !r.Coalesced && !r.PeerFilled {
 				rep.Fresh++
 				freshByKey[keys[i]]++
 				if freshByKey[keys[i]] > rep.MaxFreshPerKey {
@@ -334,13 +331,13 @@ func runWave(client *http.Client, urls []string, wave int, bodies [][]byte, keys
 				}
 			}
 		}
-		if r.cached {
+		if r.Cached {
 			rep.Cached++
 		}
-		if r.coalesced {
+		if r.Coalesced {
 			rep.Coalesced++
 		}
-		if r.peerFilled {
+		if r.PeerFilled {
 			rep.PeerFilled++
 		}
 	}
@@ -365,25 +362,17 @@ func doRequest(client *http.Client, url string, body []byte) result {
 		return result{}
 	}
 	defer resp.Body.Close()
-	var payload struct {
-		Cached     bool    `json:"cached"`
-		Coalesced  bool    `json:"coalesced"`
-		PeerFilled bool    `json:"peer_filled"`
-		ElapsedMS  float64 `json:"elapsed_ms"`
-	}
+	var payload serve.Served
 	_ = json.NewDecoder(resp.Body).Decode(&payload)
 	traceID := resp.Header.Get(obs.TraceIDHeader)
 	if traceID == "" {
 		traceID = tc.TraceIDString() // older server: still report what we sent
 	}
 	return result{
-		status:     resp.StatusCode,
-		cached:     payload.Cached,
-		coalesced:  payload.Coalesced,
-		peerFilled: payload.PeerFilled,
-		latencyMS:  float64(time.Since(start)) / float64(time.Millisecond),
-		elapsedMS:  payload.ElapsedMS,
-		traceID:    traceID,
+		status:    resp.StatusCode,
+		Served:    payload,
+		latencyMS: float64(time.Since(start)) / float64(time.Millisecond),
+		traceID:   traceID,
 	}
 }
 

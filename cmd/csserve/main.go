@@ -29,10 +29,10 @@
 // quantiles, heap residency, allocation throughput, scheduler latency
 // and the goroutine population into /metrics every -runtime-sample;
 // GET /debug/slo reports rolling-window error and latency burn rates
-// against the -slo-* objectives; GET /debug/delta/allocs and
-// GET /debug/delta/heap diff two in-process heap-profile snapshots
-// ?seconds apart — allocation sources or live-heap growth since the
-// last GC, with no restart and no external tooling.
+// against the -slo-* objectives; the standard delta profiles
+// GET /debug/pprof/allocs?seconds=N and /debug/pprof/heap?seconds=N
+// show where allocations and live-heap growth came from over the last
+// N seconds, with no restart.
 //
 // Clustering: with -self and -peers the replica joins a consistent-
 // hash cluster (fronted by csgate). It mounts the peer protocol
@@ -217,8 +217,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		mux.Handle("GET /debug/traces", tracer)
 	}
 	mux.Handle("GET /debug/slo", slo)
-	mux.Handle("GET /debug/delta/allocs", obs.DeltaProfileHandler(obs.DeltaAllocs))
-	mux.Handle("GET /debug/delta/heap", obs.DeltaProfileHandler(obs.DeltaHeap))
 	srv := &http.Server{Handler: mux}
 
 	lis, err := net.Listen("tcp", *addr)

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -85,7 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	pol := spec.Factory()
-	res := nowsim.MonteCarloObs(pol, nowsim.LifeOwner{Life: life}, *c, *episodes, *seed, o)
+	res, _ := nowsim.MonteCarloCtx(context.Background(), pol, nowsim.LifeOwner{Life: life}, *c, *episodes, *seed, o)
 	if err := session.Close(); err != nil {
 		fmt.Fprintln(stderr, "cssim:", err)
 		return 1

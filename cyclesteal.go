@@ -123,7 +123,5 @@ func ExpectedWork(s Schedule, l Life, c float64) float64 {
 // 95% confidence half-width. It is the empirical counterpart of
 // ExpectedWork.
 func SimulateEpisodes(s Schedule, l Life, c float64, episodes int, seed uint64) (mean, ci95 float64) {
-	res := nowsim.MonteCarlo(nowsim.NewSchedulePolicy(s, "facade"),
-		nowsim.LifeOwner{Life: l}, c, episodes, seed)
-	return res.Work.Mean, res.Work.CI95
+	return SimulateEpisodesParallel(s, l, c, episodes, seed, 1)
 }

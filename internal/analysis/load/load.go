@@ -179,6 +179,13 @@ func (l *loader) expand(base string, patterns []string) (dirs, paths []string, e
 				if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 					return filepath.SkipDir
 				}
+				// A directory with its own go.mod is a nested module,
+				// which "./..." excludes just as the go command does.
+				if p != root {
+					if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+						return filepath.SkipDir
+					}
+				}
 				if hasGoFiles(p) {
 					addDir(p)
 				}

@@ -81,8 +81,8 @@ func RunE6() (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E6 chi-square %s: %w", sc.name, err)
 		}
-		res := nowsim.MonteCarlo(nowsim.NewSchedulePolicy(plan.Schedule, sc.name),
-			nowsim.LifeOwner{Life: sc.life}, c, 10_000, 77+uint64(i))
+		res := nowsim.MonteCarloParallel(func() nowsim.Policy { return nowsim.NewSchedulePolicy(plan.Schedule, sc.name) },
+			nowsim.LifeOwner{Life: sc.life}, c, 10_000, 77+uint64(i), 1, nowsim.Obs{})
 		t.AddRow(sc.name, analytic, mc.Mean, mc.CI95, z, chiP,
 			float64(res.Reclaimed)/float64(res.Episodes))
 	}

@@ -15,17 +15,21 @@ import (
 // deadline while making the check's cost unmeasurable.
 const cancelCheckStride = 128
 
-// MonteCarloCtx is MonteCarloObs with cooperative cancellation: it
-// checks ctx every cancelCheckStride episodes and, when the context
-// ends, stops early and returns the statistics accumulated so far
-// together with ctx's error. A run that completes all n episodes
-// returns a nil error and a result bit-identical to MonteCarloObs with
-// the same arguments — cancellation is the only behavioural difference,
-// so the determinism guarantees carry over unchanged.
+// MonteCarloCtx runs n independent episodes of policy against owner
+// with overhead c, using a deterministic stream seeded by seed, and
+// returns aggregate statistics. The mean of Work estimates E(S; p) when
+// the policy plays a fixed schedule and the owner's survival is p.
 //
-// The long-running plan/estimate service uses this to abandon
-// simulations whose requester has gone away (client disconnect or
-// per-request deadline) without tearing down the worker that ran them.
+// Every episode's events stream to o.Sink (worker 0) and o.Metrics
+// accumulates the standard metric set. The RNG stream is consumed
+// outside the episode runner, so the statistics are identical with the
+// sink enabled or disabled.
+//
+// It checks ctx every cancelCheckStride episodes and, when the context
+// ends, stops early and returns the statistics accumulated so far
+// together with ctx's error; a run that completes all n episodes
+// returns a nil error. The estimate service relies on this to free a
+// worker whose requester has gone away.
 func MonteCarloCtx(ctx context.Context, policy Policy, owner Owner, c float64, n int, seed uint64, o Obs) (MonteCarloResult, error) {
 	// Request-trace attribution: when ctx carries an obs.ReqTrace, the
 	// whole run is one "mc" phase annotated with the episode count.

@@ -19,14 +19,17 @@ func cancelTestOwner(t *testing.T) Owner {
 	return LifeOwner{Life: l}
 }
 
-// An uncancelled MonteCarloCtx run must be bit-identical to
-// MonteCarloObs: same statistics and same trace events.
+// An uncancelled run under a live, cancellable context must be
+// bit-identical to a run under context.Background: the cancellation
+// checks change neither the statistics nor the trace events.
 func TestMonteCarloCtxMatchesMonteCarlo(t *testing.T) {
 	owner := cancelTestOwner(t)
 	pol := func() Policy { return &FixedChunkPolicy{Chunk: 15} }
 	var a, b obs.BufferSink
-	want := MonteCarloObs(pol(), owner, 1, 5000, 42, Obs{Sink: &a})
-	got, err := MonteCarloCtx(context.Background(), pol(), owner, 1, 5000, 42, Obs{Sink: &b})
+	want := serialMC(t, pol(), owner, 1, 5000, 42, Obs{Sink: &a})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := MonteCarloCtx(ctx, pol(), owner, 1, 5000, 42, Obs{Sink: &b})
 	if err != nil {
 		t.Fatalf("MonteCarloCtx: %v", err)
 	}
@@ -44,7 +47,7 @@ func TestMonteCarloCtxMatchesMonteCarlo(t *testing.T) {
 func TestMonteCarloCtxRecordsTracePhase(t *testing.T) {
 	owner := cancelTestOwner(t)
 	pol := func() Policy { return &FixedChunkPolicy{Chunk: 15} }
-	want := MonteCarloObs(pol(), owner, 1, 5000, 42, Obs{})
+	want := serialMC(t, pol(), owner, 1, 5000, 42, Obs{})
 
 	rt := obs.NewReqTrace("estimate")
 	ctx := obs.ContextWithReqTrace(context.Background(), rt)

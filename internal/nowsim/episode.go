@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/lifefn"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -223,50 +222,6 @@ type MonteCarloResult struct {
 	Episodes  int64
 }
 
-// MonteCarlo runs n independent episodes of policy against owner with
-// overhead c, using a deterministic stream seeded by seed, and returns
-// aggregate statistics. The mean of Work estimates E(S; p) when the
-// policy plays a fixed schedule and the owner's survival is p.
-func MonteCarlo(policy Policy, owner Owner, c float64, n int, seed uint64) MonteCarloResult {
-	return MonteCarloObs(policy, owner, c, n, seed, Obs{})
-}
-
-// MonteCarloObs is MonteCarlo with observability: every episode's
-// events stream to o.Sink (worker 0) and o.Metrics accumulates the
-// standard metric set. The RNG stream is consumed outside the episode
-// runner, so the aggregate statistics are identical with the sink
-// enabled or disabled — the determinism regression tests assert this
-// byte for byte.
-func MonteCarloObs(policy Policy, owner Owner, c float64, n int, seed uint64, o Obs) MonteCarloResult {
-	src := rng.New(seed)
-	m := newSimMetrics(o.Metrics, c)
-	// The whole run is one "mc-batch" span on the coordinator row
-	// (worker -1), with the episode index as its time axis.
-	batch := obs.NewSpanner(o.Sink).Start(0, -1, "mc-batch", obs.SpanAttrs{Tasks: n})
-	emit := o.episodeEmitIn(0, m, batch)
-	var work, lost, periods stats.Running
-	var reclaimed int64
-	for i := 0; i < n; i++ {
-		r := owner.ReclaimAfter(src)
-		res := runEpisodeMaybe(policy, c, r, emit)
-		m.episodeDone()
-		work.Add(res.Work)
-		lost.Add(res.Lost)
-		periods.Add(float64(res.PeriodsCommitted))
-		if res.Reclaimed {
-			reclaimed++
-		}
-	}
-	batch.End(float64(n))
-	return MonteCarloResult{
-		Work:      stats.Summarize(&work),
-		Lost:      stats.Summarize(&lost),
-		Periods:   stats.Summarize(&periods),
-		Reclaimed: reclaimed,
-		Episodes:  int64(n),
-	}
-}
-
 // ValidateDistribution runs n episodes of a fixed schedule and tests
 // the full distribution of committed-period counts against the exact
 // probabilities of sched.CommitProbabilities with Pearson's chi-square.
@@ -325,7 +280,7 @@ func ValidateDistribution(s sched.Schedule, l lifefn.Life, c float64, n int, see
 // errors). A z-score below ~4 on a large n validates equation (2.1).
 func ValidateExpectedWork(s sched.Schedule, l lifefn.Life, c float64, n int, seed uint64) (analytic float64, mc stats.Summary, z float64) {
 	analytic = sched.ExpectedWork(s, l, c)
-	res := MonteCarlo(NewSchedulePolicy(s, "validate"), LifeOwner{Life: l}, c, n, seed)
+	res := MonteCarloParallel(func() Policy { return NewSchedulePolicy(s, "validate") }, LifeOwner{Life: l}, c, n, seed, 1, Obs{})
 	mc = res.Work
 	if mc.StdErr > 0 {
 		z = abs(mc.Mean-analytic) / mc.StdErr

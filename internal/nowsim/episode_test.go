@@ -1,6 +1,7 @@
 package nowsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -101,13 +102,13 @@ func TestMonteCarloMatchesExpectedWorkGeomDecreasing(t *testing.T) {
 func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
 	l, _ := lifefn.NewUniform(50)
 	s := sched.MustNew(10, 9)
-	a := MonteCarlo(NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 1000, 7)
-	b := MonteCarlo(NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 1000, 7)
+	a := serialMC(t, NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 1000, 7, Obs{})
+	b := serialMC(t, NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 1000, 7, Obs{})
 	//lint:allow floatcmp same-seed determinism: bit-identical
 	if a.Work.Mean != b.Work.Mean || a.Reclaimed != b.Reclaimed {
 		t.Error("same seed produced different results")
 	}
-	c := MonteCarlo(NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 1000, 8)
+	c := serialMC(t, NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 1000, 8, Obs{})
 	//lint:allow floatcmp different seeds must not collide bit-for-bit
 	if a.Work.Mean == c.Work.Mean {
 		t.Error("different seeds produced identical results")
@@ -154,4 +155,14 @@ func TestSchedulePolicyString(t *testing.T) {
 	if (&FixedChunkPolicy{Chunk: 2}).String() == "" {
 		t.Error("fixed chunk string empty")
 	}
+}
+
+// serialMC runs MonteCarloCtx to completion on a background context.
+func serialMC(t testing.TB, policy Policy, owner Owner, c float64, n int, seed uint64, o Obs) MonteCarloResult {
+	t.Helper()
+	res, err := MonteCarloCtx(context.Background(), policy, owner, c, n, seed, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

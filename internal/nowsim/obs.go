@@ -10,7 +10,7 @@ import (
 // Obs bundles the optional observability outputs threaded through the
 // simulators: a structured trace sink and a metrics registry. Both
 // fields are nil-safe and independent; the zero Obs disables all
-// instrumentation at (benchmarked, see obs_bench_test.go) zero cost.
+// instrumentation at zero cost (benchmarked by csbench -perf).
 //
 // Instrumentation never changes simulation results: observed and
 // unobserved runs with the same seed are identical, a property the

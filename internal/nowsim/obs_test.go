@@ -63,8 +63,8 @@ func TestMonteCarloDeterminism(t *testing.T) {
 	owner := LifeOwner{Life: l}
 	pol := func() Policy { return &FixedChunkPolicy{Chunk: 7} }
 
-	run := func(o Obs) MonteCarloResult { return MonteCarloObs(pol(), owner, 1, 500, 42, o) }
-	plain := MonteCarlo(pol(), owner, 1, 500, 42)
+	run := func(o Obs) MonteCarloResult { return serialMC(t, pol(), owner, 1, 500, 42, o) }
+	plain := run(Obs{})
 
 	trace := func() ([]byte, MonteCarloResult) {
 		var buf bytes.Buffer
@@ -91,30 +91,6 @@ func TestMonteCarloDeterminism(t *testing.T) {
 	}
 }
 
-func TestMonteCarloAntitheticDeterminism(t *testing.T) {
-	l := testLife(t)
-	pol := func() Policy { return &FixedChunkPolicy{Chunk: 7} }
-	plain := MonteCarloAntithetic(pol(), l, 1, 200, 99)
-
-	trace := func() ([]byte, MonteCarloResult) {
-		var buf bytes.Buffer
-		sink := obs.NewJSONLSink(&buf)
-		res := MonteCarloAntitheticObs(pol(), l, 1, 200, 99, Obs{Sink: sink})
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), res
-	}
-	b1, r1 := trace()
-	b2, r2 := trace()
-	if !bytes.Equal(b1, b2) {
-		t.Error("antithetic JSONL traces are not byte-identical")
-	}
-	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(r1, plain) {
-		t.Errorf("antithetic observed %+v, repeat %+v, plain %+v", r1, r2, plain)
-	}
-}
-
 // TestMonteCarloParallelObsDeterminism: the parallel harness replays
 // block buffers in order, so trace and results are identical for any
 // worker count and identical to the sequential run.
@@ -126,7 +102,7 @@ func TestMonteCarloParallelObsDeterminism(t *testing.T) {
 	trace := func(workers int) ([]byte, MonteCarloResult) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONLSink(&buf)
-		res := MonteCarloParallelObs(factory, owner, 1, 3000, 5, workers, Obs{Sink: sink})
+		res := MonteCarloParallel(factory, owner, 1, 3000, 5, workers, Obs{Sink: sink})
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +116,7 @@ func TestMonteCarloParallelObsDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(r2, r8) {
 		t.Errorf("parallel results differ across worker counts: %+v vs %+v", r2, r8)
 	}
-	plain := MonteCarloParallel(factory, owner, 1, 3000, 5, 4)
+	plain := MonteCarloParallel(factory, owner, 1, 3000, 5, 4, Obs{})
 	if !reflect.DeepEqual(r2, plain) {
 		t.Errorf("observed parallel %+v != plain parallel %+v", r2, plain)
 	}

@@ -1,111 +1,29 @@
 package nowsim
 
 import (
+	"context"
 	"runtime"
 	"sync"
-
-	"repro/internal/lifefn"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
-// MonteCarloAntithetic estimates a schedule's expected committed work
-// with antithetic variates: reclaim times are drawn in negatively
-// correlated pairs (u, 1-u) through the survival function's inverse, and
-// the pair-average is the per-replication observation. Because realized
-// work is monotone in the reclaim time, pairing provably reduces
-// variance versus plain sampling at equal episode counts — the bench
-// suite quantifies the savings. n is the number of pairs (2n episodes).
-func MonteCarloAntithetic(policy Policy, l lifefn.Life, c float64, n int, seed uint64) MonteCarloResult {
-	return MonteCarloAntitheticObs(policy, l, c, n, seed, Obs{})
-}
-
-// MonteCarloAntitheticObs is MonteCarloAntithetic with observability
-// (see MonteCarloObs); both episodes of a pair trace as worker 0, in
-// order. Results are identical with or without instrumentation.
-func MonteCarloAntitheticObs(policy Policy, l lifefn.Life, c float64, n int, seed uint64, o Obs) MonteCarloResult {
-	src := rng.New(seed)
-	m := newSimMetrics(o.Metrics, c)
-	batch := obs.NewSpanner(o.Sink).Start(0, -1, "mc-batch", obs.SpanAttrs{Tasks: 2 * n})
-	emit := o.episodeEmitIn(0, m, batch)
-	var work, lost, periods stats.Running
-	var reclaimed int64
-	horizon := l.Horizon()
-	bound := 0.0
-	if horizon > 0 && horizon < 1e300 {
-		bound = horizon
-	}
-	invert := func(u float64) float64 {
-		// Inverse-transform via bisection on the survival function,
-		// mirroring rng.Source.FromSurvival for an explicit quantile.
-		hi := bound
-		if hi == 0 {
-			hi = 1.0
-			for l.P(hi) > u {
-				hi *= 2
-				if hi > 1e30 {
-					return hi
-				}
-			}
-		}
-		lo := 0.0
-		for i := 0; i < 200 && hi-lo > 1e-12*(1+hi); i++ {
-			mid := lo + (hi-lo)/2
-			if l.P(mid) > u {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return lo + (hi-lo)/2
-	}
-	for i := 0; i < n; i++ {
-		u := src.Float64Open()
-		r1 := invert(u)
-		r2 := invert(1 - u)
-		a := runEpisodeMaybe(policy, c, r1, emit)
-		m.episodeDone()
-		b := runEpisodeMaybe(policy, c, r2, emit)
-		m.episodeDone()
-		work.Add((a.Work + b.Work) / 2)
-		lost.Add((a.Lost + b.Lost) / 2)
-		periods.Add(float64(a.PeriodsCommitted+b.PeriodsCommitted) / 2)
-		if a.Reclaimed {
-			reclaimed++
-		}
-		if b.Reclaimed {
-			reclaimed++
-		}
-	}
-	batch.End(float64(2 * n))
-	return MonteCarloResult{
-		Work:      stats.Summarize(&work),
-		Lost:      stats.Summarize(&lost),
-		Periods:   stats.Summarize(&periods),
-		Reclaimed: reclaimed,
-		Episodes:  int64(2 * n),
-	}
-}
-
-// MonteCarloParallel is MonteCarlo spread across a goroutine pool.
+// MonteCarloParallel is MonteCarloCtx spread across a goroutine pool.
 // Episodes are partitioned into contiguous blocks, each with an RNG
 // stream derived deterministically from (seed, block index) and its own
 // policy instance from factory, so the aggregate statistics are
-// bit-identical for any worker count — parallelism changes wall time,
-// never results. workers <= 0 uses GOMAXPROCS.
-func MonteCarloParallel(factory func() Policy, owner Owner, c float64, n int, seed uint64, workers int) MonteCarloResult {
-	return MonteCarloParallelObs(factory, owner, c, n, seed, workers, Obs{})
-}
-
-// MonteCarloParallelObs is MonteCarloParallel with observability.
+// bit-identical for any worker count above one — parallelism changes
+// wall time, never results. workers <= 0 uses GOMAXPROCS; at one
+// worker the run is MonteCarloCtx itself, on the unsplit seed stream.
+//
 // Goroutines never touch the sink: each block buffers its events and
 // the buffers are replayed into o.Sink and o.Metrics in block order
-// after the join, so the trace (like the statistics) is bit-identical
-// for any worker count. Tracing a parallel run therefore holds all of
-// a block's events in memory; metrics alone are cheap.
-func MonteCarloParallelObs(factory func() Policy, owner Owner, c float64, n int, seed uint64, workers int, o Obs) MonteCarloResult {
+// after the join, so the trace (like the statistics) is the same for
+// every worker count above one. Tracing a parallel run therefore holds
+// all of a block's events in memory; metrics alone are cheap.
+func MonteCarloParallel(factory func() Policy, owner Owner, c float64, n int, seed uint64, workers int, o Obs) MonteCarloResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -113,7 +31,9 @@ func MonteCarloParallelObs(factory func() Policy, owner Owner, c float64, n int,
 		workers = n
 	}
 	if workers <= 1 {
-		return MonteCarloObs(factory(), owner, c, n, seed, o)
+		// The context never ends, so there is no error to report.
+		res, _ := MonteCarloCtx(context.TODO(), factory(), owner, c, n, seed, o)
+		return res
 	}
 	// Fixed-size blocks decouple the partitioning from the worker
 	// count: block b always simulates the same episodes with the same
@@ -139,11 +59,7 @@ func MonteCarloParallelObs(factory func() Policy, owner Owner, c float64, n int,
 		go func() {
 			defer wg.Done()
 			for b := range next {
-				start := b * blockSize
-				count := blockSize
-				if start+count > n {
-					count = n - start
-				}
+				count := min(blockSize, n-b*blockSize)
 				src := rng.New(seed ^ (0x9e3779b97f4a7c15 * uint64(b+1)))
 				policy := factory()
 				res := &results[b]
@@ -181,10 +97,7 @@ func MonteCarloParallelObs(factory func() Policy, owner Owner, c float64, n int,
 		periods.Merge(results[b].periods)
 		reclaimed += results[b].reclaimed
 		start := b * blockSize
-		count := blockSize
-		if start+count > n {
-			count = n - start
-		}
+		count := min(blockSize, n-start)
 		batch := sp.Start(float64(start), -1, "mc-batch", obs.SpanAttrs{Period: b, Tasks: count})
 		if emitMerged := o.episodeEmitIn(0, m, batch); emitMerged != nil {
 			for _, e := range results[b].events {

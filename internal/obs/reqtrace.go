@@ -25,20 +25,12 @@ import (
 )
 
 // PhaseSpan is one attributed interval within a request, offsets in
-// milliseconds from the request's start. AllocObjects/AllocBytes are
-// the process-wide heap-allocation deltas across the phase (from the
-// exact runtime/metrics counters): on a request running alone they are
-// the phase's own allocation bill; under concurrency — most visibly a
-// coalesced follower whose "coalesce" wait brackets the leader's
-// compute — they include other goroutines' allocations too. DESIGN.md
-// section 13 spells out the caveat.
+// milliseconds from the request's start.
 type PhaseSpan struct {
-	Name         string            `json:"name"`
-	StartMS      float64           `json:"start_ms"`
-	DurMS        float64           `json:"dur_ms"`
-	AllocObjects uint64            `json:"alloc_objects,omitempty"`
-	AllocBytes   uint64            `json:"alloc_bytes,omitempty"`
-	Attrs        map[string]string `json:"attrs,omitempty"`
+	Name    string            `json:"name"`
+	StartMS float64           `json:"start_ms"`
+	DurMS   float64           `json:"dur_ms"`
+	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
 // Phase names the serving path records. Breakdown keys are derived as
@@ -108,23 +100,13 @@ func (rt *ReqTrace) TraceID() string {
 // key/value pairs (a trailing odd key is ignored). Phases recorded
 // after Finalize are dropped.
 func (rt *ReqTrace) AddPhase(name string, start time.Time, d time.Duration, attrs ...string) {
-	rt.AddPhaseAlloc(name, start, d, 0, 0, attrs...)
-}
-
-// AddPhaseAlloc is AddPhase plus the phase's allocation deltas, for
-// call sites that bracket the phase with obs.HeapAllocs themselves
-// (the pool's queue wait spans two goroutines, so the closure-based
-// StartPhase cannot carry its snapshot across).
-func (rt *ReqTrace) AddPhaseAlloc(name string, start time.Time, d time.Duration, allocObjs, allocBytes uint64, attrs ...string) {
 	if rt == nil {
 		return
 	}
 	ps := PhaseSpan{
-		Name:         name,
-		StartMS:      clampNonNeg(float64(start.Sub(rt.start)) / float64(time.Millisecond)),
-		DurMS:        clampNonNeg(float64(d) / float64(time.Millisecond)),
-		AllocObjects: allocObjs,
-		AllocBytes:   allocBytes,
+		Name:    name,
+		StartMS: clampNonNeg(float64(start.Sub(rt.start)) / float64(time.Millisecond)),
+		DurMS:   clampNonNeg(float64(d) / float64(time.Millisecond)),
 	}
 	if len(attrs) >= 2 {
 		ps.Attrs = make(map[string]string, len(attrs)/2)
@@ -140,19 +122,14 @@ func (rt *ReqTrace) AddPhaseAlloc(name string, start time.Time, d time.Duration,
 }
 
 // StartPhase starts a phase now and returns the function that ends it;
-// an unended phase records nothing. The phase's heap-allocation deltas
-// are captured alongside its duration (see PhaseSpan for the
-// process-global caveat).
+// an unended phase records nothing.
 func (rt *ReqTrace) StartPhase(name string) func(attrs ...string) {
 	if rt == nil {
 		return func(...string) {}
 	}
 	t0 := time.Now()
-	objs0, bytes0 := HeapAllocs()
 	return func(attrs ...string) {
-		d := time.Since(t0)
-		objs1, bytes1 := HeapAllocs()
-		rt.AddPhaseAlloc(name, t0, d, objs1-objs0, bytes1-bytes0, attrs...)
+		rt.AddPhase(name, t0, time.Since(t0), attrs...)
 	}
 }
 
@@ -173,10 +150,8 @@ func (rt *ReqTrace) Annotate(k, v string) {
 
 // ServerTiming renders the phases recorded so far (plus the running
 // total) in the Server-Timing response-header syntax, e.g.
-// "cache;dur=0.01;desc=miss, queue;dur=0.4, compute;dur=5.2;alloc=1380,
-// total;dur=5.7" — the alloc param is the phase's heap-allocation
-// object count, so a slow response names where the garbage came from
-// without a round-trip to /debug/traces. Empty on a nil trace.
+// "cache;dur=0.010;desc=miss, queue;dur=0.400, compute;dur=5.200,
+// total;dur=5.700". Empty on a nil trace.
 func (rt *ReqTrace) ServerTiming() string {
 	if rt == nil {
 		return ""
@@ -192,10 +167,6 @@ func (rt *ReqTrace) ServerTiming() string {
 		sb.WriteString(p.Name)
 		sb.WriteString(";dur=")
 		sb.WriteString(strconv.FormatFloat(p.DurMS, 'f', 3, 64))
-		if p.AllocObjects > 0 {
-			sb.WriteString(";alloc=")
-			sb.WriteString(strconv.FormatUint(p.AllocObjects, 10))
-		}
 		if out, ok := p.Attrs["outcome"]; ok {
 			sb.WriteString(";desc=")
 			sb.WriteString(out)
@@ -247,14 +218,6 @@ func (rt *ReqTrace) Finalize(status int) TraceRecord {
 	rec.Breakdown = make(map[string]float64, len(phases)+1)
 	for _, p := range phases {
 		rec.Breakdown[p.Name+"_ms"] += p.DurMS
-		// Alloc totals sum only the serving-path phases: nested
-		// instrumentation (the Monte-Carlo "mc" span inside compute)
-		// would double-count its enclosing phase's delta.
-		switch p.Name {
-		case PhaseQueue, PhaseCoalesce, PhaseCompute, PhaseCache, PhasePeer:
-			rec.AllocObjects += p.AllocObjects
-			rec.AllocBytes += p.AllocBytes
-		}
 		if p.Name == PhaseCache {
 			if out, ok := p.Attrs["outcome"]; ok {
 				rec.Cache = out

@@ -39,27 +39,6 @@ const (
 	rmSchedLat     = "/sched/latencies:seconds"
 )
 
-// HeapAllocs returns the cumulative count and bytes of heap
-// allocations since process start, straight from runtime/metrics. Two
-// reads bracket a region; their difference is the region's allocation
-// bill. The counters are process-global: concurrent goroutines'
-// allocations land in whichever regions are open, so deltas are exact
-// for the process and attributive only to the extent the region ran
-// alone (the per-phase caveat DESIGN.md section 13 documents).
-func HeapAllocs() (objects, bytes uint64) {
-	var s [2]metrics.Sample
-	s[0].Name = rmAllocObjects
-	s[1].Name = rmAllocBytes
-	metrics.Read(s[:])
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		objects = s[0].Value.Uint64()
-	}
-	if s[1].Value.Kind() == metrics.KindUint64 {
-		bytes = s[1].Value.Uint64()
-	}
-	return objects, bytes
-}
-
 // RuntimeBridgeConfig tunes the bridge. Zero values select defaults in
 // parentheses.
 type RuntimeBridgeConfig struct {

@@ -124,20 +124,6 @@ func TestRuntimeBridgeWatchdogDerivesLimit(t *testing.T) {
 	}
 }
 
-func TestHeapAllocsMonotone(t *testing.T) {
-	objs0, bytes0 := HeapAllocs()
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	runtime.KeepAlive(sink)
-	objs1, bytes1 := HeapAllocs()
-	if objs1 <= objs0 || bytes1 <= bytes0 {
-		t.Errorf("counters did not advance: objects %d->%d bytes %d->%d",
-			objs0, objs1, bytes0, bytes1)
-	}
-}
-
 func TestHistQuantile(t *testing.T) {
 	h := &metrics.Float64Histogram{
 		Counts:  []uint64{1, 1, 2},

@@ -35,8 +35,6 @@ type TraceRecord struct {
 	Status        int                `json:"status"`
 	StartUnixNano int64              `json:"start_unix_nano"`
 	TotalMS       float64            `json:"total_ms"`
-	AllocObjects  uint64             `json:"alloc_objects,omitempty"`
-	AllocBytes    uint64             `json:"alloc_bytes,omitempty"`
 	Cache         string             `json:"cache,omitempty"`
 	Breakdown     map[string]float64 `json:"breakdown"`
 	Phases        []PhaseSpan        `json:"phases,omitempty"`

@@ -10,20 +10,17 @@ package serve
 //     implement internal/cluster.Store over the plan and estimate LRUs,
 //     serving the peer protocol endpoints a cluster.Node mounts.
 //
-// Responses cross the peer wire as their JSON encodings. The per-
-// response serving stamps (cached / coalesced / peer_filled /
-// elapsed_ms) are zeroed before an entry is stored, exactly as the
-// local compute path stores unstamped values, so a peer-filled entry is
-// indistinguishable from a locally computed one on the next hit.
+// Responses cross the peer wire as their JSON encodings. An entry from
+// a peer is installed only when it is well-formed for its key (see the
+// response types' check methods), and with its Served stamps zeroed,
+// exactly as the local compute path stores unstamped values.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 )
 
 // PeerFiller is the cluster fill hook (implemented by cluster.Node).
@@ -41,64 +38,6 @@ type PeerFiller interface {
 // fill.
 func (s *Server) SetPeers(p PeerFiller) { s.peers = p }
 
-// cacheFor maps a canonical key to the cache that stores it: estimate
-// keys carry the "est|" prefix, everything else is a plan key.
-func (s *Server) cacheFor(key string) *Cache {
-	if strings.HasPrefix(key, "est|") {
-		return s.estCache
-	}
-	return s.planCache
-}
-
-// peerFillPlan asks the cluster for a cached plan on a local miss,
-// installing a hit into the local cache. Runs inside the singleflight
-// leader, on the group-owned context, so the peer phase bills to the
-// request that triggered the fetch.
-func (s *Server) peerFillPlan(ctx context.Context, key string) (PlanResponse, bool) {
-	if s.peers == nil {
-		return PlanResponse{}, false
-	}
-	endPeer := obs.StartPhase(ctx, obs.PhasePeer)
-	raw, ok := s.peers.Fill(ctx, key)
-	if ok {
-		var resp PlanResponse
-		if err := json.Unmarshal(raw, &resp); err == nil && resp.Key == key {
-			resp.Cached, resp.Coalesced, resp.PeerFilled, resp.ElapsedMS = false, false, false, 0
-			s.planCache.Put(key, resp)
-			resp.PeerFilled = true
-			endPeer("outcome", "hit")
-			s.peerFilled.Inc()
-			return resp, true
-		}
-	}
-	endPeer("outcome", "miss")
-	s.peerMissed.Inc()
-	return PlanResponse{}, false
-}
-
-// peerFillEstimate is peerFillPlan for the estimate cache.
-func (s *Server) peerFillEstimate(ctx context.Context, key string) (EstimateResponse, bool) {
-	if s.peers == nil {
-		return EstimateResponse{}, false
-	}
-	endPeer := obs.StartPhase(ctx, obs.PhasePeer)
-	raw, ok := s.peers.Fill(ctx, key)
-	if ok {
-		var resp EstimateResponse
-		if err := json.Unmarshal(raw, &resp); err == nil && resp.Key == key {
-			resp.Cached, resp.Coalesced, resp.PeerFilled, resp.ElapsedMS = false, false, false, 0
-			s.estCache.Put(key, resp)
-			resp.PeerFilled = true
-			endPeer("outcome", "hit")
-			s.peerFilled.Inc()
-			return resp, true
-		}
-	}
-	endPeer("outcome", "miss")
-	s.peerMissed.Inc()
-	return EstimateResponse{}, false
-}
-
 // offerPeers hands a freshly computed response to the cluster for push
 // replication (a no-op under steal fill or outside a cluster).
 func (s *Server) offerPeers(key string, resp any) {
@@ -115,44 +54,31 @@ func (s *Server) offerPeers(key string, resp any) {
 // PeerGet implements cluster.Store: the cached response for key,
 // marshaled for the wire. The lookup goes through the ordinary cache
 // path, so a peer steal bumps the entry's recency — a key the cluster
-// keeps asking for stays in this replica's working set.
+// keeps asking for stays in this replica's working set. Estimate keys
+// carry the "est|" prefix; everything else is a plan key.
 func (s *Server) PeerGet(key string) (json.RawMessage, bool) {
-	v, ok := s.cacheFor(key).Get(key)
-	if !ok {
-		return nil, false
+	c := s.plan.cache
+	if strings.HasPrefix(key, "est|") {
+		c = s.estimate.cache
 	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, false
+	if v, ok := c.Get(key); ok {
+		if raw, err := json.Marshal(v); err == nil {
+			return raw, true
+		}
 	}
-	return raw, true
+	return nil, false
 }
 
-// PeerPut implements cluster.Store: validate and install an entry
-// received from a peer (warm push, drain handoff, or startup pull).
+// PeerPut implements cluster.Store: check and install an entry received
+// from a peer (warm push, drain handoff, or startup pull).
 func (s *Server) PeerPut(key string, val json.RawMessage) error {
+	var err error
 	if strings.HasPrefix(key, "est|") {
-		var resp EstimateResponse
-		if err := json.Unmarshal(val, &resp); err != nil {
-			return fmt.Errorf("serve: bad peer estimate entry: %w", err)
-		}
-		if resp.Key != key {
-			return fmt.Errorf("serve: peer entry key mismatch: %q vs %q", resp.Key, key)
-		}
-		resp.Cached, resp.Coalesced, resp.PeerFilled, resp.ElapsedMS = false, false, false, 0
-		s.estCache.Put(key, resp)
-		return nil
+		_, err = s.estimate.install(key, val)
+	} else {
+		_, err = s.plan.install(key, val)
 	}
-	var resp PlanResponse
-	if err := json.Unmarshal(val, &resp); err != nil {
-		return fmt.Errorf("serve: bad peer plan entry: %w", err)
-	}
-	if resp.Key != key {
-		return fmt.Errorf("serve: peer entry key mismatch: %q vs %q", resp.Key, key)
-	}
-	resp.Cached, resp.Coalesced, resp.PeerFilled, resp.ElapsedMS = false, false, false, 0
-	s.planCache.Put(key, resp)
-	return nil
+	return err
 }
 
 // PeerHot implements cluster.Store: the hottest entries across both
@@ -173,9 +99,9 @@ func (s *Server) PeerHot(n int) []cluster.Entry {
 			entries = append(entries, cluster.Entry{Key: key, Val: raw})
 		}
 	}
-	appendHot(s.planCache, n)
+	appendHot(s.plan.cache, n)
 	if len(entries) < n {
-		appendHot(s.estCache, n-len(entries))
+		appendHot(s.estimate.cache, n-len(entries))
 	}
 	return entries
 }

@@ -38,15 +38,10 @@ type poolTask struct {
 	//lint:allow ctxguard the task is the request's unit of work in the queue; its context rides with it like http.Request's, and workers drop the task the moment it ends
 	ctx  context.Context
 	fn   func(context.Context)
-	enq  time.Time // submission time, for queue-wait attribution
-	ran  bool      // set by the worker before done closes; read by Do only after <-done
+	enq  time.Time     // submission time, for queue-wait attribution
+	rt   *obs.ReqTrace // the submitting request's trace; nil when untraced
+	ran  bool          // set by the worker before done closes; read by Do only after <-done
 	done chan struct{}
-
-	// Queue-wait allocation attribution: the submitting goroutine
-	// snapshots the allocation counters, the worker diffs them at
-	// pickup. Captured only when the request is traced.
-	rt                *obs.ReqTrace
-	enqObjs, enqBytes uint64
 }
 
 // NewPool starts workers goroutines servicing a queue of the given
@@ -77,10 +72,7 @@ func (p *Pool) worker() {
 			if p.wait != nil {
 				p.wait.Observe(float64(waited) / float64(time.Millisecond))
 			}
-			if t.rt != nil {
-				objs, bytes := obs.HeapAllocs()
-				t.rt.AddPhaseAlloc(obs.PhaseQueue, t.enq, waited, objs-t.enqObjs, bytes-t.enqBytes)
-			}
+			t.rt.AddPhase(obs.PhaseQueue, t.enq, waited)
 			t.fn(t.ctx)
 			t.ran = true
 		} else if p.skipped != nil {
@@ -104,11 +96,7 @@ func (p *Pool) worker() {
 // skips it, keeping the pool usable after any number of abandoned
 // requests.
 func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
-	t := &poolTask{ctx: ctx, fn: fn, enq: time.Now(), done: make(chan struct{})}
-	if rt := obs.ReqTraceFrom(ctx); rt != nil {
-		t.rt = rt
-		t.enqObjs, t.enqBytes = obs.HeapAllocs()
-	}
+	t := &poolTask{ctx: ctx, fn: fn, enq: time.Now(), rt: obs.ReqTraceFrom(ctx), done: make(chan struct{})}
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()

@@ -101,12 +101,12 @@ func (c Config) withDefaults() Config {
 // coalescing / worker-pool stack. Create with New, mount with Routes,
 // stop with Drain.
 type Server struct {
-	cfg       Config
-	reg       *obs.Registry
-	pool      *Pool
-	flights   *flightGroup
-	planCache *Cache
-	estCache  *Cache
+	cfg      Config
+	reg      *obs.Registry
+	pool     *Pool
+	flights  *flightGroup
+	plan     *route[PlanSpec, PlanResponse, *PlanResponse]
+	estimate *route[EstimateSpec, EstimateResponse, *EstimateResponse]
 
 	// peers is the cluster fill hook (SetPeers); nil outside a cluster.
 	peers PeerFiller
@@ -139,8 +139,6 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		reg:       reg,
 		flights:   newFlightGroup(),
-		planCache: NewCache(cfg.PlanCacheEntries, cfg.CacheShards, cacheCounters("plan")),
-		estCache:  NewCache(cfg.EstimateCacheEntries, cfg.CacheShards, cacheCounters("estimate")),
 		start:     time.Now(),
 		coalesced: reg.Counter("cs_serve_coalesced_total", "requests that shared another request's in-flight computation"),
 		rejected:  reg.Counter("cs_serve_rejected_total", "requests shed with 429 because the worker queue was full"),
@@ -150,6 +148,20 @@ func New(cfg Config) *Server {
 		episodes:   reg.Counter("cs_serve_episodes_simulated_total", "Monte-Carlo episodes run on behalf of /v1/estimate"),
 		peerFilled: reg.Counter(obs.Labeled("cs_serve_peer_fill_total", "outcome", "hit"), "cache misses satisfied by a cluster peer instead of local compute"),
 		peerMissed: reg.Counter(obs.Labeled("cs_serve_peer_fill_total", "outcome", "miss"), "cache misses no cluster peer could satisfy"),
+	}
+	s.plan = &route[PlanSpec, PlanResponse, *PlanResponse]{
+		srv:       s,
+		cache:     NewCache(cfg.PlanCacheEntries, cfg.CacheShards, cacheCounters("plan")),
+		normalize: PlanSpec.normalize,
+		compute:   computePlan,
+	}
+	s.estimate = &route[EstimateSpec, EstimateResponse, *EstimateResponse]{
+		srv:   s,
+		cache: NewCache(cfg.EstimateCacheEntries, cfg.CacheShards, cacheCounters("estimate")),
+		normalize: func(spec EstimateSpec) (EstimateSpec, error) {
+			return spec.normalize(cfg.MaxEpisodes)
+		},
+		compute: s.computeEstimate,
 	}
 	s.pool = NewPool(cfg.Workers, cfg.Queue,
 		reg.Gauge("cs_serve_queue_depth", "requests queued or running in the worker pool"),
@@ -165,8 +177,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // the obs latency/status middleware and, when configured, the flight
 // recorder.
 func (s *Server) Routes(mux *http.ServeMux) {
-	mux.Handle("POST /v1/plan", s.instrument("plan", s.cfg.SLO, http.HandlerFunc(s.handlePlan)))
-	mux.Handle("POST /v1/estimate", s.instrument("estimate", s.cfg.SLO, http.HandlerFunc(s.handleEstimate)))
+	mux.Handle("POST /v1/plan", s.instrument("plan", s.cfg.SLO, s.plan))
+	mux.Handle("POST /v1/estimate", s.instrument("estimate", s.cfg.SLO, s.estimate))
 	mux.Handle("GET /v1/healthz", s.instrument("healthz", nil, http.HandlerFunc(s.handleHealthz)))
 }
 
@@ -248,17 +260,7 @@ type PlanResponse struct {
 	TotalDuration float64    `json:"total_duration"`
 	ExpectedWork  float64    `json:"expected_work"`
 	Evaluations   int        `json:"evaluations"`
-	// Cached / Coalesced / PeerFilled describe how this request was
-	// served; they are stamped per response and never stored in the
-	// cache entry. PeerFilled marks a miss satisfied by a cluster peer's
-	// cache instead of local compute — a "fresh" computation is one
-	// where all three are false.
-	Cached     bool `json:"cached"`
-	Coalesced  bool `json:"coalesced"`
-	PeerFilled bool `json:"peer_filled"`
-	// ElapsedMS is the server-side time spent producing this response —
-	// for a cache hit, the lookup; for a miss, queueing plus planning.
-	ElapsedMS float64 `json:"elapsed_ms"`
+	Served
 }
 
 // EstimateResponse is the body of a successful POST /v1/estimate.
@@ -275,11 +277,64 @@ type EstimateResponse struct {
 	ReclaimedFraction float64 `json:"reclaimed_fraction"`
 	// AnalyticE is E(S; p) from the planner when the policy is
 	// guideline — the model-vs-simulation comparison in one response.
-	AnalyticE  *float64 `json:"analytic_expected_work,omitempty"`
-	Cached     bool     `json:"cached"`
-	Coalesced  bool     `json:"coalesced"`
-	PeerFilled bool     `json:"peer_filled"`
-	ElapsedMS  float64  `json:"elapsed_ms"`
+	AnalyticE *float64 `json:"analytic_expected_work,omitempty"`
+	Served
+}
+
+// Served describes how one response was produced. It is stamped per
+// response, trails every body, and is zero in every cache entry and
+// every payload that crosses the peer wire. A "fresh" computation is
+// one where all three flags are false.
+type Served struct {
+	Cached    bool `json:"cached"`
+	Coalesced bool `json:"coalesced"`
+	// PeerFilled marks a miss satisfied by a cluster peer's cache
+	// instead of local compute.
+	PeerFilled bool `json:"peer_filled"`
+	// ElapsedMS is the server-side time spent producing this response —
+	// for a cache hit, the lookup; for a miss, queueing plus compute.
+	ElapsedMS float64 `json:"elapsed_ms"`
+}
+
+func (s *Served) served() *Served { return s }
+
+// The check methods vet a response decoded from a peer's JSON for key.
+// Decoding is the finiteness check: JSON has no NaN or Inf, and
+// json.Unmarshal refuses a number that overflows float64.
+
+// check requires the schedule prefix the planner returns, productive
+// periods and 0 < E(S;p) <= total duration.
+func (p *PlanResponse) check(key string) error {
+	if p.Key != key {
+		return fmt.Errorf("key mismatch: %q vs %q", p.Key, key)
+	}
+	if len(p.Periods) != min(p.PeriodsTotal, maxPeriodsReturned) {
+		return fmt.Errorf("%d periods for periods_total %d", len(p.Periods), p.PeriodsTotal)
+	}
+	for _, t := range p.Periods {
+		if !(t > p.C) {
+			return fmt.Errorf("unproductive period %g <= c = %g", t, p.C)
+		}
+	}
+	if !(p.ExpectedWork > 0 && p.ExpectedWork <= p.TotalDuration) {
+		return fmt.Errorf("expected work %g outside (0, %g]", p.ExpectedWork, p.TotalDuration)
+	}
+	return nil
+}
+
+// check requires bands over work.n == episodes >= 2 episodes and a
+// reclaimed fraction in [0, 1].
+func (e *EstimateResponse) check(key string) error {
+	if e.Key != key {
+		return fmt.Errorf("key mismatch: %q vs %q", e.Key, key)
+	}
+	if e.Episodes < 2 || e.Work.N != e.Episodes {
+		return fmt.Errorf("work.n %d for %d episodes", e.Work.N, e.Episodes)
+	}
+	if !(e.ReclaimedFraction >= 0 && e.ReclaimedFraction <= 1) {
+		return fmt.Errorf("reclaimed fraction %g outside [0, 1]", e.ReclaimedFraction)
+	}
+	return nil
 }
 
 // httpError is a JSON error payload.
@@ -340,81 +395,8 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithTimeout(r.Context(), d)
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-	var spec PlanSpec
-	if err := decode(w, r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	spec, err := spec.normalize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := spec.key()
-	rt := obs.ReqTraceFrom(r.Context())
-	endCache := rt.StartPhase(obs.PhaseCache)
-	if v, ok := s.planCache.Get(key); ok {
-		endCache("outcome", "hit")
-		resp := v.(PlanResponse)
-		resp.Cached = true
-		resp.ElapsedMS = msSince(reqStart)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	endCache("outcome", "miss")
-	ctx, cancel := s.requestCtx(r, spec.TimeoutMS)
-	defer cancel()
-	flightStart := time.Now()
-	flightObjs, flightBytes := obs.HeapAllocs()
-	v, shared, leader, err := s.flights.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		// In a cluster, a miss first tries the key's previous holder —
-		// inside the singleflight, so N concurrent misses cause at most
-		// one peer fetch; only when no peer has it does local compute
-		// pay the full planning cost.
-		if resp, ok := s.peerFillPlan(runCtx, key); ok {
-			return resp, nil
-		}
-		var resp PlanResponse
-		var compErr error
-		if poolErr := s.pool.Do(runCtx, func(taskCtx context.Context) {
-			endCompute := obs.StartPhase(taskCtx, obs.PhaseCompute)
-			resp, compErr = s.computePlan(spec, key)
-			endCompute()
-		}); poolErr != nil {
-			return nil, poolErr
-		}
-		if compErr != nil {
-			return nil, compErr
-		}
-		s.planCache.Put(key, resp)
-		s.offerPeers(key, resp)
-		return resp, nil
-	})
-	if !leader {
-		// A follower's entire flight wait is coalesce time: it rode on
-		// the leader's queue + compute. The alloc delta necessarily
-		// includes the leader's compute allocations (process-global
-		// counters — see DESIGN.md section 13).
-		objs, bytes := obs.HeapAllocs()
-		rt.AddPhaseAlloc(obs.PhaseCoalesce, flightStart, time.Since(flightStart), objs-flightObjs, bytes-flightBytes)
-	}
-	if shared {
-		s.coalesced.Inc()
-	}
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	resp := v.(PlanResponse)
-	resp.Coalesced = shared
-	resp.ElapsedMS = msSince(reqStart)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // computePlan runs the guideline planner for a normalized spec.
-func (s *Server) computePlan(spec PlanSpec, key string) (PlanResponse, error) {
+func computePlan(_ context.Context, spec PlanSpec, key string) (PlanResponse, error) {
 	life, err := spec.buildLife()
 	if err != nil {
 		return PlanResponse{}, err
@@ -438,71 +420,6 @@ func (s *Server) computePlan(spec PlanSpec, key string) (PlanResponse, error) {
 	}, nil
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-	var spec EstimateSpec
-	if err := decode(w, r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	spec, err := spec.normalize(s.cfg.MaxEpisodes)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := spec.key()
-	rt := obs.ReqTraceFrom(r.Context())
-	endCache := rt.StartPhase(obs.PhaseCache)
-	if v, ok := s.estCache.Get(key); ok {
-		endCache("outcome", "hit")
-		resp := v.(EstimateResponse)
-		resp.Cached = true
-		resp.ElapsedMS = msSince(reqStart)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	endCache("outcome", "miss")
-	ctx, cancel := s.requestCtx(r, spec.TimeoutMS)
-	defer cancel()
-	flightStart := time.Now()
-	flightObjs, flightBytes := obs.HeapAllocs()
-	v, shared, leader, err := s.flights.Do(ctx, key, func(runCtx context.Context) (any, error) {
-		if resp, ok := s.peerFillEstimate(runCtx, key); ok {
-			return resp, nil
-		}
-		var resp EstimateResponse
-		var compErr error
-		if poolErr := s.pool.Do(runCtx, func(taskCtx context.Context) {
-			endCompute := obs.StartPhase(taskCtx, obs.PhaseCompute)
-			resp, compErr = s.computeEstimate(taskCtx, spec, key)
-			endCompute()
-		}); poolErr != nil {
-			return nil, poolErr
-		}
-		if compErr != nil {
-			return nil, compErr
-		}
-		s.estCache.Put(key, resp)
-		s.offerPeers(key, resp)
-		return resp, nil
-	})
-	if !leader {
-		objs, bytes := obs.HeapAllocs()
-		rt.AddPhaseAlloc(obs.PhaseCoalesce, flightStart, time.Since(flightStart), objs-flightObjs, bytes-flightBytes)
-	}
-	if shared {
-		s.coalesced.Inc()
-	}
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	resp := v.(EstimateResponse)
-	resp.Coalesced = shared
-	resp.ElapsedMS = msSince(reqStart)
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // computeEstimate runs the seeded Monte-Carlo for a normalized spec,
 // honouring ctx between episodes.
 func (s *Server) computeEstimate(ctx context.Context, spec EstimateSpec, key string) (EstimateResponse, error) {
@@ -510,7 +427,7 @@ func (s *Server) computeEstimate(ctx context.Context, spec EstimateSpec, key str
 	if err != nil {
 		return EstimateResponse{}, err
 	}
-	pol, err := spec.parsePolicy(life)
+	pol, err := nowsim.ParsePolicy(spec.Policy, life, spec.C, planOptions())
 	if err != nil {
 		return EstimateResponse{}, err
 	}
@@ -529,9 +446,8 @@ func (s *Server) computeEstimate(ctx context.Context, spec EstimateSpec, key str
 		Work:     bandOf(res.Work),
 		Lost:     bandOf(res.Lost),
 		Periods:  bandOf(res.Periods),
-	}
-	if res.Episodes > 0 {
-		resp.ReclaimedFraction = float64(res.Reclaimed) / float64(res.Episodes)
+		// normalize guarantees at least two episodes.
+		ReclaimedFraction: float64(res.Reclaimed) / float64(res.Episodes),
 	}
 	if pol.Plan != nil {
 		e := pol.Plan.ExpectedWork
@@ -595,10 +511,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Workers:          s.cfg.Workers,
 		QueueDepth:       s.pool.QueueDepth(),
 		QueueCapacity:    s.pool.QueueCap(),
-		PlanCacheEntries: s.planCache.Len(),
-		EstCacheEntries:  s.estCache.Len(),
-		PlanCache:        cacheHealth(s.planCache),
-		EstCache:         cacheHealth(s.estCache),
+		PlanCacheEntries: s.plan.cache.Len(),
+		EstCacheEntries:  s.estimate.cache.Len(),
+		PlanCache:        cacheHealth(s.plan.cache),
+		EstCache:         cacheHealth(s.estimate.cache),
 		Runtime:          obs.ReadRuntimeHealth(),
 	}
 	h.Runtime.GoroutineLeakSuspected = s.cfg.Runtime.LeakSuspected()

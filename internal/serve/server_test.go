@@ -143,7 +143,10 @@ func TestEstimateEndpointMatchesDirectMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := nowsim.MonteCarlo(&nowsim.FixedChunkPolicy{Chunk: 15}, nowsim.LifeOwner{Life: l}, 1, 20000, 7)
+	want, err := nowsim.MonteCarloCtx(context.Background(), &nowsim.FixedChunkPolicy{Chunk: 15}, nowsim.LifeOwner{Life: l}, 1, 20000, 7, nowsim.Obs{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got.Work.Mean-want.Work.Mean) > 0 {
 		t.Errorf("work mean %g, want %g (must be bit-identical)", got.Work.Mean, want.Work.Mean)
 	}
@@ -387,7 +390,7 @@ func TestPlanCacheEvictionThroughHandlers(t *testing.T) {
 			t.Fatalf("request %d: %d (%s)", i, resp.StatusCode, raw)
 		}
 	}
-	if got := s.planCache.Len(); got != 4 {
+	if got := s.plan.cache.Len(); got != 4 {
 		t.Errorf("plan cache holds %d entries, want 4", got)
 	}
 	if s.reg.Counter(obs.Labeled("cs_serve_cache_evictions_total", "route", "plan"), "").Value() != 4 {

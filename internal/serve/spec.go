@@ -129,7 +129,7 @@ func (s PlanSpec) normalize() (PlanSpec, error) {
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Key returns the canonical cache key. Call only on normalized specs.
-func (s PlanSpec) key() string {
+func (s PlanSpec) Key() string {
 	var sb strings.Builder
 	sb.WriteString("plan|life=")
 	sb.WriteString(s.Life)
@@ -150,8 +150,8 @@ func (s PlanSpec) key() string {
 // replica's cache agree on key identity.
 func (s PlanSpec) Canonicalize() (PlanSpec, error) { return s.normalize() }
 
-// Key returns the canonical cache key of a canonicalized spec.
-func (s PlanSpec) Key() string { return s.key() }
+// timeout is the requested deadline in milliseconds (0: the default).
+func (s PlanSpec) timeout() int { return s.TimeoutMS }
 
 // buildLife resolves the normalized spec to a life function, restoring
 // the defaults canonicalization zeroed (BuildLife validates the ones
@@ -205,8 +205,9 @@ func (s EstimateSpec) normalize(maxEpisodes int) (EstimateSpec, error) {
 	if maxEpisodes <= 0 || maxEpisodes > MaxEpisodesLimit {
 		maxEpisodes = MaxEpisodesLimit
 	}
-	if s.Episodes < 1 || s.Episodes > maxEpisodes {
-		return s, fmt.Errorf("%w: want [1, %d], got %d", errEpisodesRange, maxEpisodes, s.Episodes)
+	// One episode has no sample variance: its stderr would be NaN.
+	if s.Episodes < 2 || s.Episodes > maxEpisodes {
+		return s, fmt.Errorf("%w: want [2, %d], got %d", errEpisodesRange, maxEpisodes, s.Episodes)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -214,11 +215,11 @@ func (s EstimateSpec) normalize(maxEpisodes int) (EstimateSpec, error) {
 	return s, nil
 }
 
-// key returns the canonical cache key. Call only on normalized specs.
-func (s EstimateSpec) key() string {
+// Key returns the canonical cache key. Call only on normalized specs.
+func (s EstimateSpec) Key() string {
 	var sb strings.Builder
 	sb.WriteString("est|")
-	sb.WriteString(s.PlanSpec.key())
+	sb.WriteString(s.PlanSpec.Key())
 	sb.WriteString("|policy=")
 	sb.WriteString(s.Policy)
 	sb.WriteString("|n=")
@@ -233,16 +234,6 @@ func (s EstimateSpec) key() string {
 // gate canonicalizes but the replica rejects is answered 4xx by the
 // replica either way).
 func (s EstimateSpec) Canonicalize() (EstimateSpec, error) { return s.normalize(MaxEpisodesLimit) }
-
-// Key returns the canonical cache key of a canonicalized spec.
-func (s EstimateSpec) Key() string { return s.key() }
-
-// parsePolicy resolves the normalized spec's policy against its life
-// function. The policy spec is validated before any pool work is
-// queued, so bad requests fail fast with a 4xx.
-func (s EstimateSpec) parsePolicy(l lifefn.Life) (nowsim.PolicySpec, error) {
-	return nowsim.ParsePolicy(s.Policy, l, s.C, planOptions())
-}
 
 // planOptions is the planner tuning the service uses: the library
 // defaults (MaxPeriods 10k, ScanPoints 64) — the same question a

@@ -13,7 +13,7 @@ func TestPlanSpecDefaultsAndKey(t *testing.T) {
 	if spec.Life != "uniform" || spec.Lifespan != 1000 || spec.C != 1 {
 		t.Errorf("defaults wrong: %+v", spec)
 	}
-	if got := spec.key(); got != "plan|life=uniform|L=1000|hl=0|d=0|c=1" {
+	if got := spec.Key(); got != "plan|life=uniform|L=1000|hl=0|d=0|c=1" {
 		t.Errorf("key = %q", got)
 	}
 }
@@ -30,22 +30,22 @@ func TestPlanSpecCanonicalizationMergesIrrelevantFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.key() != b.key() {
-		t.Errorf("irrelevant fields split the key: %q vs %q", a.key(), b.key())
+	if a.Key() != b.Key() {
+		t.Errorf("irrelevant fields split the key: %q vs %q", a.Key(), b.Key())
 	}
 	c, err := PlanSpec{Life: "uniform", Lifespan: 501}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.key() == c.key() {
+	if a.Key() == c.Key() {
 		t.Error("different lifespans share a key")
 	}
 	d, err := PlanSpec{Life: "geomdec", Lifespan: 500, HalfLife: 32}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(d.key(), "|L=0|") {
-		t.Errorf("geomdec key should drop the lifespan: %q", d.key())
+	if !strings.Contains(d.Key(), "|L=0|") {
+		t.Errorf("geomdec key should drop the lifespan: %q", d.Key())
 	}
 }
 
@@ -54,8 +54,8 @@ func TestPlanSpecCanonicalizationMergesIrrelevantFields(t *testing.T) {
 func TestPlanSpecTimeoutNotInKey(t *testing.T) {
 	a, _ := PlanSpec{TimeoutMS: 50}.normalize()
 	b, _ := PlanSpec{TimeoutMS: 5000}.normalize()
-	if a.key() != b.key() {
-		t.Errorf("timeout leaked into the key: %q vs %q", a.key(), b.key())
+	if a.Key() != b.Key() {
+		t.Errorf("timeout leaked into the key: %q vs %q", a.Key(), b.Key())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestEstimateSpecDefaultsAndKey(t *testing.T) {
 		t.Errorf("defaults wrong: %+v", spec)
 	}
 	want := "est|plan|life=uniform|L=1000|hl=0|d=0|c=1|policy=guideline|n=100000|seed=1"
-	if got := spec.key(); got != want {
+	if got := spec.Key(); got != want {
 		t.Errorf("key = %q, want %q", got, want)
 	}
 }
@@ -96,6 +96,14 @@ func TestEstimateSpecEpisodeCap(t *testing.T) {
 	}
 	if _, err := (EstimateSpec{Episodes: -5}).normalize(0); err == nil {
 		t.Error("negative episodes should not validate")
+	}
+	// One episode has no sample variance (a NaN stderr the encoder
+	// cannot write), so the minimum is two, for the gate as well.
+	if _, err := (EstimateSpec{Episodes: 1}).Canonicalize(); err == nil {
+		t.Error("one episode should not validate")
+	}
+	if _, err := (EstimateSpec{Episodes: 2}).normalize(0); err != nil {
+		t.Errorf("two episodes rejected: %v", err)
 	}
 	if _, err := (EstimateSpec{Episodes: 1_999_999}).normalize(2_000_000); err != nil {
 		t.Errorf("episodes under the cap rejected: %v", err)

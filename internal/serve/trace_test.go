@@ -211,7 +211,7 @@ func TestHealthzDiagnostics(t *testing.T) {
 	if h.PlanCache.Entries != 1 || h.PlanCache.MaxShard != 1 {
 		t.Errorf("plan cache occupancy after one plan: %+v", h.PlanCache)
 	}
-	if h.PlanCache.Entries != s.planCache.Len() {
-		t.Errorf("healthz entries %d != cache len %d", h.PlanCache.Entries, s.planCache.Len())
+	if h.PlanCache.Entries != s.plan.cache.Len() {
+		t.Errorf("healthz entries %d != cache len %d", h.PlanCache.Entries, s.plan.cache.Len())
 	}
 }

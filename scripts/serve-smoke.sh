@@ -6,10 +6,10 @@
 # surface, and stitched request traces whose per-phase attribution
 # satisfies queue + coalesce + compute <= total. Also gates the runtime
 # observability surface: the runtime/metrics bridge series in the
-# scrape, per-phase allocation deltas in stored traces, a well-formed
-# /debug/slo burn-rate report, delta heap profiling, the healthz
-# runtime block, and the csbench -compare regression gate (including a
-# negative test that a synthetic breach exits nonzero). Artifacts
+# scrape, a well-formed /debug/slo burn-rate report, the standard
+# delta allocation profile, the healthz runtime block, and the csbench
+# -compare regression gate (including a negative test that a synthetic
+# breach exits nonzero). Artifacts
 # (server log, metrics scrape, load reports, trace store dump) land in
 # $SMOKE_DIR for CI to upload on failure.
 #
@@ -136,17 +136,6 @@ jq -e 'all(.traces[];
 # Cold estimates did real work: some trace accounts compute time.
 jq -e '[.traces[] | select((.breakdown.compute_ms // 0) > 0)] | length >= 1' \
   "$SMOKE_DIR/traces.json"
-# Per-phase allocation attribution: at least one stored trace carries a
-# phase with a nonzero alloc delta, and the record-level totals equal
-# the sum over the serving-path phases (nested instrumentation spans
-# like "mc" are reported per-phase but excluded from the rollup).
-jq -e '[.traces[] | select([.phases[]? | .alloc_objects // 0] | add > 0)]
-  | length >= 1' "$SMOKE_DIR/traces.json"
-jq -e 'all(.traces[];
-  (.alloc_objects // 0) == ([.phases[]?
-    | select(.name == "queue" or .name == "cache"
-             or .name == "coalesce" or .name == "compute")
-    | .alloc_objects // 0] | add // 0))' "$SMOKE_DIR/traces.json"
 
 echo "serve-smoke: SLO burn-rate report"
 curl -sf "http://127.0.0.1:$PORT/debug/slo" >"$SMOKE_DIR/slo.json"
@@ -166,21 +155,23 @@ jq -e '.alerts | length == 4 and all(.[]; .burn_threshold > 0)' "$SMOKE_DIR/slo.
 jq -e 'all(.alerts[] | select(.sli == "availability"); .firing == false)' \
   "$SMOKE_DIR/slo.json"
 
-echo "serve-smoke: delta heap profile"
-# Also forces two GC cycles, so the healthz gate below can demand a
-# nonzero gc_cycles even on a fast machine.
-curl -sf "http://127.0.0.1:$PORT/debug/delta/heap?seconds=0.2&top=5" \
-  >"$SMOKE_DIR/delta-heap.json"
-jq -e '.mode == "heap" and .seconds == 0.2 and (.stacks | type == "array")' \
-  "$SMOKE_DIR/delta-heap.json"
+echo "serve-smoke: delta allocation profile"
+# The standard library's delta profile: allocations over the last
+# second, as a gzipped pprof protobuf.
+curl -sf "http://127.0.0.1:$PORT/debug/pprof/allocs?seconds=1" \
+  >"$SMOKE_DIR/delta-allocs.pb.gz"
+gzip -t "$SMOKE_DIR/delta-allocs.pb.gz"
+# A heap profile with gc=1 forces a collection, so the healthz gate
+# below can demand a nonzero gc_cycles even on a fast machine.
+curl -sf "http://127.0.0.1:$PORT/debug/pprof/heap?gc=1" >/dev/null
 
 echo "serve-smoke: healthz diagnostics"
 curl -sf "http://127.0.0.1:$PORT/v1/healthz" >"$SMOKE_DIR/healthz.json"
 jq -e '.version != "" and (.go_version | startswith("go")) and .num_cpu >= 1' \
   "$SMOKE_DIR/healthz.json"
 jq -e '.plan_cache.per_shard | length >= 1' "$SMOKE_DIR/healthz.json"
-# The runtime block: GC accounting (the delta profile above forced
-# cycles), live heap numbers, and a quiet leak watchdog.
+# The runtime block: GC accounting (the heap profile above forced a
+# cycle), live heap numbers, and a quiet leak watchdog.
 jq -e '.runtime.gc_cycles >= 1 and .runtime.gc_pause_total_ms > 0' \
   "$SMOKE_DIR/healthz.json"
 jq -e '.runtime.heap_alloc_bytes > 0 and .runtime.num_goroutine >= 1' \

@@ -98,11 +98,11 @@ func RunCheckpointed(cfg CheckpointConfig, src *Rand) (CheckpointResult, error) 
 
 // SimulateEpisodesParallel is SimulateEpisodes across a goroutine pool
 // (workers <= 0 uses GOMAXPROCS); results are bit-identical for any
-// worker count.
+// worker count above one, and one worker is SimulateEpisodes itself.
 func SimulateEpisodesParallel(s Schedule, l Life, c float64, episodes int, seed uint64, workers int) (mean, ci95 float64) {
 	res := nowsim.MonteCarloParallel(func() Policy {
 		return nowsim.NewSchedulePolicy(s, "facade")
-	}, nowsim.LifeOwner{Life: l}, c, episodes, seed, workers)
+	}, nowsim.LifeOwner{Life: l}, c, episodes, seed, workers, nowsim.Obs{})
 	return res.Work.Mean, res.Work.CI95
 }
 
