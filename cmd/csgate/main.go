@@ -444,7 +444,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 	probeCtx, cancelProbe := context.WithCancel(context.Background())
 	defer cancelProbe()
 	if *probe > 0 {
-		//lint:allow goroutinecap the prober owns no shared state beyond the replicas' atomics; probeCtx cancellation stops it
 		go func() {
 			ticker := time.NewTicker(*probe)
 			defer ticker.Stop()

@@ -1,12 +1,7 @@
 // Command cslint runs the repository's analyzer suite (see
-// internal/analysis/suite). It works both standalone:
+// internal/analysis/suite) over packages loaded from source:
 //
-//	cslint ./...
-//
-// and as a vet tool, which type-checks against the build cache's export
-// data instead of re-loading source:
-//
-//	go vet -vettool=$(pwd)/bin/cslint ./...
+//	cslint [-sarif] [packages]   # default ./...
 //
 // Exit codes follow the repo CLI convention: 0 clean, 1 findings,
 // 2 usage errors.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -58,58 +57,55 @@ func TestStandaloneClean(t *testing.T) {
 	}
 }
 
-// TestStandaloneCrossPackageFacts checks that the standalone driver
-// carries flow summaries dependency-first: the raw subtraction lives in
-// facts/work, the finding surfaces at the call in facts/nowsim.
+// TestStandaloneCrossPackageFacts checks that the driver carries facts
+// dependency-first: the raw subtraction lives in facts/work and
+// surfaces at the call in facts/nowsim (flow summaries), and the
+// allocation lives in hotfacts/dep and surfaces at the hot root's call
+// in hotfacts/hot (hotalloc allocation sites over the call graph).
 func TestStandaloneCrossPackageFacts(t *testing.T) {
-	code, out, _ := runLint(t, filepath.Join("testdata", "facts"), "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(out, "hides a raw work subtraction") || !strings.Contains(out, "[nonnegwork]") {
-		t.Errorf("output missing the interprocedural nonnegwork finding:\n%s", out)
+	for _, tc := range []struct {
+		fixture string
+		want    []string
+	}{
+		{"facts", []string{"nowsim/n.go:", "hides a raw work subtraction", "[nonnegwork]"}},
+		{"hotfacts", []string{"hot/hot.go:", "reaches dep.Fill", "allocates at dep.go:", "[hotalloc]"}},
+	} {
+		code, out, _ := runLint(t, filepath.Join("testdata", tc.fixture), "./...")
+		if code != 1 {
+			t.Fatalf("%s: exit = %d, want 1\n%s", tc.fixture, code, out)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output missing %q:\n%s", tc.fixture, want, out)
+			}
+		}
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	code, out, _ := runLint(t, filepath.Join("testdata", "dirty"), "-json", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out)
+// TestStandaloneSubdirPaths: diagnostic paths are anchored at the
+// enclosing go.mod, not the invocation directory, so a run from a
+// subdirectory names files the way a run from the module root does.
+func TestStandaloneSubdirPaths(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module tmpmod\n\ngo 1.22\n"), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	var diags []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
+	if err := os.MkdirAll(filepath.Join(root, "sub"), 0o777); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(out), &diags); err != nil {
-		t.Fatalf("-json output is not a diagnostic array: %v\n%s", err, out)
+	src := "package sub\n\n// Same is a deliberate floatcmp finding.\nfunc Same(a, b float64) bool { return a == b }\n"
+	if err := os.WriteFile(filepath.Join(root, "sub", "sub.go"), []byte(src), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	if len(diags) == 0 {
-		t.Fatal("-json produced an empty array on the dirty fixture")
-	}
-	seen := make(map[string]bool)
-	for _, d := range diags {
-		if d.File == "" || d.Line <= 0 || d.Col <= 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("diagnostic with missing fields: %+v", d)
+	want := filepath.Join("sub", "sub.go") + ":4:"
+	for _, dir := range []string{root, filepath.Join(root, "sub")} {
+		code, out, errout := runLint(t, dir, "./...")
+		if code != 1 {
+			t.Fatalf("run from %s: exit = %d, want 1\nstdout: %s\nstderr: %s", dir, code, out, errout)
 		}
-		if filepath.IsAbs(d.File) {
-			t.Errorf("diagnostic file %q not relative to the working directory", d.File)
+		if !strings.HasPrefix(out, want) {
+			t.Errorf("run from %s: output does not start with the module-root-relative %q:\n%s", dir, want, out)
 		}
-		seen[d.Analyzer] = true
-	}
-	if !seen["floatcmp"] || !seen["printlint"] {
-		t.Errorf("-json diagnostics missing expected analyzers: %v", seen)
-	}
-
-	// A clean tree must still emit valid JSON: an empty array, exit 0.
-	code, out, _ = runLint(t, filepath.Join("testdata", "clean"), "-json", "./...")
-	if code != 0 {
-		t.Fatalf("clean -json exit = %d, want 0\n%s", code, out)
-	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("clean -json output = %q, want []", out)
 	}
 }
 
@@ -187,7 +183,10 @@ func TestSARIFOutput(t *testing.T) {
 	if len(run.Results) == 0 {
 		t.Fatal("dirty fixture produced no sarif results")
 	}
+	seen := make(map[string]bool)
+	withEnd := 0
 	for _, r := range run.Results {
+		seen[r.RuleID] = true
 		if r.RuleIndex < 0 || r.RuleIndex >= len(run.Tool.Driver.Rules) {
 			t.Errorf("result ruleIndex %d out of range", r.RuleIndex)
 			continue
@@ -213,10 +212,21 @@ func TestSARIFOutput(t *testing.T) {
 		if reg.StartLine <= 0 || reg.StartColumn <= 0 {
 			t.Errorf("region start not positive: %+v", reg)
 		}
-		if reg.EndLine != 0 && (reg.EndLine < reg.StartLine ||
-			(reg.EndLine == reg.StartLine && reg.EndColumn < reg.StartColumn)) {
+		if reg.EndLine == 0 {
+			continue
+		}
+		withEnd++
+		if reg.EndLine < reg.StartLine || (reg.EndLine == reg.StartLine && reg.EndColumn < reg.StartColumn) {
 			t.Errorf("region end precedes start: %+v", reg)
 		}
+	}
+	if !seen["floatcmp"] || !seen["printlint"] {
+		t.Errorf("sarif results missing expected analyzers: %v", seen)
+	}
+	// floatcmp reports the whole comparison: range diagnostics must
+	// reach the log as start/end regions.
+	if withEnd == 0 {
+		t.Error("no result carried an end region; range reporting is not wired to -sarif")
 	}
 
 	// A clean tree still emits a complete, valid log with empty results.
@@ -238,240 +248,20 @@ func TestSARIFOutput(t *testing.T) {
 	}
 }
 
-// TestJSONEndOffsets pins the endLine/endCol fields: range-reporting
-// analyzers must carry a span, and end never precedes start.
-func TestJSONEndOffsets(t *testing.T) {
-	code, out, _ := runLint(t, filepath.Join("testdata", "dirty"), "-json", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out)
-	}
-	var diags []struct {
-		File    string `json:"file"`
-		Line    int    `json:"line"`
-		Col     int    `json:"col"`
-		EndLine int    `json:"endLine"`
-		EndCol  int    `json:"endCol"`
-	}
-	if err := json.Unmarshal([]byte(out), &diags); err != nil {
-		t.Fatalf("-json output: %v\n%s", err, out)
-	}
-	withEnd := 0
-	for _, d := range diags {
-		if d.EndLine == 0 {
-			continue
-		}
-		withEnd++
-		if d.EndLine < d.Line || (d.EndLine == d.Line && d.EndCol < d.Col) {
-			t.Errorf("diagnostic end %d:%d precedes start %d:%d in %s", d.EndLine, d.EndCol, d.Line, d.Col, d.File)
-		}
-	}
-	if withEnd == 0 {
-		t.Error("no diagnostic carried an end offset; range reporting is wired to -json")
-	}
-}
-
-func TestBaseline(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "lint-baseline.json")
-
-	// Recording the baseline exits 0 regardless of findings.
-	code, out, errout := runLint(t, filepath.Join("testdata", "dirty"), "-baseline", bl, "-write-baseline", "./...")
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0\nstdout: %s\nstderr: %s", code, out, errout)
-	}
-
-	// With the fresh baseline every finding is suppressed.
-	code, out, _ = runLint(t, filepath.Join("testdata", "dirty"), "-baseline", bl, "./...")
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\n%s", code, out)
-	}
-	if out != "" {
-		t.Errorf("baselined run still reported findings:\n%s", out)
-	}
-
-	// Dropping one entry makes exactly that finding "new" again.
-	data, err := os.ReadFile(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf struct {
-		Findings []json.RawMessage `json:"findings"`
-	}
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v\n%s", err, data)
-	}
-	if len(bf.Findings) < 2 {
-		t.Fatalf("baseline recorded %d findings, want >= 2", len(bf.Findings))
-	}
-	bf.Findings = bf.Findings[1:]
-	trimmed, err := json.Marshal(bf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bl, trimmed, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runLint(t, filepath.Join("testdata", "dirty"), "-baseline", bl, "./...")
-	if code != 1 {
-		t.Fatalf("run with trimmed baseline exit = %d, want 1\n%s", code, out)
-	}
-	if n := strings.Count(strings.TrimSpace(out), "\n") + 1; n != 1 {
-		t.Errorf("trimmed baseline surfaced %d findings, want exactly 1:\n%s", n, out)
-	}
-
-	// A missing baseline file is a usage error, not silence.
-	code, _, errout = runLint(t, filepath.Join("testdata", "dirty"), "-baseline", bl+".missing", "./...")
-	if code != 2 {
-		t.Fatalf("missing baseline exit = %d, want 2\n%s", code, errout)
-	}
-}
-
-// TestBaselinePortableAcrossCwd: diagnostic paths are anchored at the
-// enclosing go.mod, not the invocation directory, so a baseline
-// recorded at the module root suppresses the same findings when cslint
-// runs from a subdirectory.
-func TestBaselinePortableAcrossCwd(t *testing.T) {
-	root := t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module tmpmod\n\ngo 1.22\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(root, "sub"), 0o777); err != nil {
-		t.Fatal(err)
-	}
-	src := "package sub\n\n// Same is a deliberate floatcmp finding.\nfunc Same(a, b float64) bool { return a == b }\n"
-	if err := os.WriteFile(filepath.Join(root, "sub", "sub.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	// A plain run from the subdirectory reports the module-root-relative
-	// path, not one relative to the invocation directory.
-	code, out, errout := runLint(t, filepath.Join(root, "sub"), "./...")
-	if code != 1 {
-		t.Fatalf("subdir run exit = %d, want 1\nstdout: %s\nstderr: %s", code, out, errout)
-	}
-	if want := filepath.Join("sub", "sub.go"); !strings.Contains(out, want) {
-		t.Errorf("subdir run did not report %s-anchored path:\n%s", want, out)
-	}
-
-	// Baseline recorded at the module root...
-	bl := filepath.Join(root, "lint-baseline.json")
-	code, out, errout = runLint(t, root, "-baseline", bl, "-write-baseline", "./...")
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0\nstdout: %s\nstderr: %s", code, out, errout)
-	}
-
-	// ...suppresses the same finding when applied from the subdirectory.
-	code, out, _ = runLint(t, filepath.Join(root, "sub"), "-baseline", bl, "./...")
-	if code != 0 {
-		t.Fatalf("baselined subdir run exit = %d, want 0\n%s", code, out)
-	}
-	if out != "" {
-		t.Errorf("baselined subdir run still reported findings:\n%s", out)
-	}
-}
-
-func TestAnalyzerToggle(t *testing.T) {
-	// Disabling both triggered analyzers must turn the dirty fixture clean.
-	code, out, _ := runLint(t, filepath.Join("testdata", "dirty"),
-		"-floatcmp=false", "-printlint=false", "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 with analyzers disabled\n%s", code, out)
-	}
-}
-
-func TestVersionProbe(t *testing.T) {
-	// cmd/go probes -V=full and requires `<name> version <ver>`; for a
-	// devel version the last field must carry a build ID.
-	code, out, _ := runLint(t, "", "-V=full")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	fields := strings.Fields(out)
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("-V=full output %q does not satisfy the go vet protocol", out)
-	}
-	if fields[2] == "devel" && !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Fatalf("devel version without buildID: %q", out)
-	}
-}
-
-func TestFlagsProbe(t *testing.T) {
-	code, out, _ := runLint(t, "", "-flags")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	var flags []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal([]byte(out), &flags); err != nil {
-		t.Fatalf("-flags output is not the JSON cmd/go expects: %v\n%s", err, out)
-	}
-	if len(flags) != len(suite.All) {
-		t.Fatalf("-flags advertised %d analyzers, want %d", len(flags), len(suite.All))
-	}
-}
-
 func TestUsageError(t *testing.T) {
 	code, _, _ := runLint(t, "", "-no-such-flag")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 for a bad flag", code)
 	}
-}
-
-// TestVettool runs the built binary through the real go vet -vettool
-// protocol against both fixtures.
-func TestVettool(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skipf("go not in PATH: %v", err)
-	}
-	tool := filepath.Join(t.TempDir(), "cslint-under-test")
-	build := exec.Command(goTool, "build", "-o", tool, "repro/cmd/cslint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building cslint: %v\n%s", err, out)
-	}
-
-	vet := func(dir string) (int, string) {
-		cmd := exec.Command(goTool, "vet", "-vettool="+tool, "./...")
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return 0, string(out)
+	// -sarif is the one option.
+	_, _, errout := runLint(t, "", "-h")
+	var flags []string
+	for _, line := range strings.Split(errout, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
 		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode(), string(out)
-		}
-		t.Fatalf("go vet: %v\n%s", err, out)
-		return -1, ""
 	}
-
-	if code, out := vet(filepath.Join("testdata", "dirty")); code == 0 {
-		t.Errorf("go vet -vettool on dirty fixture exited 0\n%s", out)
-	} else if !strings.Contains(out, "[floatcmp]") {
-		t.Errorf("go vet -vettool output missing floatcmp finding:\n%s", out)
-	}
-	if code, out := vet(filepath.Join("testdata", "clean")); code != 0 {
-		t.Errorf("go vet -vettool on clean fixture exited %d\n%s", code, out)
-	}
-	// The facts fixture only fires if flow summaries round-trip through
-	// the .vetx files cmd/go passes between per-package invocations.
-	if code, out := vet(filepath.Join("testdata", "facts")); code == 0 {
-		t.Errorf("go vet -vettool on facts fixture exited 0 (vetx facts not propagated?)\n%s", out)
-	} else if !strings.Contains(out, "hides a raw work subtraction") {
-		t.Errorf("go vet -vettool output missing the interprocedural finding:\n%s", out)
-	}
-	// The hotfacts fixture fires only if hotalloc allocation-site facts
-	// and lockorder lock summaries both cross package boundaries
-	// through the same .vetx channel.
-	if code, out := vet(filepath.Join("testdata", "hotfacts")); code == 0 {
-		t.Errorf("go vet -vettool on hotfacts fixture exited 0 (vetx facts not propagated?)\n%s", out)
-	} else {
-		if !strings.Contains(out, "reaches dep.Fill") || !strings.Contains(out, "[hotalloc]") {
-			t.Errorf("go vet -vettool output missing the cross-package hotalloc finding:\n%s", out)
-		}
-		if !strings.Contains(out, "lock-order cycle") || !strings.Contains(out, "[lockorder]") {
-			t.Errorf("go vet -vettool output missing the cross-package lockorder finding:\n%s", out)
-		}
+	if len(flags) != 1 || flags[0] != "-sarif" {
+		t.Errorf("usage lists flags %v, want [-sarif]:\n%s", flags, errout)
 	}
 }

@@ -1,5 +1,4 @@
-// Package clean satisfies every analyzer: cslint must exit 0 here both
-// standalone and through go vet -vettool.
+// Package clean satisfies every analyzer: cslint must exit 0 here.
 package clean
 
 import "math"

@@ -1,5 +1,4 @@
-// Package dirty violates the suite on purpose: cslint must exit 1 here
-// both standalone and through go vet -vettool.
+// Package dirty violates the suite on purpose: cslint must exit 1 here.
 package dirty
 
 import "fmt"

@@ -1,7 +1,6 @@
 // Package work is clean on its own (not a guarded simulator package)
 // but exports a flow summary recording the raw subtraction, which the
-// driver must carry to importers — in-process standalone and through
-// .vetx files under go vet.
+// driver must carry to importers.
 package work
 
 // Budget returns the raw, sign-preserving difference.

@@ -1,10 +1,7 @@
-// Package dep is the helper side of the vettool facts fixture: its
-// allocation site and its param-relative lock edge reach the hot
-// package only if hotalloc and lockorder facts round-trip through the
-// .vetx files cmd/go passes between per-package invocations.
+// Package dep is the helper side of the cross-package hotalloc
+// fixture: its allocation site reaches the hot package only if
+// hotalloc's facts cross the package boundary.
 package dep
-
-import "sync"
 
 // Fill builds a fresh buffer — an allocation a hot path must not
 // reach.
@@ -14,13 +11,4 @@ func Fill(n int) []float64 {
 		out[i] = 1
 	}
 	return out
-}
-
-// LockPair locks its arguments in argument order; the exported summary
-// carries the param:0 -> param:1 edge importers instantiate.
-func LockPair(first, second *sync.Mutex) {
-	first.Lock()
-	second.Lock()
-	second.Unlock()
-	first.Unlock()
 }

@@ -1,17 +1,13 @@
-// Package hot is the importing side of the vettool facts fixture: both
-// findings below depend on dep's exported facts.
+// Package hot is the importing side of the cross-package hotalloc
+// fixture: the finding below depends on dep's exported facts.
 package hot
 
-import (
-	"sync"
-
-	"hotfacts/dep"
-)
+import "hotfacts/dep"
 
 // Trial is a hot-path root that transitively reaches dep.Fill's
 // allocation.
 //
-//cs:hotpath vet-trial
+//cs:hotpath trial
 func Trial(n int) float64 {
 	xs := dep.Fill(n)
 	var sum float64
@@ -19,16 +15,4 @@ func Trial(n int) float64 {
 		sum += x
 	}
 	return sum
-}
-
-// World carries two mutexes handed to dep.LockPair in both orders.
-type World struct {
-	a, b sync.Mutex
-}
-
-// Crossed closes a lock-order cycle through dep.LockPair's
-// param-relative summary.
-func Crossed(w *World) {
-	dep.LockPair(&w.a, &w.b)
-	dep.LockPair(&w.b, &w.a)
 }

@@ -157,7 +157,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 			LeakLimit: *leakLimit,
 		})
 		bridge.Start()
-		//lint:allow goroutinecap Stop closes the sampler's stop channel; the bridge is internally synchronized
 		defer bridge.Stop()
 	}
 	s := serve.New(serve.Config{

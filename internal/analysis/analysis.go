@@ -2,9 +2,9 @@
 // golang.org/x/tools/go/analysis vocabulary, built on the standard
 // library's go/ast + go/types stack. The build environment has no
 // module proxy, so rather than depending on x/tools the package mirrors
-// its API shape (Analyzer, Pass, Diagnostic, an analysistest-style
-// golden harness, and the cmd/go vet-tool protocol); migrating the
-// analyzers to the upstream framework later is a mechanical change.
+// its API shape (Analyzer, Pass, Diagnostic and an analysistest-style
+// golden harness); migrating the analyzers to the upstream framework
+// later is a mechanical change.
 //
 // The suite exists to enforce, at analysis time, contracts the
 // simulators otherwise defend only with runtime tests: tolerance-aware
@@ -102,18 +102,17 @@ func (p *Pass) Facts(path, ns string) []byte {
 }
 
 // ExportFacts records this package's facts blob under namespace ns for
-// later packages in the session (and for vetx serialization in the vet
-// driver). Facts are keyed by the package's import path with build
-// variant decorations intact; importers look packages up by the plain
-// path types.Package.Path() reports, which matches for everything an
-// importer can actually name.
+// later packages in the session. Facts are keyed by the package's
+// import path with build variant decorations intact; importers look
+// packages up by the plain path types.Package.Path() reports, which
+// matches for everything an importer can actually name.
 func (p *Pass) ExportFacts(ns string, data []byte) {
 	p.session.SetFacts(p.Pkg.Path(), ns, data)
 }
 
 // Shared memoizes an expensive per-package computation (for example the
 // flow engine's call graph and summaries) across the analyzers of one
-// RunAnalyzers call: the first analyzer to ask builds, the rest reuse.
+// Session.Run call: the first analyzer to ask builds, the rest reuse.
 // The key names the computation; build runs at most once per package.
 func (p *Pass) Shared(key string, build func() (interface{}, error)) (interface{}, error) {
 	if e, ok := p.shared[key]; ok {
@@ -128,7 +127,7 @@ func (p *Pass) Shared(key string, build func() (interface{}, error)) (interface{
 // decorations removed: "repro/internal/core [test]" and
 // "repro/internal/core_test" both yield "core". Analyzers that restrict
 // themselves to named packages match on this, so they behave the same
-// under the in-process loader and under go vet's test variants.
+// for a package and its test variants.
 func PkgBase(path string) string {
 	if i := strings.IndexByte(path, ' '); i >= 0 {
 		path = path[:i]
@@ -153,21 +152,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.Pos, f.Message, f.Analyzer)
 }
 
-// RunAnalyzers applies each analyzer to the package, filters findings
-// through the //lint:allow suppressions collected from the files, and
-// returns the survivors sorted by position. It is the single execution
-// path shared by the standalone driver, the vet-tool driver and the
-// golden-test harness, so suppression and ordering cannot drift between
-// them. The session (which may be nil) supplies facts from already
-// analyzed dependencies and receives this package's exports; drivers
-// analyzing multiple packages pass one session, ordered
-// dependency-first (load.Sort), so interprocedural analyses see their
-// callees' summaries.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
-	return (*Session)(nil).Run(fset, files, pkg, info, analyzers)
-}
-
-// Run is RunAnalyzers with cross-package facts carried by the session.
+// Run applies each analyzer to the package, filters findings through
+// the //lint:allow suppressions collected from the files, and returns
+// the survivors sorted by position. It is the single execution path
+// shared by the cslint driver and the golden-test harness, so
+// suppression and ordering cannot drift between them. The session
+// (which may be nil) supplies facts from already analyzed dependencies
+// and receives this package's exports; drivers analyzing multiple
+// packages pass one session, ordered dependency-first (load.Sort), so
+// interprocedural analyses see their callees' summaries.
 func (s *Session) Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
 	sup := CollectSuppressions(fset, files)
 	shared := make(map[string]sharedEntry)

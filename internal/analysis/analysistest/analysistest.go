@@ -10,7 +10,7 @@
 // Each quoted string is a regular expression that must match the
 // message of exactly one finding on that line; lines without a want
 // comment must produce no findings. Because the harness routes findings
-// through the same suppression pass as the real drivers, a fixture line
+// through the same suppression pass as the cslint driver, a fixture line
 // annotated with //lint:allow is asserted as a non-finding.
 package analysistest
 

@@ -1,8 +1,8 @@
 // Package callgraph builds a package-set call graph over the flow
 // engine's per-function call sites, the reachability substrate under
-// the hotalloc and lockorder analyzers. Nodes are functions named by
-// types.Func.FullName (stable across the source loader and go vet's
-// export-data loader); edges come in two flavors:
+// the hotalloc analyzer. Nodes are functions named by
+// types.Func.FullName (stable across packages); edges come in two
+// flavors:
 //
 //   - static: the call site resolved to a concrete function or method
 //     (flow.CallSite.Callee with a non-interface receiver);
@@ -15,10 +15,9 @@
 //     package did — so the graph sharpens as the package set grows.
 //
 // Per-package node lists ride the analysis.Session facts store under
-// FactsNamespace (and therefore .vetx files under go vet -vettool),
-// exactly like the flow engine's value-flow summaries, so reachability
-// queries cross package boundaries: a //cs:hotpath root in serve can
-// reach an allocation three packages down in sched.
+// FactsNamespace, exactly like the flow engine's summaries, so
+// reachability queries cross package boundaries: a //cs:hotpath root in
+// serve can reach an allocation three packages down in sched.
 //
 // # Soundness caveats
 //
@@ -43,7 +42,7 @@ import (
 )
 
 // FactsNamespace keys the call graph's packed node lists in an
-// analysis.Session (and therefore in vetx facts files).
+// analysis.Session.
 const FactsNamespace = "callgraph"
 
 const sharedKey = "callgraph"
@@ -187,10 +186,6 @@ func (g *Graph) IsLocal(name string) bool {
 	_, ok := g.local[name]
 	return ok
 }
-
-// FuncOf returns the flow view of a local function, nil for imported
-// or unknown names.
-func (g *Graph) FuncOf(name string) *flow.FuncInfo { return g.local[name] }
 
 // NodeOf returns the node for name: the local node, or the imported
 // facts node. ok is false when the function is outside the analyzed

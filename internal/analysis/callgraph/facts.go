@@ -11,9 +11,8 @@ import (
 type Nodes map[string]Node
 
 // Encode packs nodes into the facts blob stored in an
-// analysis.Session and serialized into vetx files. The encoding is
-// deterministic (sorted keys) so identical analyses produce identical
-// facts bytes.
+// analysis.Session. The encoding is deterministic (sorted keys) so
+// identical analyses produce identical facts bytes.
 func (n Nodes) Encode() ([]byte, error) {
 	names := make([]string, 0, len(n))
 	for name := range n {

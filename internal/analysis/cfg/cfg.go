@@ -1,11 +1,11 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, the substrate of the cslint suite's
-// abstract-interpretation analyzers (unitflow's dimension propagation,
-// probrange's interval analysis, ctxguard's must-cancel check). A
-// graph is a set of basic blocks holding the function's statements in
-// execution order, connected by edges that remember the branch
-// condition they encode, so a dataflow client can refine its abstract
-// state along the true and false arms of a comparison.
+// abstract-interpretation analyzers (unitflow's dimension propagation
+// and probrange's interval analysis). A graph is a set of basic blocks
+// holding the function's statements in execution order, connected by
+// edges that remember the branch condition they encode, so a dataflow
+// client can refine its abstract state along the true and false arms of
+// a comparison.
 //
 // The graph models if/else, for and range loops (with back edges),
 // switch, type switch and select dispatch, break/continue (labeled and
@@ -38,8 +38,8 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block
 	// Defers lists the defer statements of the body in source order.
-	// Analyses that need "runs on every exit path" semantics (ctxguard)
-	// consult this list alongside the per-path blocks.
+	// Analyses that need "runs on every exit path" semantics consult
+	// this list alongside the per-path blocks.
 	Defers []*ast.DeferStmt
 }
 

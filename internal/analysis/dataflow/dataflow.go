@@ -16,9 +16,9 @@
 // misbehaving lattices; hitting it returns an error rather than
 // silently unsound results.
 //
-// Must-analyses (ctxguard's "cancel called on every path") fit the
-// same machinery by making Join the meet of the dual lattice
-// (intersection) and Bottom the universe.
+// Must-analyses ("X happens on every path") fit the same machinery by
+// making Join the meet of the dual lattice (intersection) and Bottom
+// the universe.
 package dataflow
 
 import (

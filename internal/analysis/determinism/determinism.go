@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // guarded names the simulator packages (matched on the cleaned last
-// path element, so module, fixture and go-vet test-variant paths all
+// path element, so module, fixture and test-variant paths all
 // agree).
 var guarded = map[string]bool{
 	"nowsim":   true,

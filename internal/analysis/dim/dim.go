@@ -8,8 +8,7 @@
 // APIs, propagated through each function body by forward dataflow
 // over its control-flow graph (internal/analysis/cfg +
 // internal/analysis/dataflow), and carried across package boundaries
-// as session facts exactly like the flow engine's value-flow
-// summaries.
+// as session facts exactly like the flow engine's summaries.
 //
 // # The //cs:unit grammar
 //
@@ -57,7 +56,7 @@ import (
 )
 
 // FactsNamespace keys the dimension engine's facts blobs in an
-// analysis.Session (and therefore in vetx facts files).
+// analysis.Session.
 const FactsNamespace = "unitdim"
 
 // A Dim is one point of the dimension lattice. Unknown is bottom

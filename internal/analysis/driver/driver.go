@@ -1,34 +1,24 @@
-// Package driver is the command-line front end shared by cmd/cslint.
-// One binary serves two callers:
-//
-//   - Standalone: `cslint ./...` loads packages from source with the
-//     in-repo loader (dependency-first, so interprocedural facts flow),
-//     prints findings to stdout and exits 1 if any. -json switches to
-//     machine-readable output; -baseline/-write-baseline suppress or
-//     record pre-existing findings.
-//   - Vet tool: `go vet -vettool=cslint ./...` — cmd/go probes the tool
-//     with -V=full and -flags, then invokes it once per package with a
-//     JSON config file (handled by internal/analysis/unit).
+// Package driver is the command-line front end of cmd/cslint:
+// `cslint [-sarif] [packages]` loads packages from source with the
+// in-repo loader (dependency-first, so interprocedural facts flow),
+// prints findings to stdout and exits 1 if any. -sarif renders the same
+// findings as a SARIF 2.1.0 log.
 package driver
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/unit"
 )
 
 // Main runs the cslint driver and returns the process exit code:
-// 0 clean, 1 findings (or type errors), 2 usage/protocol errors.
+// 0 clean, 1 findings (or load errors), 2 usage errors.
 func Main(argv []string, stdout, stderr io.Writer, analyzers []*analysis.Analyzer) int {
 	prog := "cslint"
 	if len(argv) > 0 {
@@ -38,132 +28,16 @@ func Main(argv []string, stdout, stderr io.Writer, analyzers []*analysis.Analyze
 
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	version := fs.String("V", "", "print version and exit (go vet protocol)")
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (standalone mode)")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log (standalone mode)")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline file (standalone mode)")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to the -baseline file (default lint-baseline.json) and exit 0")
-	enabled := make(map[string]*bool, len(analyzers))
-	for _, a := range analyzers {
-		doc := a.Doc
-		if i := strings.IndexByte(doc, '\n'); i >= 0 {
-			doc = doc[:i]
-		}
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+doc)
-	}
+	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: %s [flags] [packages]\n", prog)
-		fmt.Fprintf(stderr, "       %s [flags] <vet.cfg>   (go vet -vettool mode)\n\n", prog)
+		fmt.Fprintf(stderr, "usage: %s [flags] [packages]\n\n", prog)
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 
-	if *version != "" {
-		// cmd/go requires `<name> version <ver>`, and for a "devel"
-		// version the last field must carry a buildID. Hash our own
-		// executable so the cache key changes whenever the tool does.
-		if *version != "full" {
-			fmt.Fprintf(stderr, "%s: unsupported -V value %q\n", prog, *version)
-			return 2
-		}
-		id := "unknown"
-		if exe, err := os.Executable(); err == nil {
-			if data, err := os.ReadFile(exe); err == nil {
-				id = fmt.Sprintf("%x", sha256.Sum256(data))
-			}
-		}
-		fmt.Fprintf(stdout, "%s version devel buildID=%s\n", prog, id)
-		return 0
-	}
-	if *printFlags {
-		// Advertise the per-analyzer toggles so `go vet -<name>=false`
-		// works through the vettool.
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var out []jsonFlag
-		for _, a := range analyzers {
-			out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: "enable " + a.Name})
-		}
-		data, err := json.Marshal(out)
-		if err != nil {
-			fmt.Fprintln(stderr, prog+":", err)
-			return 2
-		}
-		fmt.Fprintln(stdout, string(data))
-		return 0
-	}
-
-	var active []*analysis.Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return unit.Run(args[0], active, stderr)
-	}
-	opts := standaloneOpts{
-		json:          *jsonOut,
-		sarif:         *sarifOut,
-		baseline:      *baseline,
-		writeBaseline: *writeBaseline,
-	}
-	return runStandalone(args, active, opts, stdout, stderr)
-}
-
-type standaloneOpts struct {
-	json          bool
-	sarif         bool
-	baseline      string
-	writeBaseline bool
-}
-
-// jsonDiag is one finding in -json output: the documented, stable
-// machine-readable schema for editors and CI. EndLine/EndCol bound the
-// offending expression when the analyzer reported a range (they are
-// omitted for point diagnostics), so editors can underline the exact
-// span instead of guessing a token.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	EndLine  int    `json:"endLine,omitempty"`
-	EndCol   int    `json:"endCol,omitempty"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// baselineEntry is one suppressed finding class in a baseline file.
-// Line numbers are deliberately absent: a baseline must survive
-// unrelated edits, so findings are matched by file, analyzer and
-// message, up to Count occurrences each.
-type baselineEntry struct {
-	File     string `json:"file"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Count    int    `json:"count"`
-}
-
-type baselineFile struct {
-	Findings []baselineEntry `json:"findings"`
-}
-
-func baselineKey(file, analyzer, message string) string {
-	return file + "\x00" + analyzer + "\x00" + message
-}
-
-// runStandalone loads the named packages (default ./...) from source,
-// analyzes them dependency-first under one session, and reports
-// findings that survive the baseline.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts standaloneOpts, stdout, stderr io.Writer) int {
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -188,10 +62,9 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts stand
 		}
 		all = append(all, findings...)
 	}
-	// Paths in output and baselines are repo-root-relative — anchored
-	// at the enclosing go.mod, not the invocation directory — so a
-	// baseline written at the root suppresses the same findings when
-	// cslint runs from any subdirectory of the checkout.
+	// Paths in output are repo-root-relative — anchored at the
+	// enclosing go.mod, not the invocation directory — so a run from
+	// any subdirectory names files the way a run from the root does.
 	root := load.ModuleRoot(dir)
 	for i := range all {
 		if rel, err := filepath.Rel(root, all[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -199,56 +72,12 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts stand
 		}
 	}
 
-	if opts.writeBaseline {
-		path := opts.baseline
-		if path == "" {
-			path = "lint-baseline.json"
-		}
-		if err := writeBaselineFile(path, all); err != nil {
-			fmt.Fprintln(stderr, "cslint:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "cslint: wrote %d finding(s) to %s\n", len(all), path)
-		return 0
-	}
-	if opts.baseline != "" {
-		remaining, err := applyBaseline(opts.baseline, all)
-		if err != nil {
-			fmt.Fprintln(stderr, "cslint:", err)
-			return 2
-		}
-		all = remaining
-	}
-
-	switch {
-	case opts.sarif:
+	if *sarifOut {
 		if err := writeSARIF(stdout, analyzers, all); err != nil {
 			fmt.Fprintln(stderr, "cslint:", err)
 			return 2
 		}
-	case opts.json:
-		diags := make([]jsonDiag, 0, len(all))
-		for _, f := range all {
-			d := jsonDiag{
-				File:     f.Pos.Filename,
-				Line:     f.Pos.Line,
-				Col:      f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			}
-			if f.End.Line > 0 {
-				d.EndLine = f.End.Line
-				d.EndCol = f.End.Column
-			}
-			diags = append(diags, d)
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, "cslint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, f := range all {
 			fmt.Fprintln(stdout, f)
 		}
@@ -257,63 +86,4 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, opts stand
 		return 1
 	}
 	return 0
-}
-
-// writeBaselineFile records findings as a deterministic baseline.
-func writeBaselineFile(path string, findings []analysis.Finding) error {
-	counts := make(map[string]*baselineEntry)
-	for _, f := range findings {
-		k := baselineKey(f.Pos.Filename, f.Analyzer, f.Message)
-		if e, ok := counts[k]; ok {
-			e.Count++
-			continue
-		}
-		counts[k] = &baselineEntry{File: f.Pos.Filename, Analyzer: f.Analyzer, Message: f.Message, Count: 1}
-	}
-	bf := baselineFile{Findings: make([]baselineEntry, 0, len(counts))}
-	for _, e := range counts {
-		bf.Findings = append(bf.Findings, *e)
-	}
-	sort.Slice(bf.Findings, func(i, j int) bool {
-		a, b := bf.Findings[i], bf.Findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
-}
-
-// applyBaseline drops findings recorded in the baseline file, matching
-// by file/analyzer/message with per-class counts.
-func applyBaseline(path string, findings []analysis.Finding) ([]analysis.Finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %v", err)
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	budget := make(map[string]int, len(bf.Findings))
-	for _, e := range bf.Findings {
-		budget[baselineKey(e.File, e.Analyzer, e.Message)] += e.Count
-	}
-	var out []analysis.Finding
-	for _, f := range findings {
-		k := baselineKey(f.Pos.Filename, f.Analyzer, f.Message)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }

@@ -1,4 +1,4 @@
-// SARIF 2.1.0 output for the standalone driver. The structs mirror the
+// SARIF 2.1.0 output for the cslint driver. The structs mirror the
 // slice of the schema cslint emits — static-analysis interchange for
 // code-scanning UIs — and are kept exported-field-complete so the
 // schema test can strict-decode the output without a network fetch.

@@ -11,12 +11,11 @@
 //     1.5, math.MaxFloat64, ...): sentinel and default checks are safe
 //     because the constant round-trips; 0.1 does not and is flagged;
 //   - comparison against math.Inf(...): infinities compare exactly;
-//   - x != x / x == x: the NaN self-test idiom;
-//   - comparisons inside functions whose name marks them as comparison
-//     helpers (Equal, almostEqual, approxWithin, ...), where exact
-//     fast paths are deliberate.
+//   - x != x / x == x: the NaN self-test idiom.
 //
-// Everything else needs //lint:allow floatcmp <reason>.
+// Everything else needs //lint:allow floatcmp <reason>, tolerance
+// helpers included: a function's name says nothing about whether a
+// comparison in its body is deliberate.
 package floatcmp
 
 import (
@@ -24,33 +23,21 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"regexp"
 
 	"repro/internal/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "floatcmp",
-	Doc:  "flag exact == / != comparisons of floating-point values outside tolerance helpers",
+	Doc:  "flag exact == / != comparisons of floating-point values",
 	Run:  run,
 }
-
-// helperName marks comparison helpers whose bodies may compare floats
-// exactly (an exact fast path before the tolerance check is idiomatic).
-var helperName = regexp.MustCompile(`(?i)(equal|almost|approx|within|near|close|tol)`)
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if helperName.MatchString(n.Name.Name) {
-					return false
-				}
-			case *ast.BinaryExpr:
-				if n.Op == token.EQL || n.Op == token.NEQ {
-					checkCmp(pass, n)
-				}
+			if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.EQL || be.Op == token.NEQ) {
+				checkCmp(pass, be)
 			}
 			return true
 		})

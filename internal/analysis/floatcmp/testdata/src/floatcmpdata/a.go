@@ -32,13 +32,18 @@ func allowed(a, b float64, xs []float64) bool {
 	return xs[0] == xs[1] // want "exact floating-point comparison"
 }
 
-// almostEqual is a tolerance helper; its exact fast path is idiomatic.
+// almostEqual is a tolerance helper; its name does not exempt its
+// exact fast path.
 func almostEqual(a, b, tol float64) bool {
-	if a == b {
+	if a == b { // want "exact floating-point comparison"
 		return true
 	}
 	return math.Abs(a-b) <= tol
 }
+
+// A name that merely contains a helper-like word ("Close") is no
+// tolerance helper at all.
+func closedFormCheck(a, b float64) bool { return a == b } // want "exact floating-point comparison"
 
 func ints(x, y int) bool { return x == y } // not floats: non-finding
 

@@ -1,43 +1,27 @@
-// Package flow is the interprocedural dataflow engine under the
-// cslint suite's goroutinecap, rngshare and nonnegwork analyzers. For
-// each analyzed package it builds, per function: a type-aware static
-// call graph (direct calls, package-qualified calls, and method calls
-// resolved through go/types selections), the set of goroutine spawn
-// sites with their captured variables, and a record of every use of
-// every function-local variable classified by context (spawner vs
-// spawned goroutine), access kind (read, caller-visible write, atomic,
-// address-taken) and role (call argument, channel send, heap store,
-// return). A fixpoint pass folds these into per-function value-flow
-// summaries (FuncSummary) describing what a callee does with each
-// parameter, so callers can reason through wrappers: a helper that
-// hands its argument to a worker goroutine taints the caller's
-// variable exactly as a literal `go` statement would.
+// Package flow is the interprocedural engine under the cslint suite's
+// nonnegwork analyzer and the call graph (internal/analysis/callgraph)
+// behind hotalloc. For each analyzed package it records, per declared
+// function: every call site with its type-resolved static callee
+// (direct calls, package-qualified calls, and method calls resolved
+// through go/types selections), the variables declared in loop headers,
+// the ordering comparisons between local variables, and the raw
+// subtractions the function returns. A fixpoint pass folds the last of
+// these into per-function summaries (FuncSummary.RawSubs) so callers
+// can see through wrappers: a helper returning `t - c` unclamped hides
+// the subtraction from its call site exactly as a literal would not.
 //
 // Summaries cross package boundaries as facts: after the fixpoint the
 // package's summaries are exported into the run's analysis.Session
 // under FactsNamespace, and lookups for imported functions consult the
-// session (populated dependency-first by the standalone driver and the
-// golden harness, or from vetx facts files under go vet — see
-// internal/analysis/unit). With no session the engine degrades to
-// conservative intra-package results.
-//
-// # Soundness caveats
-//
-// The engine is a linter's dataflow, not a verifier's: it tracks
-// function-local variables and parameters only (struct fields, package
-// variables and values threaded through channels are out of scope),
-// resolves only static call targets (interface and function-value
-// calls are recorded as EscapesUnknown), treats non-go function
-// literals as running in the enclosing goroutine, and does not model
-// mutation hidden behind pointer-receiver method calls. Analyzers
-// document which side of unsoundness they choose per check.
+// session (populated dependency-first by the cslint driver and the
+// golden harness). With no session the engine degrades to
+// intra-package results.
 package flow
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 
 	"repro/internal/analysis"
 )
@@ -45,7 +29,6 @@ import (
 // Info is the engine's view of one analyzed package.
 type Info struct {
 	Pkg       *types.Package
-	Fset      *token.FileSet
 	TypesInfo *types.Info
 	Funcs     []*FuncInfo
 
@@ -56,64 +39,26 @@ type Info struct {
 
 // FuncInfo is the engine's view of one declared function body.
 type FuncInfo struct {
-	Obj    *types.Func
-	Decl   *ast.FuncDecl
-	Params []*types.Var // receiver first, then declared parameters
-	Spawns []*Spawn
-	Calls  []*CallSite
-	Uses   []*Use
+	Obj   *types.Func
+	Decl  *ast.FuncDecl
+	Calls []*CallSite
 
 	summary    FuncSummary
-	paramIndex map[*types.Var]int
+	paramIndex map[*types.Var]int // receiver first, then declared parameters
 	aliases    map[*types.Var]*types.Var
-	partitions map[*types.Var]Partition
 	loopVars   map[*types.Var]bool
-	barriers   []token.Pos // Wait / channel-receive positions outside spawns
 	retSubs    [][2]*types.Var
 	cmpPairs   [][2]*types.Var // operands of <, <=, >, >= comparisons
 	retCalls   []*ast.CallExpr
 	callByExpr map[*ast.CallExpr]*CallSite
 }
 
-// A Spawn is one `go` statement. Lit is the spawned function literal,
-// nil for `go f(args)` on a named function (whose arguments escape via
-// their CallSite instead).
-type Spawn struct {
-	Go     *ast.GoStmt
-	Lit    *ast.FuncLit
-	InLoop bool       // the statement sits inside a loop: it spawns repeatedly
-	loops  []ast.Node // enclosing For/Range statements, outermost first
-}
-
 // A CallSite is one call expression with its resolved static callee
-// (nil when dynamic: interface method, function value, builtin).
+// (nil when dynamic: function value, builtin).
 type CallSite struct {
-	Call     *ast.CallExpr
-	Callee   *types.Func
-	Spawn    *Spawn // innermost spawned literal lexically containing the call
-	GoDirect bool   // the call is itself the operand of a go statement
-	InLoop   bool
-	loops    []ast.Node
-	method   bool // receiver occupies normalized argument 0
-}
-
-// InLoopFor reports whether the call repeats relative to v: some
-// enclosing loop does not contain v's declaration, so one v instance
-// sees multiple executions of the call. A variable declared inside the
-// innermost loop is fresh each iteration and unaffected by it.
-func (c *CallSite) InLoopFor(v *types.Var) bool { return loopsOutsideVar(c.loops, v) }
-
-// InLoopFor is CallSite.InLoopFor for a spawn site: whether one
-// instance of v is visible to multiple spawned goroutines.
-func (s *Spawn) InLoopFor(v *types.Var) bool { return loopsOutsideVar(s.loops, v) }
-
-func loopsOutsideVar(loops []ast.Node, v *types.Var) bool {
-	for _, l := range loops {
-		if !(l.Pos() <= v.Pos() && v.Pos() < l.End()) {
-			return true
-		}
-	}
-	return false
+	Call   *ast.CallExpr
+	Callee *types.Func
+	method bool // receiver occupies normalized argument 0
 }
 
 // ArgExpr returns the expression passed at normalized argument index i
@@ -132,45 +77,6 @@ func (c *CallSite) ArgExpr(i int) ast.Expr {
 		return nil
 	}
 	return c.Call.Args[i]
-}
-
-// A Partition marks a write that lands in Base[Index]: per-element
-// access where the index is private to the writing goroutine (or
-// iteration), the disjoint-slot idiom parallel reducers use.
-type Partition struct {
-	Base, Index *types.Var
-}
-
-// An ArgRef links a variable use to the call consuming it.
-type ArgRef struct {
-	Site   *CallSite
-	Index  int // normalized: receiver first
-	ByAddr bool
-}
-
-// A Use is one appearance of a tracked local variable or parameter.
-type Use struct {
-	Var  *types.Var // root variable after alias resolution
-	Pos  token.Pos
-	End  token.Pos
-	Node ast.Node
-	// Spawn is the innermost spawned literal containing the use; nil
-	// means the function's own goroutine.
-	Spawn *Spawn
-	// Write is any mutating access; Through distinguishes stores into
-	// the variable's referent (*p = v, p.f = v, p[i] = v) from
-	// rebinding the variable itself. AddrTaken marks a bare &v whose
-	// destination the engine cannot see.
-	Write, Through, AddrTaken bool
-	// Atomic marks accesses mediated by sync/atomic.
-	Atomic bool
-	// Part is set when the write goes through a per-goroutine or
-	// per-iteration element of Var.
-	Part *Partition
-	// Arg links the use to the call it feeds, if any.
-	Arg *ArgRef
-	// Send, Stored, Returned classify escaping value flow.
-	Send, Stored, Returned bool
 }
 
 const sharedKey = "flow"
@@ -192,7 +98,6 @@ func Of(pass *analysis.Pass) (*Info, error) {
 func build(pass *analysis.Pass) (*Info, error) {
 	in := &Info{
 		Pkg:       pass.Pkg,
-		Fset:      pass.Fset,
 		TypesInfo: pass.TypesInfo,
 		pass:      pass,
 		byObj:     make(map[*types.Func]*FuncInfo),
@@ -213,9 +118,9 @@ func build(pass *analysis.Pass) (*Info, error) {
 			in.byObj[origin(obj)] = fi
 		}
 	}
-	// Fixpoint: summaries only accumulate bits, so recomputing until
-	// stable terminates; the bound is a safety net, far above any real
-	// call-chain depth.
+	// Fixpoint: summaries only accumulate raw subtractions, so
+	// recomputing until stable terminates; the bound is a safety net,
+	// far above any real call-chain depth.
 	for iter := 0; iter < 64; iter++ {
 		changed := false
 		for _, fi := range in.Funcs {
@@ -248,9 +153,9 @@ func origin(fn *types.Func) *types.Func {
 	return fn
 }
 
-// SummaryOf returns fn's value-flow summary: from this package's
-// fixpoint for local functions, from session facts for imported ones.
-// ok is false when the engine knows nothing (no body, no facts).
+// SummaryOf returns fn's summary: from this package's fixpoint for
+// local functions, from session facts for imported ones. ok is false
+// when the engine knows nothing (no body, no facts).
 func (in *Info) SummaryOf(fn *types.Func) (FuncSummary, bool) {
 	if fn == nil {
 		return FuncSummary{}, false
@@ -277,49 +182,6 @@ func (in *Info) SummaryOf(fn *types.Func) (FuncSummary, bool) {
 	}
 	s, ok := sums[fn.FullName()]
 	return s, ok
-}
-
-// ArgFlow reports what the call does with its normalized argument i
-// (receiver = 0 for method calls), composed with the call's own
-// context: a callee that merely reads its parameter still yields
-// ReachesGoroutine when the call happens inside a spawned goroutine or
-// as a direct `go f(x)`. ok is false for dynamic or summary-less
-// callees.
-func (in *Info) ArgFlow(site *CallSite, i int) (ParamFlow, bool) {
-	sum, ok := in.SummaryOf(site.Callee)
-	if !ok {
-		return 0, false
-	}
-	return liftFlow(site.Spawn != nil || site.GoDirect, sum.Param(i)), true
-}
-
-// liftFlow reinterprets a callee-relative flow from a call made inside
-// a spawned goroutine: the callee's own-goroutine accesses happen in
-// the spawned goroutine from the root caller's point of view.
-func liftFlow(inGo bool, f ParamFlow) ParamFlow {
-	if !inGo {
-		return f
-	}
-	out := f &^ (UsedDirect | WrittenDirect)
-	if f&(UsedDirect|ReachesGoroutine) != 0 {
-		out |= ReachesGoroutine
-	}
-	if f&(WrittenDirect|WrittenInGoroutine) != 0 {
-		out |= WrittenInGoroutine
-	}
-	return out
-}
-
-// BarrierBetween reports whether a synchronization point — a
-// sync.WaitGroup.Wait call or a channel receive outside any spawned
-// goroutine — sits strictly between lo and hi in this function.
-func (f *FuncInfo) BarrierBetween(lo, hi token.Pos) bool {
-	for _, p := range f.barriers {
-		if lo < p && p < hi {
-			return true
-		}
-	}
-	return false
 }
 
 // IsLoopVar reports whether v is declared in the header of a for or
@@ -372,51 +234,6 @@ func (f *FuncInfo) rootVar(v *types.Var) *types.Var {
 	return v
 }
 
-// HomeSpawn returns the innermost spawned literal whose body declares
-// v, or nil when v belongs to the function's own goroutine. Uses of v
-// from a different spawn than its home are cross-goroutine accesses.
-func (f *FuncInfo) HomeSpawn(v *types.Var) *Spawn {
-	var home *Spawn
-	for _, s := range f.Spawns {
-		if s.Lit != nil && s.Lit.Pos() <= v.Pos() && v.Pos() < s.Lit.End() {
-			if home == nil || home.Lit.Pos() < s.Lit.Pos() {
-				home = s
-			}
-		}
-	}
-	return home
-}
-
-// Summary returns the function's fixpoint summary.
-func (f *FuncInfo) Summary() FuncSummary { return f.summary }
-
-// UsesOf returns every recorded use of root variable v, in source
-// order.
-func (f *FuncInfo) UsesOf(v *types.Var) []*Use {
-	var out []*Use
-	for _, u := range f.Uses {
-		if u.Var == v {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// refLike reports whether writes through a value of type t are visible
-// to other holders of the same value.
-func refLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
-	}
-	return false
-}
-
-type writeInfo struct {
-	through bool
-	part    *Partition
-}
-
 // collect performs the single structural walk over one function body.
 func (in *Info) collect(fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 	fi := &FuncInfo{
@@ -424,19 +241,15 @@ func (in *Info) collect(fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 		Decl:       fd,
 		paramIndex: make(map[*types.Var]int),
 		aliases:    make(map[*types.Var]*types.Var),
-		partitions: make(map[*types.Var]Partition),
 		loopVars:   make(map[*types.Var]bool),
 		callByExpr: make(map[*ast.CallExpr]*CallSite),
 	}
 	sig := obj.Type().(*types.Signature)
 	if r := sig.Recv(); r != nil {
-		fi.Params = append(fi.Params, r)
+		fi.paramIndex[r] = 0
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
-		fi.Params = append(fi.Params, sig.Params().At(i))
-	}
-	for i, p := range fi.Params {
-		fi.paramIndex[p] = i
+		fi.paramIndex[sig.Params().At(i)] = len(fi.paramIndex)
 	}
 
 	info := in.TypesInfo
@@ -467,86 +280,7 @@ func (in *Info) collect(fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 		return true
 	})
 
-	spawnedLits := make(map[*ast.FuncLit]*Spawn)
-	pendingWrites := make(map[*ast.Ident]writeInfo)
-	pendingArgs := make(map[*ast.Ident]*ArgRef)
-	pendingAtomic := make(map[*ast.Ident]bool)
-
-	var stack []ast.Node
-	currentSpawn := func() *Spawn {
-		for i := len(stack) - 1; i >= 0; i-- {
-			if lit, ok := stack[i].(*ast.FuncLit); ok {
-				if s, ok := spawnedLits[lit]; ok {
-					return s
-				}
-			}
-		}
-		return nil
-	}
-	enclosingLoops := func() []ast.Node {
-		var loops []ast.Node
-		for _, n := range stack {
-			switch n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				loops = append(loops, n)
-			}
-		}
-		return loops
-	}
-	localVar := func(id *ast.Ident) *types.Var {
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return nil
-		}
-		if _, isParam := fi.paramIndex[v]; !isParam {
-			if !(fd.Pos() <= v.Pos() && v.Pos() < fd.End()) {
-				return nil // package-level or foreign variable
-			}
-		}
-		return v
-	}
-	// lhsRoot walks an assignment target to its base identifier,
-	// noting whether the store goes through a dereference, field or
-	// element (caller-visible for reference-like bases) and whether it
-	// lands in a single indexed slot.
-	var lhsRoot func(e ast.Expr) (*ast.Ident, bool, *Partition)
-	lhsRoot = func(e ast.Expr) (*ast.Ident, bool, *Partition) {
-		e = ast.Unparen(e)
-		switch e := e.(type) {
-		case *ast.Ident:
-			return e, false, nil
-		case *ast.StarExpr:
-			id, _, part := lhsRoot(e.X)
-			return id, true, part
-		case *ast.SelectorExpr:
-			if _, ok := info.Selections[e]; !ok {
-				return nil, false, nil // package-qualified name
-			}
-			id, _, part := lhsRoot(e.X)
-			return id, true, part
-		case *ast.IndexExpr:
-			id, _, _ := lhsRoot(e.X)
-			var part *Partition
-			if id != nil {
-				if base := localVar(id); base != nil {
-					if iid, ok := ast.Unparen(e.Index).(*ast.Ident); ok {
-						if iv := localVar(iid); iv != nil {
-							part = &Partition{Base: fi.rootVar(base), Index: fi.rootVar(iv)}
-						}
-					}
-				}
-			}
-			return id, true, part
-		}
-		return nil, false, nil
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.ForStmt:
 			markLoopVars(fi, info, n.Init)
@@ -558,38 +292,8 @@ func (in *Info) collect(fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 					}
 				}
 			}
-			if t := info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok && currentSpawn() == nil {
-					fi.barriers = append(fi.barriers, n.Pos())
-				}
-			}
-		case *ast.GoStmt:
-			sp := &Spawn{Go: n, loops: enclosingLoops()}
-			sp.InLoop = len(sp.loops) > 0
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				sp.Lit = lit
-				spawnedLits[lit] = sp
-			}
-			fi.Spawns = append(fi.Spawns, sp)
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && currentSpawn() == nil {
-				fi.barriers = append(fi.barriers, n.Pos())
-			}
-			if n.Op == token.AND {
-				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-					if _, claimed := pendingArgs[id]; !claimed && !pendingAtomic[id] {
-						if _, claimed := pendingWrites[id]; !claimed {
-							pendingWrites[id] = writeInfo{through: true}
-						}
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, through, part := lhsRoot(n.X); id != nil {
-				pendingWrites[id] = writeInfo{through: through, part: part}
-			}
 		case *ast.AssignStmt:
-			in.collectAssign(fi, n, info, pendingWrites, lhsRoot, bindCount, currentSpawn())
+			fi.collectAliases(n, info, bindCount)
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				switch e := ast.Unparen(res).(type) {
@@ -615,36 +319,7 @@ func (in *Info) collect(fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
 				}
 			}
 		case *ast.CallExpr:
-			in.collectCall(fi, n, info, stack, pendingArgs, pendingAtomic, currentSpawn(), enclosingLoops())
-		case *ast.Ident:
-			v := localVar(n)
-			if v == nil {
-				break
-			}
-			root := fi.rootVar(v)
-			w, isWrite := pendingWrites[n]
-			u := &Use{
-				Var:       root,
-				Pos:       n.Pos(),
-				End:       n.End(),
-				Node:      n,
-				Spawn:     currentSpawn(),
-				Write:     isWrite,
-				Through:   w.through,
-				AddrTaken: isWrite && w.through && w.part == nil && isBareAddr(stack),
-				Atomic:    pendingAtomic[n],
-				Part:      w.part,
-				Arg:       pendingArgs[n],
-			}
-			// Writes through a single-bound pointer alias of base[idx]
-			// are partitioned element stores on the base.
-			if part, ok := fi.partitions[root]; ok && (u.Write || u.Arg != nil) {
-				u.Var = part.Base
-				u.Through = true
-				u.Part = &part
-			}
-			classifyEscape(u, stack, info)
-			fi.Uses = append(fi.Uses, u)
+			fi.collectCall(n, info)
 		}
 		return true
 	})
@@ -665,90 +340,9 @@ func markLoopVars(fi *FuncInfo, info *types.Info, init ast.Stmt) {
 	}
 }
 
-// isBareAddr reports whether the ident on top of the stack sits under
-// a bare &x (its address leaves local tracking).
-func isBareAddr(stack []ast.Node) bool {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch n := stack[i].(type) {
-		case *ast.ParenExpr:
-			continue
-		case *ast.UnaryExpr:
-			return n.Op == token.AND
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// classifyEscape sets Send/Stored/Returned from the use's nearest
-// non-paren ancestor.
-func classifyEscape(u *Use, stack []ast.Node, info *types.Info) {
-	if len(stack) < 2 {
-		return
-	}
-	id, _ := stack[len(stack)-1].(ast.Expr)
-	if id == nil {
-		return
-	}
-	i := len(stack) - 2
-	for i >= 0 {
-		if _, ok := stack[i].(*ast.ParenExpr); ok {
-			i--
-			continue
-		}
-		break
-	}
-	if i < 0 {
-		return
-	}
-	switch p := stack[i].(type) {
-	case *ast.SendStmt:
-		if ast.Unparen(p.Value) == id {
-			u.Send = true
-		}
-	case *ast.ReturnStmt:
-		for _, r := range p.Results {
-			if ast.Unparen(r) == id {
-				u.Returned = true
-			}
-		}
-	case *ast.AssignStmt:
-		for j, r := range p.Rhs {
-			if j >= len(p.Lhs) || ast.Unparen(r) != id {
-				continue
-			}
-			switch lhs := ast.Unparen(p.Lhs[j]).(type) {
-			case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				u.Stored = true
-			case *ast.Ident:
-				if v, ok := info.Uses[lhs].(*types.Var); ok {
-					if v.Parent() != nil && v.Parent().Parent() == types.Universe {
-						u.Stored = true // package-level variable
-					}
-				}
-			}
-		}
-	}
-}
-
-// collectAssign records alias and partition bindings and marks write
-// targets for the identifier visits that follow.
-func (in *Info) collectAssign(fi *FuncInfo, n *ast.AssignStmt, info *types.Info,
-	pendingWrites map[*ast.Ident]writeInfo,
-	lhsRoot func(ast.Expr) (*ast.Ident, bool, *Partition),
-	bindCount map[types.Object]int, spawn *Spawn) {
-
-	for _, lhs := range n.Lhs {
-		id, through, part := lhsRoot(lhs)
-		if id == nil || id.Name == "_" {
-			continue
-		}
-		if info.Defs[id] != nil && !through {
-			continue // fresh binding, not a write to shared state
-		}
-		pendingWrites[id] = writeInfo{through: through, part: part}
-	}
+// collectAliases records `x := y` bindings between single-bound local
+// variables, so Root sees through them.
+func (fi *FuncInfo) collectAliases(n *ast.AssignStmt, info *types.Info, bindCount map[types.Object]int) {
 	if len(n.Lhs) != len(n.Rhs) {
 		return
 	}
@@ -766,28 +360,9 @@ func (in *Info) collectAssign(fi *FuncInfo, n *ast.AssignStmt, info *types.Info,
 		if lv == nil || bindCount[lv] > 1 {
 			continue
 		}
-		rhs := ast.Unparen(n.Rhs[i])
-		switch r := rhs.(type) {
-		case *ast.Ident:
-			if rv, ok := info.Uses[r].(*types.Var); ok && !rv.IsField() {
-				if fi.trackable(rv) {
-					fi.aliases[lv] = fi.rootVar(rv)
-				}
-			}
-		case *ast.UnaryExpr:
-			if r.Op != token.AND {
-				break
-			}
-			if ix, ok := ast.Unparen(r.X).(*ast.IndexExpr); ok {
-				base, bok := ast.Unparen(ix.X).(*ast.Ident)
-				idx, iok := ast.Unparen(ix.Index).(*ast.Ident)
-				if bok && iok {
-					bv, _ := info.Uses[base].(*types.Var)
-					iv, _ := info.Uses[idx].(*types.Var)
-					if bv != nil && iv != nil && fi.trackable(bv) {
-						fi.partitions[lv] = Partition{Base: fi.rootVar(bv), Index: fi.rootVar(iv)}
-					}
-				}
+		if r, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok {
+			if rv, ok := info.Uses[r].(*types.Var); ok && fi.trackable(rv) {
+				fi.aliases[lv] = fi.rootVar(rv)
 			}
 		}
 	}
@@ -803,23 +378,9 @@ func (fi *FuncInfo) trackable(v *types.Var) bool {
 	return fi.Decl.Pos() <= v.Pos() && v.Pos() < fi.Decl.End()
 }
 
-// atomicPkg reports whether fn lives in sync/atomic.
-func atomicPkg(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// collectCall resolves the static callee, records the call site, links
-// argument identifiers to it, and notes barrier calls.
-func (in *Info) collectCall(fi *FuncInfo, call *ast.CallExpr, info *types.Info,
-	stack []ast.Node, pendingArgs map[*ast.Ident]*ArgRef, pendingAtomic map[*ast.Ident]bool,
-	spawn *Spawn, loops []ast.Node) {
-
-	site := &CallSite{Call: call, Spawn: spawn, InLoop: len(loops) > 0, loops: loops}
-	if len(stack) >= 2 {
-		if g, ok := stack[len(stack)-2].(*ast.GoStmt); ok && g.Call == call {
-			site.GoDirect = true
-		}
-	}
+// collectCall resolves the static callee and records the call site.
+func (fi *FuncInfo) collectCall(call *ast.CallExpr, info *types.Info) {
+	site := &CallSite{Call: call}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
@@ -837,168 +398,11 @@ func (in *Info) collectCall(fi *FuncInfo, call *ast.CallExpr, info *types.Info,
 	}
 	fi.Calls = append(fi.Calls, site)
 	fi.callByExpr[call] = site
-
-	// Barriers: sync.WaitGroup.Wait in the function's own goroutine.
-	if site.method && spawn == nil && site.Callee != nil &&
-		site.Callee.Name() == "Wait" && recvNamed(site.Callee, "sync", "WaitGroup") {
-		fi.barriers = append(fi.barriers, call.Pos())
-	}
-
-	isAtomic := atomicPkg(site.Callee)
-	link := func(e ast.Expr, idx int) {
-		e = ast.Unparen(e)
-		byAddr := false
-		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = ast.Unparen(u.X)
-			byAddr = true
-		}
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if isAtomic {
-			pendingAtomic[id] = true
-			return
-		}
-		pendingArgs[id] = &ArgRef{Site: site, Index: idx, ByAddr: byAddr}
-	}
-	base := 0
-	if site.method {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if isAtomic || atomicRecv(site.Callee) {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-					pendingAtomic[id] = true
-				}
-			} else {
-				link(sel.X, 0)
-			}
-		}
-		base = 1
-	}
-	if bi := builtinName(call, info); bi == "append" {
-		for _, a := range call.Args[1:] {
-			if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-				// Mark as heap store at the Ident visit.
-				pendingArgs[id] = &ArgRef{Site: site, Index: -1}
-			}
-		}
-		return
-	}
-	for i, a := range call.Args {
-		link(a, base+i)
-	}
 }
 
-func builtinName(call *ast.CallExpr, info *types.Info) string {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			return b.Name()
-		}
-	}
-	return ""
-}
-
-// recvNamed reports whether fn's receiver (possibly a pointer) is the
-// named type pkg.name.
-func recvNamed(fn *types.Func, pkg, name string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkg
-}
-
-// atomicRecv reports whether fn is a method of a sync/atomic type
-// (atomic.Int64 and friends).
-func atomicRecv(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-	}
-	return false
-}
-
-// summarize folds a function's recorded uses into its parameter
-// summary under the current (possibly still converging) summaries of
-// its callees.
+// summarize derives a function's raw-subtraction summary under the
+// current (possibly still converging) summaries of its callees.
 func (in *Info) summarize(fi *FuncInfo) FuncSummary {
-	params := make([]ParamFlow, len(fi.Params))
-	// Joins: every spawn is followed by a barrier in the spawner, and
-	// every callee whose summary contributes goroutine flow joins too.
-	joins := true
-	for _, s := range fi.Spawns {
-		joined := false
-		for _, b := range fi.barriers {
-			if b > s.Go.End() {
-				joined = true
-				break
-			}
-		}
-		if !joined {
-			joins = false
-		}
-	}
-	for _, u := range fi.Uses {
-		i, ok := fi.paramIndex[u.Var]
-		if !ok {
-			continue
-		}
-		inGo := u.Spawn != nil
-		var fl ParamFlow
-		// A use whose only role is feeding a resolved call is described
-		// by the callee's summary; counting the argument evaluation as a
-		// direct use would make `go f(p)` look different from the
-		// equivalent spawned literal.
-		if u.Arg == nil {
-			fl |= UsedDirect
-		}
-		if u.Write && u.Through && refLike(fi.Params[i].Type()) && !u.Atomic {
-			fl |= WrittenDirect
-		}
-		if u.AddrTaken {
-			fl |= EscapesUnknown
-		}
-		if u.Send {
-			fl |= SentToChannel
-		}
-		if u.Stored {
-			fl |= StoredToHeap
-		}
-		if u.Returned {
-			fl |= FlowsToReturn
-		}
-		if u.Arg != nil {
-			if u.Arg.Index < 0 {
-				fl |= UsedDirect | StoredToHeap // append operand
-			} else if sum, ok := in.SummaryOf(u.Arg.Site.Callee); ok {
-				contributed := liftFlow(u.Arg.Site.GoDirect, sum.Param(u.Arg.Index))
-				fl |= contributed
-				if contributed&(ReachesGoroutine|WrittenInGoroutine) != 0 && !sum.Joins {
-					joins = false
-				}
-			} else {
-				fl |= UsedDirect | EscapesUnknown
-			}
-		}
-		params[i] |= liftFlow(inGo, fl)
-	}
 	var subs []RawSub
 	addSub := func(s RawSub) {
 		for _, have := range subs {
@@ -1040,11 +444,5 @@ func (in *Info) summarize(fi *FuncInfo) FuncSummary {
 			}
 		}
 	}
-	return FuncSummary{Params: params, RawSubs: subs, Joins: joins}
-}
-
-// PosString formats a position for diagnostics.
-func (in *Info) PosString(p token.Pos) string {
-	pos := in.Fset.Position(p)
-	return pos.Filename + ":" + strconv.Itoa(pos.Line)
+	return FuncSummary{RawSubs: subs}
 }

@@ -73,85 +73,35 @@ const engineSrc = `package p
 
 func reader(x int) int { return x + 1 }
 
-func ret(x int) int { return x }
-
 func sub(t, c float64) float64 { return t - c }
 
 func wrapSub(t, c float64) float64 { return sub(t, c) }
 
 func swapSub(t, c float64) float64 { return sub(c, t) }
 
-func setv(p *int) { *p = 1 }
-
-func spawnWrite(p *int) {
-	go func() { *p = 2 }()
+func aliasSub(t, c float64) float64 {
+	budget := t
+	return budget - c
 }
 
-func goCall(p *int) {
-	go setv(p)
-}
-
-func spawnRead(p *int) {
-	go func() { _ = *p }()
-}
-
-func viaWrapper(p *int) {
-	spawnWrite(p)
-}
-
-func send(ch chan int, x int) { ch <- x }
-
-func store(x int) {
-	var s struct{ v int }
-	s.v = x
-	_ = s
-}
-
-var sink int
-
-func globalStore(x int) { sink = x }
-
-func dyn(f func(int), x int) { f(x) }
-
-func loops() {
-	done := make(chan bool)
-	for i := 0; i < 4; i++ {
-		go func() { done <- true }()
+func clamped(t, c float64) float64 {
+	if t <= c {
+		return 0
 	}
+	return t - c
+}
+
+func loops(xs []int) int {
+	n := 0
 	for i := 0; i < 4; i++ {
-		<-done
+		n += i
 	}
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 `
-
-func TestSummaries(t *testing.T) {
-	in, pkg := probe(t, analysis.NewSession(), "p", engineSrc, nil)
-
-	check := func(fn string, i int, want flow.ParamFlow) {
-		t.Helper()
-		got := summaryOf(t, in, pkg, fn).Params
-		if i >= len(got) {
-			t.Fatalf("%s: param %d out of range (%d params)", fn, i, len(got))
-		}
-		if got[i] != want {
-			t.Errorf("%s param %d = %v, want %v", fn, i, got[i], want)
-		}
-	}
-
-	check("reader", 0, flow.UsedDirect)
-	check("ret", 0, flow.UsedDirect|flow.FlowsToReturn)
-	check("setv", 0, flow.UsedDirect|flow.WrittenDirect)
-	check("spawnWrite", 0, flow.ReachesGoroutine|flow.WrittenInGoroutine)
-	check("goCall", 0, flow.ReachesGoroutine|flow.WrittenInGoroutine)
-	check("spawnRead", 0, flow.ReachesGoroutine)
-	// Wrapper chains propagate through the fixpoint.
-	check("viaWrapper", 0, flow.ReachesGoroutine|flow.WrittenInGoroutine)
-	check("send", 1, flow.UsedDirect|flow.SentToChannel)
-	check("store", 0, flow.UsedDirect|flow.StoredToHeap)
-	check("globalStore", 0, flow.UsedDirect|flow.StoredToHeap)
-	// A function-value call is unresolvable: the argument escapes.
-	check("dyn", 1, flow.UsedDirect|flow.EscapesUnknown)
-}
 
 func TestRawSubs(t *testing.T) {
 	in, pkg := probe(t, analysis.NewSession(), "p", engineSrc, nil)
@@ -163,18 +113,24 @@ func TestRawSubs(t *testing.T) {
 		{"sub", flow.RawSub{X: 0, Y: 1}},
 		{"wrapSub", flow.RawSub{X: 0, Y: 1}},
 		{"swapSub", flow.RawSub{X: 1, Y: 0}},
+		// A single-assignment alias resolves to the parameter it names.
+		{"aliasSub", flow.RawSub{X: 0, Y: 1}},
 	} {
 		subs := summaryOf(t, in, pkg, tc.fn).RawSubs
 		if len(subs) != 1 || subs[0] != tc.want {
 			t.Errorf("%s RawSubs = %v, want [%v]", tc.fn, subs, tc.want)
 		}
 	}
-	if subs := summaryOf(t, in, pkg, "reader").RawSubs; len(subs) != 0 {
-		t.Errorf("reader RawSubs = %v, want none", subs)
+	// A comparison of the same pair before subtracting is the
+	// PositiveSub clamp shape: not a raw difference.
+	for _, fn := range []string{"reader", "clamped"} {
+		if subs := summaryOf(t, in, pkg, fn).RawSubs; len(subs) != 0 {
+			t.Errorf("%s RawSubs = %v, want none", fn, subs)
+		}
 	}
 }
 
-func TestSpawnsAndLoopVars(t *testing.T) {
+func TestLoopVars(t *testing.T) {
 	in, _ := probe(t, analysis.NewSession(), "p", engineSrc, nil)
 	var fi *flow.FuncInfo
 	for _, f := range in.Funcs {
@@ -185,27 +141,18 @@ func TestSpawnsAndLoopVars(t *testing.T) {
 	if fi == nil {
 		t.Fatal("no FuncInfo for loops")
 	}
-	if len(fi.Spawns) != 1 || !fi.Spawns[0].InLoop {
-		t.Fatalf("loops: want one in-loop spawn, got %+v", fi.Spawns)
-	}
-	var loopI *types.Var
-	// Find the first loop's i via its position inside the function.
+	got := map[string]bool{}
 	for id, obj := range in.TypesInfo.Defs {
 		v, ok := obj.(*types.Var)
-		if ok && id.Name == "i" && v.Pos() > fi.Decl.Pos() && v.Pos() < fi.Decl.End() {
-			loopI = v
-			break
+		if ok && v.Pos() > fi.Decl.Pos() && v.Pos() < fi.Decl.End() {
+			got[id.Name] = fi.IsLoopVar(v)
 		}
 	}
-	if loopI == nil {
-		t.Fatal("loop variable i not found")
-	}
-	if !fi.IsLoopVar(loopI) {
-		t.Error("IsLoopVar(i) = false, want true")
-	}
-	// The receive in the drain loop is a barrier after the spawn.
-	if !fi.BarrierBetween(fi.Spawns[0].Go.Pos(), fi.Decl.End()) {
-		t.Error("no barrier found between spawn and function end")
+	want := map[string]bool{"n": false, "i": true, "x": true}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("IsLoopVar(%s) = %v, want %v", name, got[name], w)
+		}
 	}
 }
 
@@ -227,48 +174,33 @@ func TestCrossPackageFacts(t *testing.T) {
 	inA, pkgA := probe(t, sess, "fixa", `package fixa
 
 func Sub(t, c float64) float64 { return t - c }
-
-func Pump(p *int) { go func() { *p = 1 }() }
 `, nil)
 	if _, ok := inA.SummaryOf(pkgA.Scope().Lookup("Sub").(*types.Func)); !ok {
 		t.Fatal("fixa.Sub has no local summary")
 	}
 
-	inB, pkgB := probe(t, sess, "fixb", `package fixb
+	const wrapSrc = `package fixb
 
 import "fixa"
 
 func Wrap(t, c float64) float64 { return fixa.Sub(t, c) }
-
-func Spawn(p *int) { fixa.Pump(p) }
-`, importerFor{"fixa", pkgA})
-
+`
+	inB, pkgB := probe(t, sess, "fixb", wrapSrc, importerFor{"fixa", pkgA})
 	wrap := summaryOf(t, inB, pkgB, "Wrap")
 	if len(wrap.RawSubs) != 1 || wrap.RawSubs[0] != (flow.RawSub{X: 0, Y: 1}) {
 		t.Errorf("Wrap RawSubs = %v, want [{0 1}]", wrap.RawSubs)
 	}
-	spawn := summaryOf(t, inB, pkgB, "Spawn")
-	want := flow.ReachesGoroutine | flow.WrittenInGoroutine
-	if spawn.Params[0] != want {
-		t.Errorf("Spawn param 0 = %v, want %v", spawn.Params[0], want)
-	}
 
-	// Without the session, the callee is opaque: conservative escape.
-	inC, pkgC := probe(t, analysis.NewSession(), "fixc", `package fixc
-
-import "fixa"
-
-func Spawn(p *int) { fixa.Pump(p) }
-`, importerFor{"fixa", pkgA})
-	sum := summaryOf(t, inC, pkgC, "Spawn")
-	if sum.Params[0]&flow.EscapesUnknown == 0 {
-		t.Errorf("sessionless Spawn param 0 = %v, want EscapesUnknown set", sum.Params[0])
+	// Without the session, the callee is opaque: no summary to compose.
+	inC, pkgC := probe(t, analysis.NewSession(), "fixb", wrapSrc, importerFor{"fixa", pkgA})
+	if subs := summaryOf(t, inC, pkgC, "Wrap").RawSubs; len(subs) != 0 {
+		t.Errorf("sessionless Wrap RawSubs = %v, want none", subs)
 	}
 }
 
 func TestSummaryEncodeRoundTrip(t *testing.T) {
 	s := flow.Summaries{
-		"p.f": {Params: []flow.ParamFlow{flow.UsedDirect | flow.ReachesGoroutine}},
+		"p.f": {},
 		"p.g": {RawSubs: []flow.RawSub{{X: 0, Y: 1}}},
 	}
 	data, err := s.Encode()

@@ -3,77 +3,13 @@ package flow
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // FactsNamespace keys the flow engine's packed summaries in an
-// analysis.Session (and therefore in vetx facts files).
+// analysis.Session.
 const FactsNamespace = "flow"
-
-// ParamFlow is a bitmask describing what a function does with one of
-// its parameters (receiver first, then declared parameters). The flags
-// describe caller-visible behavior, so "written" means a mutation the
-// caller can observe — a store through a pointer, slice, or map — not a
-// rebinding of the parameter variable itself.
-type ParamFlow uint16
-
-const (
-	// UsedDirect: the parameter is read (or its methods called) in the
-	// callee's own goroutine.
-	UsedDirect ParamFlow = 1 << iota
-	// WrittenDirect: the callee mutates the parameter's referent in its
-	// own goroutine.
-	WrittenDirect
-	// ReachesGoroutine: the parameter is referenced inside a goroutine
-	// the callee (transitively) spawns.
-	ReachesGoroutine
-	// WrittenInGoroutine: the parameter's referent is mutated inside a
-	// goroutine the callee (transitively) spawns.
-	WrittenInGoroutine
-	// FlowsToReturn: the parameter value is returned (possibly through
-	// a wrapper chain).
-	FlowsToReturn
-	// SentToChannel: the parameter value is sent on a channel.
-	SentToChannel
-	// StoredToHeap: the parameter value is stored into a struct field,
-	// map, slice element, or package variable — beyond what local
-	// tracking can follow.
-	StoredToHeap
-	// EscapesUnknown: the parameter is passed to a call the engine
-	// cannot resolve (interface method, function value); its fate there
-	// is unknown.
-	EscapesUnknown
-)
-
-var flagNames = []struct {
-	bit  ParamFlow
-	name string
-}{
-	{UsedDirect, "used"},
-	{WrittenDirect, "written"},
-	{ReachesGoroutine, "reaches-goroutine"},
-	{WrittenInGoroutine, "written-in-goroutine"},
-	{FlowsToReturn, "returned"},
-	{SentToChannel, "sent-to-channel"},
-	{StoredToHeap, "stored-to-heap"},
-	{EscapesUnknown, "escapes-unknown"},
-}
-
-func (f ParamFlow) String() string {
-	if f == 0 {
-		return "none"
-	}
-	s := ""
-	for _, fn := range flagNames {
-		if f&fn.bit != 0 {
-			if s != "" {
-				s += "|"
-			}
-			s += fn.name
-		}
-	}
-	return s
-}
 
 // A RawSub records that a function's return value is the raw (sign
 // preserving) difference params[X] - params[Y], directly or through a
@@ -83,61 +19,23 @@ type RawSub struct {
 	X, Y int
 }
 
-// A FuncSummary is one function's interprocedural summary. Params is
-// indexed receiver-first; for variadic functions the final entry
-// covers every trailing argument. Joins reports that every goroutine
-// the function (transitively) spawns is joined — a barrier follows
-// each spawn, and every callee contributing goroutine flow joins too —
-// so the function is synchronous from the caller's point of view even
-// when parameters carry goroutine flags.
+// A FuncSummary is one function's interprocedural summary: the raw
+// subtractions of its parameters it returns.
 type FuncSummary struct {
-	Params  []ParamFlow `json:"params,omitempty"`
-	RawSubs []RawSub    `json:"rawsubs,omitempty"`
-	Joins   bool        `json:"joins,omitempty"`
+	RawSubs []RawSub `json:"rawsubs,omitempty"`
 }
 
-func (s FuncSummary) equal(t FuncSummary) bool {
-	if s.Joins != t.Joins || len(s.Params) != len(t.Params) || len(s.RawSubs) != len(t.RawSubs) {
-		return false
-	}
-	for i := range s.Params {
-		if s.Params[i] != t.Params[i] {
-			return false
-		}
-	}
-	for i := range s.RawSubs {
-		if s.RawSubs[i] != t.RawSubs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Param returns the flow of normalized argument index i, collapsing
-// variadic overflow onto the final parameter.
-func (s FuncSummary) Param(i int) ParamFlow {
-	if len(s.Params) == 0 {
-		return 0
-	}
-	if i >= len(s.Params) {
-		i = len(s.Params) - 1
-	}
-	if i < 0 {
-		return 0
-	}
-	return s.Params[i]
-}
+func (s FuncSummary) equal(t FuncSummary) bool { return slices.Equal(s.RawSubs, t.RawSubs) }
 
 // Summaries maps a function's full name (types.Func.FullName: package
 // qualified, "(*pkg.T).M" for methods) to its summary. Full names are
-// stable across the source loader and go vet's export-data loader, so
-// summaries computed in one process are valid in another.
+// stable across packages, so an importer finds a dependency's summary
+// without sharing its type-checker objects.
 type Summaries map[string]FuncSummary
 
 // Encode packs summaries into the facts blob stored in an
-// analysis.Session and serialized into vetx files. The encoding is
-// deterministic (sorted keys) so identical analyses produce identical
-// facts bytes.
+// analysis.Session. The encoding is deterministic (sorted keys) so
+// identical analyses produce identical facts bytes.
 func (s Summaries) Encode() ([]byte, error) {
 	names := make([]string, 0, len(s))
 	for name := range s {

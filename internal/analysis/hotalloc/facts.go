@@ -7,7 +7,7 @@ import (
 )
 
 // FactsNamespace keys hotalloc's per-function allocation summaries in
-// an analysis.Session (and therefore in vetx facts files).
+// an analysis.Session.
 const FactsNamespace = "hotalloc"
 
 // An AllocSite is one heap-allocating construct in a function body, as

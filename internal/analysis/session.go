@@ -1,32 +1,21 @@
 package analysis
 
-import "sync"
-
 // A Session carries cross-package analysis state — facts, in the
 // golang.org/x/tools/go/analysis sense — through a multi-package run.
 // Interprocedural analyses (the flow engine under
 // internal/analysis/flow) summarize each package's functions once and
-// export the summaries as an opaque, serializable blob keyed by a
-// namespace; when a later package in the same session calls into an
-// already-summarized package, the propagator consults the session
-// instead of re-deriving (or worse, guessing) the callee's behavior.
+// export the summaries as an opaque blob keyed by a namespace; when a
+// later package in the same session calls into an already-summarized
+// package, the propagator consults the session instead of re-deriving
+// (or worse, guessing) the callee's behavior.
 //
-// The three drivers thread sessions differently but equivalently:
-//
-//   - The standalone driver and the analysistest harness analyze
-//     packages dependency-first (load.Sort) with one shared in-memory
-//     session, so facts flow from a package to its importers within the
-//     process.
-//   - The go vet -vettool driver runs once per package in separate
-//     processes; there the session is rehydrated from the .vetx facts
-//     files cmd/go hands us for every import, and this package's facts
-//     are serialized back out as our .vetx output (see
-//     internal/analysis/unit).
+// The cslint driver and the analysistest harness analyze packages
+// dependency-first (load.Sort) with one shared session, so facts flow
+// from a package to its importers within the process.
 //
 // A nil *Session is valid everywhere and simply has no facts, degrading
 // interprocedural analyses to conservative intra-package results.
 type Session struct {
-	mu    sync.Mutex
 	facts map[string]map[string][]byte // package path -> namespace -> blob
 }
 
@@ -41,8 +30,6 @@ func (s *Session) SetFacts(path, ns string, data []byte) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m := s.facts[path]
 	if m == nil {
 		m = make(map[string][]byte)
@@ -57,34 +44,5 @@ func (s *Session) Facts(path, ns string) []byte {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.facts[path][ns]
-}
-
-// PackageFacts returns every namespace blob recorded for package path
-// (nil when none), for serialization into a vetx facts file.
-func (s *Session) PackageFacts(path string) map[string][]byte {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.facts[path]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string][]byte, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// ImportFacts installs a deserialized facts map for package path, as
-// read back from a vetx file.
-func (s *Session) ImportFacts(path string, m map[string][]byte) {
-	for ns, data := range m {
-		s.SetFacts(path, ns, data)
-	}
 }

@@ -1,45 +1,35 @@
 // Package suite enumerates the repository's analyzers in the order
-// drivers run them. cmd/cslint, the vet-tool path and any future CI
-// harness all consume this one list, so an analyzer added here is
-// enforced everywhere at once.
+// cmd/cslint runs them, so an analyzer added here is enforced
+// everywhere at once.
 package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/ctxguard"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/errsink"
 	"repro/internal/analysis/floatcmp"
-	"repro/internal/analysis/goroutinecap"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nonnegwork"
 	"repro/internal/analysis/obssafe"
 	"repro/internal/analysis/printlint"
 	"repro/internal/analysis/probrange"
-	"repro/internal/analysis/rngshare"
 	"repro/internal/analysis/unitflow"
 )
 
-// All is the full cslint analyzer suite. The ctxguard, goroutinecap,
-// nonnegwork and rngshare analyzers share one interprocedural flow
-// build per package (internal/analysis/flow); unitflow and probrange
-// share one dimension build (internal/analysis/dim) on top of the
-// cfg+dataflow abstract-interpretation engine; hotalloc and lockorder
-// share one call-graph build (internal/analysis/callgraph) on top of
-// the same flow summaries.
+// All is the full cslint analyzer suite. nonnegwork and hotalloc share
+// one interprocedural flow build per package
+// (internal/analysis/flow), hotalloc through the call graph built on
+// top of it (internal/analysis/callgraph); unitflow and probrange share
+// one dimension build (internal/analysis/dim) on top of the
+// cfg+dataflow abstract-interpretation engine.
 var All = []*analysis.Analyzer{
-	ctxguard.Analyzer,
 	determinism.Analyzer,
 	errsink.Analyzer,
 	floatcmp.Analyzer,
-	goroutinecap.Analyzer,
 	hotalloc.Analyzer,
-	lockorder.Analyzer,
 	nonnegwork.Analyzer,
 	obssafe.Analyzer,
 	printlint.Analyzer,
 	probrange.Analyzer,
-	rngshare.Analyzer,
 	unitflow.Analyzer,
 }

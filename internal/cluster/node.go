@@ -207,7 +207,6 @@ func NewNode(cfg Config, store Store) (*Node, error) {
 		n.warmed = reg.Counter("cs_cluster_warm_start_total", "entries pulled from peers at startup")
 	}
 	n.wg.Add(1)
-	//lint:allow goroutinecap the pusher drains pushCh, a channel closed exactly once by Close; Node fields it reads are set before the goroutine starts and never mutated
 	go n.pusher()
 	return n, nil
 }

@@ -137,7 +137,6 @@ func TestStealFillSingleflight(t *testing.T) {
 	start.Add(1)
 	for i := 0; i < goroutines; i++ {
 		done.Add(1)
-		//lint:allow goroutinecap Node.Fill is internally synchronized; concurrent fills coalescing is the behaviour under test
 		go func() {
 			defer done.Done()
 			start.Wait()

@@ -100,7 +100,6 @@ func TestReqTraceConcurrentPhases(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		//lint:allow goroutinecap ReqTrace is internally mutex-guarded; sharing it across goroutines is the behaviour under test
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {

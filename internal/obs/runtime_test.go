@@ -12,7 +12,6 @@ import (
 func TestRuntimeBridgeNilSafe(t *testing.T) {
 	var b *RuntimeBridge
 	b.Start()
-	//lint:allow goroutinecap nil receiver: Start is a no-op and spawns nothing
 	b.SampleNow()
 	b.Stop()
 	if b.LeakSuspected() {
@@ -68,7 +67,6 @@ func TestRuntimeBridgeStartStop(t *testing.T) {
 	reg := NewRegistry()
 	b := NewRuntimeBridge(reg, RuntimeBridgeConfig{Interval: time.Millisecond})
 	b.Start()
-	//lint:allow goroutinecap idempotent-Start is the assertion; the bridge is internally synchronized
 	b.Start() // second Start is a no-op, not a second goroutine
 	// The immediate sample inside Start populates the gauges without
 	// waiting a tick.

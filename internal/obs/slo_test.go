@@ -168,7 +168,6 @@ func TestSLOConcurrentRecord(t *testing.T) {
 	const workers, per = 8, 500
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:allow goroutinecap Record is internally synchronized; the race is the point of the test
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {

@@ -55,7 +55,6 @@ func TestTracerConcurrentOffersAcrossRotation(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:allow goroutinecap Offer is internally synchronized; the race is the point of the test
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {

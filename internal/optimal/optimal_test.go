@@ -128,11 +128,11 @@ func TestGeomDecreasingScheduleAndClosedForm(t *testing.T) {
 	if r.Schedule.Len() < 10 {
 		t.Fatalf("schedule too short: %d", r.Schedule.Len())
 	}
-	// All periods equal.
+	// All periods equal (to 1e-12 relative).
 	t0 := r.Schedule.Period(0)
 	for k := 1; k < r.Schedule.Len(); k++ {
-		if r.Schedule.Period(k) != t0 {
-			t.Fatal("periods not equal")
+		if math.Abs(r.Schedule.Period(k)-t0) > 1e-12*t0 {
+			t.Fatalf("period %d = %.17g, want %.17g", k, r.Schedule.Period(k), t0)
 		}
 	}
 	// Truncated sum matches the closed form.

@@ -35,7 +35,6 @@ type Pool struct {
 }
 
 type poolTask struct {
-	//lint:allow ctxguard the task is the request's unit of work in the queue; its context rides with it like http.Request's, and workers drop the task the moment it ends
 	ctx  context.Context
 	fn   func(context.Context)
 	enq  time.Time     // submission time, for queue-wait attribution

@@ -66,7 +66,6 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 	g.mu.Unlock()
 	//lint:allow hotalloc leader path: one worker goroutine per computation
 	go func() {
-		//lint:allow ctxguard runCtx is group-owned, not the request's: the leader goroutine must outlive an impatient leader, and wait() cancels runCtx when the last waiter leaves
 		v, err := fn(runCtx)
 		g.mu.Lock()
 		c.val, c.err = v, err
@@ -75,7 +74,6 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		close(c.done)
 		cancel()
 	}()
-	//lint:allow goroutinecap c.val/c.err are published before close(c.done) and read only after it; waiters/shared are guarded by g.mu
 	v, shared, err = g.wait(ctx, c)
 	return v, shared, true, err
 }

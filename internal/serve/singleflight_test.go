@@ -22,7 +22,6 @@ func TestFlightGroupCoalescesSameKey(t *testing.T) {
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		//lint:allow goroutinecap flightGroup synchronizes internally with its own mutex; concurrent Do is the API under test
 		go func(i int) {
 			defer wg.Done()
 			v, shared, _, err := g.Do(context.Background(), "k", func(context.Context) (any, error) {
@@ -69,7 +68,6 @@ func TestFlightGroupDistinctKeysRunIndependently(t *testing.T) {
 		})
 		close(done)
 	}()
-	//lint:allow goroutinecap flightGroup synchronizes internally with its own mutex; concurrent Do is the API under test
 	v, _, _, err := g.Do(context.Background(), "fast", func(context.Context) (any, error) { return 1, nil })
 	if err != nil || v.(int) != 1 {
 		t.Fatalf("fast key blocked: %v %v", v, err)
@@ -103,7 +101,6 @@ func TestFlightGroupCancelsOnlyWhenLastWaiterLeaves(t *testing.T) {
 	// An impatient waiter joins and leaves.
 	impatientCtx, impatientCancel := context.WithCancel(context.Background())
 	impatientDone := make(chan error, 1)
-	//lint:allow goroutinecap flightGroup synchronizes internally with its own mutex; concurrent Do is the API under test
 	go func() {
 		_, _, _, err := g.Do(impatientCtx, "k", func(context.Context) (any, error) {
 			t.Error("second Do must join, not re-run")
