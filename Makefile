@@ -58,15 +58,14 @@ serve-smoke:
 	bash scripts/serve-smoke.sh
 
 # Boot a 3-replica csserve cluster behind csgate and jq-assert the
-# horizontal scaling story for both fill policies: at most one fresh
-# computation per key cluster-wide per wave, warm-wave speedup through
-# the gate, zero non-429 client errors during a rolling replica
-# restart, and a fully warm wave after the restarted replica rejoins.
-# Artifacts land in cluster-smoke-out/<fill>/ (override with
+# horizontal scaling story: at most one fresh computation per key
+# cluster-wide per wave, warm-wave speedup through the gate, steal
+# fill from a key's owner, zero non-429 client errors during a rolling
+# replica restart, and a fully warm wave after the restarted replica
+# rejoins. Artifacts land in cluster-smoke-out/ (override with
 # CLUSTER_SMOKE_DIR).
 cluster-smoke:
-	FILL=steal bash scripts/cluster-smoke.sh
-	FILL=share bash scripts/cluster-smoke.sh
+	bash scripts/cluster-smoke.sh
 
 # Ad-hoc load generation against an already-running csserve
 # (override LOAD_ADDR, e.g. make loadtest LOAD_ADDR=http://host:9000).

@@ -132,37 +132,6 @@ func newGate(urls []string, retries int, clientTimeout time.Duration, reg *obs.R
 	return g
 }
 
-// canonicalKey derives the routing key for a request body: the same
-// canonical cache key the replica will compute, so the ring and the
-// replica caches agree on key identity. A body the gate cannot
-// canonicalize still routes deterministically (by its raw bytes) and
-// lets the owner replica produce the real 4xx.
-func canonicalKey(route string, body []byte) string {
-	switch route {
-	case "plan":
-		var spec serve.PlanSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return string(body)
-		}
-		norm, err := spec.Canonicalize()
-		if err != nil {
-			return string(body)
-		}
-		return norm.Key()
-	case "estimate":
-		var spec serve.EstimateSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return string(body)
-		}
-		norm, err := spec.Canonicalize()
-		if err != nil {
-			return string(body)
-		}
-		return norm.Key()
-	}
-	return string(body)
-}
-
 // httpError mirrors the replicas' JSON error payload.
 type httpError struct {
 	Error string `json:"error"`
@@ -190,7 +159,14 @@ func (g *gate) proxy(route, path string) http.Handler {
 			writeJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
 			return
 		}
-		key := canonicalKey(route, body)
+		// Route by the canonical cache key the replica will compute,
+		// so the ring and the replica caches agree on key identity. A
+		// body the replica will reject still routes deterministically,
+		// by its raw bytes, and lets the owner produce the real 4xx.
+		key, err := serve.RequestKey(route, body)
+		if err != nil {
+			key = string(body)
+		}
 		rt := obs.ReqTraceFrom(r.Context())
 
 		var healthy, unhealthy []*replica

@@ -186,7 +186,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		bodies[i] = b
-		key, err := canonicalKey(*endpoint, b)
+		key, err := serve.RequestKey(*endpoint, b)
 		if err != nil {
 			fmt.Fprintf(stderr, "csload: generated spec %d does not canonicalize: %v\n", i, err)
 			return 2
@@ -223,32 +223,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// canonicalKey derives a generated body's cache key by the replica's
-// own rules, so the shard map and per-key fresh counting agree with
-// the cluster on key identity.
-func canonicalKey(endpoint string, body []byte) (string, error) {
-	if endpoint == "estimate" {
-		var spec serve.EstimateSpec
-		if err := json.Unmarshal(body, &spec); err != nil {
-			return "", err
-		}
-		norm, err := spec.Canonicalize()
-		if err != nil {
-			return "", err
-		}
-		return norm.Key(), nil
-	}
-	var spec serve.PlanSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		return "", err
-	}
-	norm, err := spec.Canonicalize()
-	if err != nil {
-		return "", err
-	}
-	return norm.Key(), nil
 }
 
 // runWave fires the bodies at their URLs over `concurrency` workers.

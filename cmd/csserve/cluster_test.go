@@ -42,7 +42,7 @@ func reservePorts(t *testing.T, n int) []string {
 // startReplica boots runApp as one cluster member and waits for ready
 // (which follows the warm start, so a returned replica has already
 // pulled its arc from the peers).
-func startReplica(t *testing.T, addr, fill string, all []string) *replicaProc {
+func startReplica(t *testing.T, addr string, all []string) *replicaProc {
 	t.Helper()
 	peers := make([]string, len(all))
 	for i, a := range all {
@@ -62,7 +62,6 @@ func startReplica(t *testing.T, addr, fill string, all []string) *replicaProc {
 			"-addr", addr,
 			"-self", "http://" + addr,
 			"-peers", strings.Join(peers, ","),
-			"-fill", fill,
 			"-workers", "2",
 			"-grace", "5s",
 			"-runtime-sample", "-1s",
@@ -99,81 +98,75 @@ type clusterPlanResponse struct {
 	Error      string `json:"error"`
 }
 
-// The rolling-restart invariant, end to end for both fill policies: a
+// The rolling-restart invariant, end to end under steal fill: a
 // two-replica cluster computes a key set once (routed to owners the
 // way csgate and csload -targets route), one replica drains and
 // restarts, and the next routed wave is served entirely without fresh
 // computation — every response is a cache hit or a peer fill.
 func TestClusterWarmRestart(t *testing.T) {
-	for _, fill := range []string{cluster.FillSteal, cluster.FillShare} {
-		t.Run(fill, func(t *testing.T) {
-			addrs := reservePorts(t, 2)
-			r0 := startReplica(t, addrs[0], fill, addrs)
-			r1 := startReplica(t, addrs[1], fill, addrs)
-			defer func() { // r0 may already be drained; guard with select
-				for _, p := range []*replicaProc{r0, r1} {
-					select {
-					case <-p.stop:
-					default:
-						p.drain(t)
-					}
-				}
-			}()
-
-			// Route each body to its key's owner, exactly as the gate
-			// would.
-			ring := cluster.NewRing([]string{"http://" + addrs[0], "http://" + addrs[1]})
-			post := func(body string) clusterPlanResponse {
-				t.Helper()
-				var spec serve.PlanSpec
-				if err := json.Unmarshal([]byte(body), &spec); err != nil {
-					t.Fatal(err)
-				}
-				norm, err := spec.Canonicalize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.Post(ring.Owner(norm.Key())+"/v1/plan", "application/json", strings.NewReader(body))
-				if err != nil {
-					t.Fatalf("posting %s: %v", body, err)
-				}
-				defer resp.Body.Close()
-				var out clusterPlanResponse
-				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != 200 {
-					t.Fatalf("status %d for %s: %s", resp.StatusCode, body, out.Error)
-				}
-				return out
-			}
-
-			bodies := make([]string, 16)
-			for i := range bodies {
-				bodies[i] = fmt.Sprintf(`{"life":"uniform","lifespan":%d}`, 300+i)
-			}
-			// Cold wave: everything computes fresh, each key on its owner.
-			for _, b := range bodies {
-				if out := post(b); out.Cached || out.PeerFilled {
-					t.Fatalf("cold wave response for %s was already cached/peer-filled", b)
+	t.Run(cluster.FillSteal, func(t *testing.T) {
+		addrs := reservePorts(t, 2)
+		r0 := startReplica(t, addrs[0], addrs)
+		r1 := startReplica(t, addrs[1], addrs)
+		defer func() { // r0 may already be drained; guard with select
+			for _, p := range []*replicaProc{r0, r1} {
+				select {
+				case <-p.stop:
+				default:
+					p.drain(t)
 				}
 			}
+		}()
 
-			// Rolling restart of replica 0: drain (handoff to r1), then
-			// boot a fresh process on the same address (warm start pulls
-			// its arc back before ready).
-			r0.drain(t)
-			r0 = startReplica(t, addrs[0], fill, addrs)
-
-			// Warm wave: zero fresh computations cluster-wide. Keys owned
-			// by r1 never left its cache; keys owned by r0 came back via
-			// handoff + warm start (or, under steal, a peer fill).
-			for _, b := range bodies {
-				out := post(b)
-				if !out.Cached && !out.Coalesced && !out.PeerFilled {
-					t.Errorf("fill=%s: post-restart wave recomputed %s", fill, b)
-				}
+		// Route each body to its key's owner, exactly as the gate
+		// would.
+		ring := cluster.NewRing([]string{"http://" + addrs[0], "http://" + addrs[1]})
+		post := func(body string) clusterPlanResponse {
+			t.Helper()
+			key, err := serve.RequestKey("plan", []byte(body))
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			resp, err := http.Post(ring.Owner(key)+"/v1/plan", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("posting %s: %v", body, err)
+			}
+			defer resp.Body.Close()
+			var out clusterPlanResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("status %d for %s: %s", resp.StatusCode, body, out.Error)
+			}
+			return out
+		}
+
+		bodies := make([]string, 16)
+		for i := range bodies {
+			bodies[i] = fmt.Sprintf(`{"life":"uniform","lifespan":%d}`, 300+i)
+		}
+		// Cold wave: everything computes fresh, each key on its owner.
+		for _, b := range bodies {
+			if out := post(b); out.Cached || out.PeerFilled {
+				t.Fatalf("cold wave response for %s was already cached/peer-filled", b)
+			}
+		}
+
+		// Rolling restart of replica 0: drain (handoff to r1), then
+		// boot a fresh process on the same address (warm start pulls
+		// its arc back before ready).
+		r0.drain(t)
+		r0 = startReplica(t, addrs[0], addrs)
+
+		// Warm wave: zero fresh computations cluster-wide. Keys owned
+		// by r1 never left its cache; keys owned by r0 came back via
+		// handoff + warm start (or a peer fill).
+		for _, b := range bodies {
+			out := post(b)
+			if !out.Cached && !out.Coalesced && !out.PeerFilled {
+				t.Errorf("post-restart wave recomputed %s", b)
+			}
+		}
+	})
 }

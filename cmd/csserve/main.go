@@ -15,8 +15,8 @@
 //	csserve -trace-store 4096 -trace-sample 0.5 -trace-slowest 16
 //	csserve -runtime-sample 10s -leak-limit 0
 //	csserve -slo-target 0.999 -slo-latency-ms 250 -slo-latency-target 0.99
-//	csserve -self http://h1:8080 -peers http://h2:8080,http://h3:8080 \
-//	        -fill steal                  # join a cluster (see csgate)
+//	csserve -self http://h1:8080 -peers http://h2:8080,http://h3:8080
+//	                                     # join a cluster (see csgate)
 //
 // Endpoints: POST /v1/plan, POST /v1/estimate, GET /v1/healthz, plus
 // /metrics, /debug/vars and /debug/pprof from the shared obs mux, and
@@ -37,11 +37,11 @@
 // Clustering: with -self and -peers the replica joins a consistent-
 // hash cluster (fronted by csgate). It mounts the peer protocol
 // (GET /v1/peer/cache/{key}, POST /v1/peer/warm, GET /v1/peer/hot),
-// fills cache misses from peers per -fill (steal pulls on miss, share
-// push-replicates on compute), pulls peers' hot entries for its own
-// arc at startup, and hands its hottest -warm-hot entries to their
-// next owners before exiting — a rolling restart keeps the cluster's
-// working set warm instead of recomputing it.
+// fills a cache miss by pulling the key from its previous holder
+// before computing (steal fill), pulls peers' hot entries for its own
+// arc at startup, and hands its hottest entries to their next owners
+// before exiting — a rolling restart keeps the cluster's working set
+// warm instead of recomputing it.
 //
 // SIGTERM or SIGINT drains gracefully: healthz flips to 503 first (so
 // the csgate prober routes around this replica), the hot working set
@@ -116,12 +116,8 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		sloLatencyMS     = fs.Float64("slo-latency-ms", 250, "latency SLI threshold in milliseconds")
 		sloLatencyTarget = fs.Float64("slo-latency-target", 0.99, "latency objective: target fraction of served responses under -slo-latency-ms")
 
-		self            = fs.String("self", "", "this replica's own base URL in the cluster ring (enables clustering with -peers)")
-		peers           = fs.String("peers", "", "comma-separated base URLs of the other replicas")
-		fill            = fs.String("fill", cluster.FillSteal, "cluster fill policy: steal (pull on miss) or share (push on compute)")
-		peerTimeout     = fs.Duration("peer-timeout", 250*time.Millisecond, "per-attempt peer fetch timeout (a slow peer must stay cheaper than local compute)")
-		peerConcurrency = fs.Int("peer-concurrency", 8, "bound on concurrent outbound peer fetches")
-		warmHot         = fs.Int("warm-hot", 128, "hottest cache entries handed to peers on drain and offered at startup")
+		self  = fs.String("self", "", "this replica's own base URL in the cluster ring (enables clustering with -peers)")
+		peers = fs.String("peers", "", "comma-separated base URLs of the other replicas")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -191,19 +187,14 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		}
 		var err error
 		node, err = cluster.NewNode(cluster.Config{
-			Self:        strings.TrimSuffix(*self, "/"),
-			Peers:       peerURLs,
-			Fill:        *fill,
-			Timeout:     *peerTimeout,
-			Concurrency: *peerConcurrency,
-			HotN:        *warmHot,
-			Registry:    reg,
+			Self:     strings.TrimSuffix(*self, "/"),
+			Peers:    peerURLs,
+			Registry: reg,
 		}, s)
 		if err != nil {
 			fmt.Fprintln(stderr, "csserve:", err)
 			return 2
 		}
-		defer node.Close()
 		s.SetPeers(node)
 	}
 

@@ -9,9 +9,7 @@
 //
 // The graph models if/else, for and range loops (with back edges),
 // switch, type switch and select dispatch, break/continue (labeled and
-// unlabeled), returns and explicit panic calls (edges to Exit). Defer
-// registration sites additionally appear in Graph.Defers so exit-path
-// analyses can treat a deferred call as running on every path out.
+// unlabeled), returns and explicit panic calls (edges to Exit).
 //
 // # Soundness caveats
 //
@@ -37,10 +35,6 @@ type Graph struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
-	// Defers lists the defer statements of the body in source order.
-	// Analyses that need "runs on every exit path" semantics consult
-	// this list alongside the per-path blocks.
-	Defers []*ast.DeferStmt
 }
 
 // A Block is a maximal straight-line sequence of AST nodes: statements,
@@ -294,11 +288,6 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		}
 		return cur
 
-	case *ast.DeferStmt:
-		b.add(cur, s)
-		b.g.Defers = append(b.g.Defers, s)
-		return cur
-
 	case *ast.ExprStmt:
 		b.add(cur, s)
 		if isPanicCall(s.X) {
@@ -308,8 +297,8 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		return cur
 
 	default:
-		// Assignments, declarations, sends, go statements, inc/dec,
-		// empty statements: straight-line.
+		// Assignments, declarations, sends, go and defer statements,
+		// inc/dec, empty statements: straight-line.
 		b.add(cur, s)
 		return cur
 	}

@@ -296,18 +296,6 @@ func TestReturnAndPanicEdges(t *testing.T) {
 	}
 }
 
-func TestDefersRecorded(t *testing.T) {
-	g := Build(parseFunc(t, `func f() {
-		defer println("a")
-		if true {
-			defer println("b")
-		}
-	}`))
-	if len(g.Defers) != 2 {
-		t.Fatalf("defers = %d, want 2", len(g.Defers))
-	}
-}
-
 func TestSelect(t *testing.T) {
 	g := Build(parseFunc(t, `func f(a, b chan int) int {
 		select {

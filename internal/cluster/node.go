@@ -10,20 +10,25 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Fill policies. On a local cache miss a stealing replica pulls the
-// result from the key's previous holder before falling back to local
-// compute; a sharing replica never pulls — instead every fresh
-// computation is pushed to the key's next-preferred peers, so the copy
-// is already there when a failover or restart moves traffic.
+// FillSteal is the one peer fill policy: on a local cache miss a
+// replica pulls the result from the key's previous holder before
+// falling back to local compute.
+const FillSteal = "steal"
+
+// Steal-fill fetch shape: each probed peer gets one retry after a
+// transport error, starting at fetchBackoff and doubling; a fill
+// consults at most fetchProbes peers in the key's preference order
+// (its fallback owner and the next in line). A 404 moves to the next
+// peer without retrying.
 const (
-	FillSteal = "steal"
-	FillShare = "share"
+	fetchRetries = 1
+	fetchBackoff = 25 * time.Millisecond
+	fetchProbes  = 2
 )
 
 // Entry is one cache entry on the peer wire: the canonical spec key and
@@ -52,36 +57,24 @@ type Store interface {
 // field.
 type Config struct {
 	// Self is this replica's identity in Peers (its base URL). It is
-	// excluded from fetch, push and handoff targets.
+	// excluded from fetch and handoff targets.
 	Self string
 	// Peers is the full replica set, including Self.
 	Peers []string
-	// Fill selects the peer fill policy: FillSteal (default) or
-	// FillShare.
+	// Fill names the peer fill policy; FillSteal (or "", its default)
+	// is the only one.
 	Fill string
 	// Timeout bounds one peer fetch attempt (default 250ms). A fetch
 	// that misses it falls back — ultimately to local compute — so a
 	// slow peer can delay a miss but never wedge it.
 	Timeout time.Duration
-	// Retries is the number of extra attempts per probed peer after a
-	// transport error (default 1); Backoff is the delay before the
-	// first retry, doubling per attempt (default 25ms).
-	Retries int
-	Backoff time.Duration
-	// Probes caps how many peers a steal fill consults, in the key's
-	// preference order (default 2: the key's fallback owner and the
-	// next in line). A 404 moves to the next peer without retrying.
-	Probes int
 	// Concurrency bounds in-flight outbound peer fetches across all
-	// requests (default 8); excess fills report a miss rather than
-	// queueing behind a slow peer.
+	// requests (default 8); excess fills wait for a slot until their
+	// request's context ends, then report a miss.
 	Concurrency int
 	// HotN is the working-set size for warm handoff: entries pushed to
 	// peers on drain and pulled back on start (default 128).
 	HotN int
-	// Replicate is how many next-preferred peers a share-fill push
-	// targets per computed key (default 1).
-	Replicate int
 	// Registry receives the node's metrics; a private one is created
 	// when nil.
 	Registry *obs.Registry
@@ -97,25 +90,11 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 250 * time.Millisecond
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 25 * time.Millisecond
-	}
-	if c.Probes <= 0 {
-		c.Probes = 2
-	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
 	}
 	if c.HotN <= 0 {
 		c.HotN = 128
-	}
-	if c.Replicate <= 0 {
-		c.Replicate = 1
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
@@ -127,9 +106,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Node is one replica's cluster participation: it serves the peer
-// protocol over the local Store and implements the configured fill
-// policy against the other replicas. Create with NewNode, mount with
-// Routes, stop with Close.
+// protocol over the local Store and steal-fills misses from the other
+// replicas. Create with NewNode, mount with Routes.
 type Node struct {
 	cfg    Config
 	ring   *Ring
@@ -137,18 +115,10 @@ type Node struct {
 	client *http.Client
 	sem    chan struct{}
 
-	mu    sync.Mutex // guards fills
-	fills map[string]*fillCall
-
-	pushCh chan pushJob
-	wg     sync.WaitGroup
-
 	fetchHit   *obs.Counter
 	fetchMiss  *obs.Counter
 	fetchErr   *obs.Counter
 	fetchRetry *obs.Counter
-	pushSent   *obs.Counter
-	pushDrop   *obs.Counter
 	serveHit   *obs.Counter
 	serveMiss  *obs.Counter
 	installed  *obs.Counter
@@ -156,25 +126,11 @@ type Node struct {
 	warmed     *obs.Counter
 }
 
-// fillCall coalesces concurrent steal fills for one key: the leader
-// fetches, everyone waits on done.
-type fillCall struct {
-	done chan struct{}
-	val  json.RawMessage
-	ok   bool
-}
-
-type pushJob struct {
-	key     string
-	val     json.RawMessage
-	targets []string
-}
-
 // NewNode builds a node for store over cfg's replica set.
 func NewNode(cfg Config, store Store) (*Node, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Fill != FillSteal && cfg.Fill != FillShare {
-		return nil, fmt.Errorf("cluster: unknown fill policy %q (want %s or %s)", cfg.Fill, FillSteal, FillShare)
+	if cfg.Fill != FillSteal {
+		return nil, fmt.Errorf("cluster: unknown fill policy %q (want %s)", cfg.Fill, FillSteal)
 	}
 	if store == nil {
 		return nil, errors.New("cluster: nil store")
@@ -189,8 +145,6 @@ func NewNode(cfg Config, store Store) (*Node, error) {
 		store:  store,
 		client: cfg.Client,
 		sem:    make(chan struct{}, cfg.Concurrency),
-		fills:  make(map[string]*fillCall),
-		pushCh: make(chan pushJob, 256),
 	}
 	{
 		reg := cfg.Registry
@@ -198,54 +152,22 @@ func NewNode(cfg Config, store Store) (*Node, error) {
 		n.fetchMiss = reg.Counter(obs.Labeled("cs_cluster_peer_fetch_total", "outcome", "miss"), "steal fills no probed peer could satisfy")
 		n.fetchErr = reg.Counter(obs.Labeled("cs_cluster_peer_fetch_total", "outcome", "error"), "peer fetch attempts that failed in transport")
 		n.fetchRetry = reg.Counter("cs_cluster_peer_fetch_retries_total", "peer fetch attempts retried after a transport error")
-		n.pushSent = reg.Counter("cs_cluster_push_total", "share-fill replications pushed to peers")
-		n.pushDrop = reg.Counter("cs_cluster_push_dropped_total", "share-fill replications dropped because the push queue was full")
 		n.serveHit = reg.Counter(obs.Labeled("cs_cluster_peer_serve_total", "outcome", "hit"), "peer cache lookups served from the local store")
 		n.serveMiss = reg.Counter(obs.Labeled("cs_cluster_peer_serve_total", "outcome", "miss"), "peer cache lookups that missed the local store")
 		n.installed = reg.Counter("cs_cluster_warm_installed_total", "entries installed into the local store by peer warm pushes")
 		n.handoff = reg.Counter("cs_cluster_handoff_entries_total", "hot entries pushed to peers during drain")
 		n.warmed = reg.Counter("cs_cluster_warm_start_total", "entries pulled from peers at startup")
 	}
-	n.wg.Add(1)
-	go n.pusher()
 	return n, nil
 }
 
-// Fill implements the serve-side PeerFiller hook: under steal it probes
-// the key's preferred peers for a cached copy; under share it reports a
-// miss immediately (sharing is push-only — the copy either arrived
-// ahead of time or the miss computes locally). Concurrent fills for one
-// key coalesce onto a single peer fetch.
+// Fill implements the serve-side PeerFiller hook: it probes the key's
+// preferred peers for a cached copy under the concurrency bound,
+// retrying transport errors with exponential backoff and treating a
+// 404 as an authoritative miss at that peer. It does not coalesce: the
+// caller runs it inside its per-key singleflight, so at most one fill
+// per key is in flight.
 func (n *Node) Fill(ctx context.Context, key string) (json.RawMessage, bool) {
-	if n.cfg.Fill != FillSteal {
-		return nil, false
-	}
-	n.mu.Lock()
-	if c, ok := n.fills[key]; ok {
-		n.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.val, c.ok
-		case <-ctx.Done():
-			return nil, false
-		}
-	}
-	c := &fillCall{done: make(chan struct{})}
-	n.fills[key] = c
-	n.mu.Unlock()
-
-	c.val, c.ok = n.fetch(ctx, key)
-	n.mu.Lock()
-	delete(n.fills, key)
-	n.mu.Unlock()
-	close(c.done)
-	return c.val, c.ok
-}
-
-// fetch walks the key's peer preference order under the concurrency
-// bound, retrying transport errors with exponential backoff and
-// treating a 404 as an authoritative miss at that peer.
-func (n *Node) fetch(ctx context.Context, key string) (json.RawMessage, bool) {
 	select {
 	case n.sem <- struct{}{}:
 		defer func() { <-n.sem }()
@@ -257,12 +179,12 @@ func (n *Node) fetch(ctx context.Context, key string) (json.RawMessage, bool) {
 		if peer == n.cfg.Self {
 			continue
 		}
-		if probed >= n.cfg.Probes {
+		if probed >= fetchProbes {
 			break
 		}
 		probed++
-		backoff := n.cfg.Backoff
-		for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
+		backoff := fetchBackoff
+		for attempt := 0; attempt <= fetchRetries; attempt++ {
 			if attempt > 0 {
 				n.fetchRetry.Inc()
 				select {
@@ -320,51 +242,16 @@ func (n *Node) fetchOne(ctx context.Context, peer, key string) (val json.RawMess
 	}
 }
 
-// Offer publishes a freshly computed response for push replication.
-// Under steal it is a no-op; under share the entry is queued for the
-// key's next-preferred peers and pushed asynchronously — a full queue
-// drops the offer (replication is an optimization, never backpressure
-// on the serving path).
-func (n *Node) Offer(key string, val json.RawMessage) {
-	if n.cfg.Fill != FillShare {
-		return
-	}
-	targets := n.pushTargets(key, n.cfg.Replicate)
-	if len(targets) == 0 {
-		return
-	}
-	select {
-	case n.pushCh <- pushJob{key: key, val: val, targets: targets}:
-	default:
-		n.pushDrop.Inc()
-	}
-}
-
-// pushTargets returns up to k peers in the key's preference order,
-// excluding self.
-func (n *Node) pushTargets(key string, k int) []string {
-	var targets []string
-	for _, peer := range n.ring.Owners(key, n.ring.Len()) {
-		if peer == n.cfg.Self {
-			continue
-		}
-		targets = append(targets, peer)
-		if len(targets) >= k {
-			break
+// nextOwner returns the peer that ranks highest for key after self —
+// where the key's traffic goes while this replica is away; "" when
+// there is no other peer.
+func (n *Node) nextOwner(key string) string {
+	for _, peer := range n.ring.Owners(key, 2) {
+		if peer != n.cfg.Self {
+			return peer
 		}
 	}
-	return targets
-}
-
-func (n *Node) pusher() {
-	defer n.wg.Done()
-	for job := range n.pushCh {
-		for _, target := range job.targets {
-			if n.pushWarm(context.Background(), target, []Entry{{Key: job.key, Val: job.val}}) == nil {
-				n.pushSent.Inc()
-			}
-		}
-	}
+	return ""
 }
 
 // warmRequest is the POST /v1/peer/warm body.
@@ -407,21 +294,18 @@ func (n *Node) pushWarm(ctx context.Context, target string, entries []Entry) err
 	return nil
 }
 
-// Handoff pushes the local store's hottest entries to their
-// next-preferred peers — the drain-time half of warm handoff, called
-// after this replica stops accepting traffic so its working set
-// survives the restart somewhere steal can find it (and share-filled
-// peers get any keys the compute-time pushes missed). Returns the
-// number of entries pushed.
+// Handoff pushes the local store's hottest entries to their next
+// owners — the drain-time half of warm handoff, called after this
+// replica stops accepting traffic so its working set survives the
+// restart on the peers the gate fails over to. Returns the number of
+// entries pushed.
 func (n *Node) Handoff(ctx context.Context) int {
 	entries := n.store.PeerHot(n.cfg.HotN)
 	byTarget := make(map[string][]Entry)
 	for _, e := range entries {
-		targets := n.pushTargets(e.Key, 1)
-		if len(targets) == 0 {
-			continue
+		if target := n.nextOwner(e.Key); target != "" {
+			byTarget[target] = append(byTarget[target], e)
 		}
-		byTarget[targets[0]] = append(byTarget[targets[0]], e)
 	}
 	pushed := 0
 	for target, batch := range byTarget {
@@ -563,12 +447,10 @@ func (n *Node) handleHot(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(hotResponse{Entries: entries})
 }
 
-// Fill policy and ring accessors (csserve's healthz/log lines).
-func (n *Node) FillPolicy() string { return n.cfg.Fill }
-func (n *Node) Ring() *Ring        { return n.ring }
+// Ring returns the node's replica ring.
+func (n *Node) Ring() *Ring { return n.ring }
 
-// Close stops the push worker. Call after the HTTP layer is down.
-func (n *Node) Close() {
-	close(n.pushCh)
-	n.wg.Wait()
-}
+// Close is a no-op: a Node owns no goroutines or connections beyond
+// its HTTP client's. It stays so callers can release a Node
+// uniformly.
+func (n *Node) Close() {}

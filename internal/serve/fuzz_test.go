@@ -15,8 +15,9 @@ var fuzzStatuses = map[int]bool{200: true, 400: true, 422: true, 429: true, 503:
 
 // fuzzRoute sends raw bodies through the real mux and checks the
 // contract every wire input is owed: a correct answer or a 4xx, never a
-// 500 or a panic, a 200 always carrying a decodable body, and a
-// normalize that is idempotent and keys its output the same way twice.
+// 500 or a panic, a 200 always carrying a decodable body keyed as
+// RequestKey keys it (the gate routes by that key), and a normalize
+// that is idempotent and keys its output the same way twice.
 func fuzzRoute[S spec, R any](f *testing.F, route string, normalize func(S) (S, error), seeds ...string) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -36,11 +37,14 @@ func fuzzRoute[S spec, R any](f *testing.F, route string, normalize func(S) (S, 
 			if rec.Body.Len() == 0 || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
 				t.Fatalf("200 for %q with an undecodable body %q", body, rec.Body)
 			}
+			var keyed struct{ Key string }
+			_ = json.Unmarshal(rec.Body.Bytes(), &keyed)
+			if want, err := RequestKey(route, body); err != nil || keyed.Key != want {
+				t.Fatalf("200 for %q under key %q, but RequestKey gives %q (%v)", body, keyed.Key, want, err)
+			}
 		}
 		var sp S
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&sp) != nil {
+		if decodeSpec(bytes.NewReader(body), &sp) != nil {
 			return
 		}
 		once, err := normalize(sp)
@@ -66,7 +70,8 @@ func FuzzPlanBody(f *testing.F) {
 		`{"life":"uniform","lifespan":1,"c":5}`,
 		`{"life":"nope"}`,
 		`{"c":-1}`,
-		`not json`)
+		`not json`,
+		`{"life":"poly","c":2} x`)
 }
 
 func FuzzEstimateBody(f *testing.F) {
@@ -78,5 +83,6 @@ func FuzzEstimateBody(f *testing.F) {
 		`{"life":"poly","lifespan":200,"d":2,"policy":"allatonce","episodes":50}`,
 		`{"life":"uniform","lifespan":100,"policy":"fixed:0","episodes":10}`,
 		`{"episodes":5001}`,
-		`{"policy":"bogus","episodes":10}`)
+		`{"policy":"bogus","episodes":10}`,
+		`{"life":"poly","c":2,"episodes":10} x`)
 }

@@ -28,10 +28,9 @@ var goldenCorpus = []struct{ route, body string }{
 }
 
 // goldenPeers is a PeerFiller over another server's cache: with a nil
-// source every fill misses. Offers are recorded in arrival order.
+// source every fill misses.
 type goldenPeers struct {
-	src    *Server
-	offers []string
+	src *Server
 }
 
 func (p *goldenPeers) Fill(_ context.Context, key string) (json.RawMessage, bool) {
@@ -39,10 +38,6 @@ func (p *goldenPeers) Fill(_ context.Context, key string) (json.RawMessage, bool
 		return nil, false
 	}
 	return p.src.PeerGet(key)
-}
-
-func (p *goldenPeers) Offer(key string, val json.RawMessage) {
-	p.offers = append(p.offers, key+" "+string(val))
 }
 
 var elapsedRE = regexp.MustCompile(`"elapsed_ms":[^,}]*`)
@@ -60,14 +55,13 @@ func timingNames(h string) string {
 // TestGoldenResponses sends the corpus through Routes three ways — a
 // fresh computation (peer fill missing), a cache hit, and a peer fill
 // on a second server — and compares the body bytes (elapsed_ms
-// masked), the Server-Timing phase order and the offered payloads with
-// testdata/golden.txt. Run with -update to rewrite the file.
+// masked) and the Server-Timing phase order with testdata/golden.txt.
+// Run with -update to rewrite the file.
 func TestGoldenResponses(t *testing.T) {
 	origin, filled := New(Config{Workers: 1}), New(Config{Workers: 1})
 	t.Cleanup(origin.Drain)
 	t.Cleanup(filled.Drain)
-	originPeers := &goldenPeers{}
-	origin.SetPeers(originPeers)
+	origin.SetPeers(&goldenPeers{})
 	filled.SetPeers(&goldenPeers{src: origin})
 	originMux, filledMux := http.NewServeMux(), http.NewServeMux()
 	origin.Routes(originMux)
@@ -88,10 +82,6 @@ func TestGoldenResponses(t *testing.T) {
 		send(originMux, "fresh", c.route, c.body)
 		send(originMux, "cached", c.route, c.body)
 		send(filledMux, "peer", c.route, c.body)
-	}
-	out.WriteString("== offers\n")
-	for _, o := range originPeers.offers {
-		out.WriteString(o + "\n")
 	}
 
 	const path = "testdata/golden.txt"

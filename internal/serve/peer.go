@@ -3,9 +3,8 @@ package serve
 // Cluster participation. A clustered Server plays two roles:
 //
 //   - it consumes peer fill through the PeerFiller hook — consulted on
-//     a cache miss inside the per-key singleflight (so concurrent
-//     misses on one key cause at most one peer fetch) and offered every
-//     freshly computed response for push replication;
+//     a cache miss inside the per-key singleflight, so concurrent
+//     misses on one key cause at most one peer fetch;
 //   - it is the cluster's local Store — PeerGet/PeerPut/PeerHot
 //     implement internal/cluster.Store over the plan and estimate LRUs,
 //     serving the peer protocol endpoints a cluster.Node mounts.
@@ -26,30 +25,16 @@ import (
 // PeerFiller is the cluster fill hook (implemented by cluster.Node).
 type PeerFiller interface {
 	// Fill tries to satisfy a cache miss from a peer; the returned
-	// payload is a marshaled PlanResponse or EstimateResponse.
+	// payload is a marshaled PlanResponse or EstimateResponse. The
+	// server calls it at most once per key at a time, so it need not
+	// coalesce.
 	Fill(ctx context.Context, key string) (json.RawMessage, bool)
-	// Offer publishes a freshly computed response for push
-	// replication; implementations must not block the serving path.
-	Offer(key string, val json.RawMessage)
 }
 
 // SetPeers installs the cluster fill hook. Call before the server
 // starts handling requests; a nil hook (the default) disables peer
 // fill.
 func (s *Server) SetPeers(p PeerFiller) { s.peers = p }
-
-// offerPeers hands a freshly computed response to the cluster for push
-// replication (a no-op under steal fill or outside a cluster).
-func (s *Server) offerPeers(key string, resp any) {
-	if s.peers == nil {
-		return
-	}
-	raw, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	s.peers.Offer(key, raw)
-}
 
 // PeerGet implements cluster.Store: the cached response for key,
 // marshaled for the wire. The lookup goes through the ordinary cache

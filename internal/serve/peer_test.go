@@ -6,14 +6,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // badPeer fills every miss with the same payload.
 type badPeer struct{ raw json.RawMessage }
 
 func (p badPeer) Fill(context.Context, string) (json.RawMessage, bool) { return p.raw, true }
-func (badPeer) Offer(string, json.RawMessage)                          {}
 
 // A malformed peer entry must never reach a cache: the fill path treats
 // it as a peer miss and computes locally, and PeerPut refuses it.
@@ -102,5 +104,89 @@ func TestMalformedPeerEntriesRejected(t *testing.T) {
 				t.Errorf("cached %s, want the locally computed %s", raw, good[c.route])
 			}
 		})
+	}
+}
+
+// gatedPeer fills every miss with raw once release is closed, counting
+// calls.
+type gatedPeer struct {
+	raw     json.RawMessage
+	release chan struct{}
+	calls   atomic.Int64
+}
+
+func (p *gatedPeer) Fill(ctx context.Context, _ string) (json.RawMessage, bool) {
+	p.calls.Add(1)
+	select {
+	case <-p.release:
+		return p.raw, true
+	case <-ctx.Done():
+		return nil, false
+	}
+}
+
+// Concurrent misses on one key make one peer fill: the server calls
+// Fill inside its per-key singleflight, which is the only coalescing
+// peer fill has. The fill is held until every request has joined the
+// flight, so none can arrive late and hit the cache.
+func TestPeerFillCoalesced(t *testing.T) {
+	const body = `{"life":"uniform","lifespan":450,"c":1}`
+	key, err := RequestKey("plan", []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := New(Config{Workers: 1})
+	t.Cleanup(origin.Drain)
+	originMux := http.NewServeMux()
+	origin.Routes(originMux)
+	originMux.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+	raw, ok := origin.PeerGet(key)
+	if !ok {
+		t.Fatal("origin did not cache its answer")
+	}
+
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Drain)
+	peer := &gatedPeer{raw: raw, release: make(chan struct{})}
+	s.SetPeers(peer)
+	mux := http.NewServeMux()
+	s.Routes(mux)
+
+	const clients = 32
+	recs := make([]*httptest.ResponseRecorder, clients)
+	var wg sync.WaitGroup
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+		wg.Add(1)
+		go func(rec *httptest.ResponseRecorder) {
+			defer wg.Done()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		}(recs[i])
+	}
+	joined := func() int {
+		s.flights.mu.Lock()
+		defer s.flights.mu.Unlock()
+		if c, ok := s.flights.m[key]; ok {
+			return c.waiters
+		}
+		return 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); joined() < clients && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(peer.release)
+	wg.Wait()
+
+	if n := peer.calls.Load(); n != 1 {
+		t.Errorf("%d concurrent misses made %d peer fills, want 1", clients, n)
+	}
+	for i, rec := range recs {
+		var got Served
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if !got.PeerFilled && !got.Coalesced {
+			t.Errorf("request %d served %+v, want peer_filled or coalesced", i, got)
+		}
 	}
 }

@@ -36,8 +36,7 @@ type route[S spec, R any, P answer[R]] struct {
 }
 
 // ServeHTTP answers one request: decode → normalize → key → cache →
-// singleflight{peer fill → pool → compute → put → offer} → stamp →
-// encode.
+// singleflight{peer fill → pool → compute → put} → stamp → encode.
 func (rt *route[S, R, P]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s := rt.srv
 	reqStart := time.Now()
@@ -88,7 +87,6 @@ func (rt *route[S, R, P]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return nil, compErr
 		}
 		rt.cache.Put(key, resp)
-		s.offerPeers(key, resp)
 		return resp, nil
 	})
 	if !leader {

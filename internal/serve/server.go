@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -373,13 +374,27 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decode reads a JSON body into v, rejecting unknown fields and bodies
-// over 1 MiB.
+// decode reads a request body into v by decodeSpec's rules, rejecting
+// bodies over 1 MiB.
 func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(r.Body)
+	return decodeSpec(r.Body, v)
+}
+
+// decodeSpec reads one JSON value into v, rejecting unknown fields and
+// anything but whitespace after the value. It is the one body decoder:
+// the handlers and RequestKey share it, so a body the gate keys is a
+// body the replica answers under that key.
+func decodeSpec(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON body")
+	}
+	return nil
 }
 
 // requestCtx derives the per-request deadline context: the spec's

@@ -125,6 +125,30 @@ func TestPlanEndpointRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// A body is one JSON value: trailing data is a 400 and RequestKey
+// refuses it, so the gate never routes by a key the replica would not
+// answer under. Trailing whitespace is still one value.
+func TestPlanRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"life":"poly","c":2} x`, 400},
+		{`{"life":"poly","c":2}{"life":"uniform"}`, 400},
+		{`{"life":"poly","c":2}}`, 400},
+		{"{\"life\":\"poly\",\"c\":2} \n\t", 200},
+	} {
+		resp, raw := post(t, ts.URL+"/v1/plan", tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("body %q: status = %d (%s), want %d", tc.body, resp.StatusCode, raw, tc.want)
+		}
+		if _, err := RequestKey("plan", []byte(tc.body)); (err == nil) != (tc.want == 200) {
+			t.Errorf("body %q: RequestKey error = %v, want one exactly when the replica answers 400", tc.body, err)
+		}
+	}
+}
+
 // The service's estimate must be bit-deterministic: the same spec and
 // seed through HTTP equals a direct MonteCarlo run.
 func TestEstimateEndpointMatchesDirectMonteCarlo(t *testing.T) {

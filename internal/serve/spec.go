@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -144,10 +145,8 @@ func (s PlanSpec) Key() string {
 	return sb.String()
 }
 
-// Canonicalize returns the normalized spec — exported for the csgate
-// front tier and csload's client-side shard map, which must derive the
-// same cache key a replica will so consistent-hash routing and the
-// replica's cache agree on key identity.
+// Canonicalize returns the normalized spec — the one RequestKey keys,
+// exported for clients that build specs in Go rather than as JSON.
 func (s PlanSpec) Canonicalize() (PlanSpec, error) { return s.normalize() }
 
 // timeout is the requested deadline in milliseconds (0: the default).
@@ -234,6 +233,36 @@ func (s EstimateSpec) Key() string {
 // gate canonicalizes but the replica rejects is answered 4xx by the
 // replica either way).
 func (s EstimateSpec) Canonicalize() (EstimateSpec, error) { return s.normalize(MaxEpisodesLimit) }
+
+// RequestKey derives the cache key a replica answers body under on
+// route ("plan" or "estimate"): it decodes the body exactly as the
+// handlers do, canonicalizes the spec and keys it. csgate routes and
+// csload shards by it, so the ring and the replicas' caches agree on
+// key identity.
+func RequestKey(route string, body []byte) (string, error) {
+	switch route {
+	case "plan":
+		return requestKey[PlanSpec](body)
+	case "estimate":
+		return requestKey[EstimateSpec](body)
+	}
+	return "", fmt.Errorf("unknown route %q (want plan or estimate)", route)
+}
+
+func requestKey[S interface {
+	Canonicalize() (S, error)
+	Key() string
+}](body []byte) (string, error) {
+	var spec S
+	if err := decodeSpec(bytes.NewReader(body), &spec); err != nil {
+		return "", err
+	}
+	norm, err := spec.Canonicalize()
+	if err != nil {
+		return "", err
+	}
+	return norm.Key(), nil
+}
 
 // planOptions is the planner tuning the service uses: the library
 // defaults (MaxPeriods 10k, ScanPoints 64) — the same question a

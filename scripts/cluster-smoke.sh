@@ -14,24 +14,17 @@
 #     other than 200/429 reaches the client, and the wave after the
 #     restart is served entirely without fresh computation (warm
 #     handoff on drain + warm start on boot);
-#   * the peer protocol: under steal fill, a non-owner replica asked
-#     directly for a cached key pulls it from the owner (peer_filled).
+#   * the peer protocol: a non-owner replica asked directly for a
+#     cached key pulls it from the owner (steal fill, peer_filled).
 #
-# FILL selects the fill policy (steal | share, default steal); the CI
-# matrix runs both. Artifacts (gate + replica logs, csload reports,
-# trace dumps, /debug/slo snapshots) land in $CLUSTER_SMOKE_DIR/$FILL
-# for CI to upload on failure.
+# Artifacts (gate + replica logs, csload reports, trace dumps,
+# /debug/slo snapshots) land in $CLUSTER_SMOKE_DIR (default
+# cluster-smoke-out) for CI to upload on failure.
 #
 # Requires: jq, curl.
 set -euo pipefail
 
-FILL="${FILL:-steal}"
-case "$FILL" in
-  steal|share) ;;
-  *) echo "cluster-smoke: unknown FILL=$FILL (want steal or share)" >&2; exit 2 ;;
-esac
-
-SMOKE_DIR="${CLUSTER_SMOKE_DIR:-cluster-smoke-out}/$FILL"
+SMOKE_DIR="${CLUSTER_SMOKE_DIR:-cluster-smoke-out}"
 BASE_PORT="${CLUSTER_SMOKE_PORT:-18180}"
 GO="${GO:-go}"
 
@@ -55,7 +48,7 @@ GATE_PID=""
 cleanup() {
   status=$?
   if [ $status -ne 0 ]; then
-    echo "cluster-smoke($FILL): FAILED (artifacts in $SMOKE_DIR)" >&2
+    echo "cluster-smoke: FAILED (artifacts in $SMOKE_DIR)" >&2
     # Post-mortem: trace stores and SLO burn rates from every tier.
     curl -sf "$GATE/debug/traces?limit=200" >"$SMOKE_DIR/gate-traces-failure.json" 2>/dev/null || true
     curl -sf "$GATE/debug/slo" >"$SMOKE_DIR/gate-slo-failure.json" 2>/dev/null || true
@@ -94,11 +87,11 @@ wait_healthy() {
 start_replica() {
   local idx=$1 port=$2
   ./bin/csserve -addr "127.0.0.1:$port" -self "http://127.0.0.1:$port" \
-    -peers "$PEERS" -fill "$FILL" -trace-sample 1 -runtime-sample -1s \
+    -peers "$PEERS" -trace-sample 1 -runtime-sample -1s \
     2>>"$SMOKE_DIR/replica$idx.log" >>"$SMOKE_DIR/replica$idx.out" &
 }
 
-echo "cluster-smoke($FILL): booting 3 replicas + gate"
+echo "cluster-smoke: booting 3 replicas + gate"
 start_replica 0 "$R0_PORT"; R0_PID=$!
 start_replica 1 "$R1_PORT"; R1_PID=$!
 start_replica 2 "$R2_PORT"; R2_PID=$!
@@ -115,7 +108,7 @@ curl -sf "$GATE/v1/healthz" >"$SMOKE_DIR/gate-healthz.json"
 jq -e '.status == "ok" and .up == 3 and .ring_size == 3' "$SMOKE_DIR/gate-healthz.json"
 
 # --- compute-once and warm speedup through the gate ------------------
-echo "cluster-smoke($FILL): cold/warm waves through the gate"
+echo "cluster-smoke: cold/warm waves through the gate"
 ./bin/csload -addr "$GATE" -endpoint plan \
   -requests 24 -concurrency 8 -waves 2 >"$SMOKE_DIR/load-gate.json"
 jq -e '.waves[0].ok == 24 and .waves[1].ok == 24' "$SMOKE_DIR/load-gate.json"
@@ -138,41 +131,23 @@ if [ "$routed" -lt 2 ]; then
 fi
 
 # --- the peer protocol, observed directly ----------------------------
-if [ "$FILL" = steal ]; then
-  echo "cluster-smoke($FILL): non-owner steal fills from the owner"
-  # Ask every replica directly for one warmed key: the owner answers
-  # cached, the two non-owners must pull it over the peer protocol
-  # rather than recompute.
-  body='{"life":"poly","lifespan":600,"d":3,"c":1}'
-  : >"$SMOKE_DIR/steal-direct.json"
-  for url in "$R0" "$R1" "$R2"; do
-    curl -sf -X POST -H 'Content-Type: application/json' -d "$body" \
-      "$url/v1/plan" >>"$SMOKE_DIR/steal-direct.json"
-  done
-  jq -s -e '[.[] | select(.peer_filled)] | length >= 1' "$SMOKE_DIR/steal-direct.json"
-  jq -s -e 'all(.[]; .cached or .coalesced or .peer_filled)' "$SMOKE_DIR/steal-direct.json"
-  curl -sf "$R0/metrics" >"$SMOKE_DIR/replica0-metrics.txt"
-  grep -q 'cs_cluster_peer_serve_total{outcome="hit"}' "$SMOKE_DIR/replica0-metrics.txt"
-else
-  echo "cluster-smoke($FILL): compute-time push replication"
-  # Under share every cold computation was pushed to the key's
-  # next-preferred peer; some replica must have installed entries.
-  installs=0
-  for i in 0 1 2; do
-    port=$((BASE_PORT + i))
-    curl -sf "http://127.0.0.1:$port/metrics" >"$SMOKE_DIR/replica$i-metrics.txt"
-    n=$(awk '$1 == "cs_cluster_warm_installed_total" { print int($2) }' \
-      "$SMOKE_DIR/replica$i-metrics.txt")
-    installs=$((installs + ${n:-0}))
-  done
-  if [ "$installs" -lt 1 ]; then
-    echo "cluster-smoke: share fill pushed no replicas any entries" >&2
-    exit 1
-  fi
-fi
+echo "cluster-smoke: non-owner steal fills from the owner"
+# Ask every replica directly for one warmed key: the owner answers
+# cached, the two non-owners must pull it over the peer protocol
+# rather than recompute.
+body='{"life":"poly","lifespan":600,"d":3,"c":1}'
+: >"$SMOKE_DIR/steal-direct.json"
+for url in "$R0" "$R1" "$R2"; do
+  curl -sf -X POST -H 'Content-Type: application/json' -d "$body" \
+    "$url/v1/plan" >>"$SMOKE_DIR/steal-direct.json"
+done
+jq -s -e '[.[] | select(.peer_filled)] | length >= 1' "$SMOKE_DIR/steal-direct.json"
+jq -s -e 'all(.[]; .cached or .coalesced or .peer_filled)' "$SMOKE_DIR/steal-direct.json"
+curl -sf "$R0/metrics" >"$SMOKE_DIR/replica0-metrics.txt"
+grep -q 'cs_cluster_peer_serve_total{outcome="hit"}' "$SMOKE_DIR/replica0-metrics.txt"
 
 # --- rolling replica restart under load ------------------------------
-echo "cluster-smoke($FILL): rolling restart of replica 0 under load"
+echo "cluster-smoke: rolling restart of replica 0 under load"
 ./bin/csload -addr "$GATE" -endpoint plan \
   -requests 24 -concurrency 8 -waves 20 >"$SMOKE_DIR/load-rolling.json" &
 LOAD_PID=$!
@@ -206,7 +181,7 @@ jq -e '.waves[0].ok == 24 and .waves[0].errors == 0' "$SMOKE_DIR/load-postrestar
 jq -e '.waves[0].fresh == 0' "$SMOKE_DIR/load-postrestart.json"
 
 # --- gate-level observability ----------------------------------------
-echo "cluster-smoke($FILL): gate SLO and trace surfaces"
+echo "cluster-smoke: gate SLO and trace surfaces"
 curl -sf "$GATE/debug/slo" >"$SMOKE_DIR/gate-slo.json"
 jq -e '.total.requests >= 1 and .total.errors == 0' "$SMOKE_DIR/gate-slo.json"
 curl -sf "$GATE/debug/traces?limit=50" >"$SMOKE_DIR/gate-traces.json"
@@ -218,11 +193,11 @@ jq -e '[.traces[] | select([.phases[]? | select(.name == "proxy")] | length > 0)
 # The client-side shard map agrees with the gate: csload -targets
 # routes by the same ring, so a warm wave straight at the replicas is
 # also fully deduped.
-echo "cluster-smoke($FILL): csload -targets client-side shard map"
+echo "cluster-smoke: csload -targets client-side shard map"
 ./bin/csload -targets "$PEERS" -endpoint plan \
   -requests 24 -concurrency 8 -waves 1 >"$SMOKE_DIR/load-targets.json"
 jq -e '.waves[0].ok == 24 and .waves[0].errors == 0' "$SMOKE_DIR/load-targets.json"
 jq -e '.waves[0].fresh == 0' "$SMOKE_DIR/load-targets.json"
 jq -e '.waves[0].targets | length == 3' "$SMOKE_DIR/load-targets.json"
 
-echo "cluster-smoke($FILL): OK"
+echo "cluster-smoke: OK"
