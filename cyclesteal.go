@@ -3,9 +3,9 @@
 // Data-Parallel Cycle-Stealing in Networks of Workstations, I"
 // (CMPSCI TR 98-15 / IPPS 1998), together with everything the paper
 // builds on: the [Bhatt–Chung–Leighton–Rosenberg 1997] optimal
-// schedules it compares against, baseline policies, a discrete-event
-// NOW simulator, owner-trace fitting, and the fault-tolerant
-// checkpointing adaptation of the paper's Remark.
+// schedules it compares against, baseline policies, a NOW simulator,
+// owner-trace fitting, and the fault-tolerant checkpointing adaptation
+// of the paper's Remark.
 //
 // # The model in one paragraph
 //

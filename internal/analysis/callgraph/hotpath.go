@@ -16,10 +16,10 @@ import (
 // zero-allocation budget.
 //
 //	//cs:hotpath
-//	func (e *Engine) Step() bool
+//	func (c *Cache) Get(key string) (any, bool)
 //
 //	//cs:hotpath episode-loop
-//	func RunEpisode(policy Policy, c float64, reclaim func(float64) float64) Result
+//	func runEpisode(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) EpisodeResult
 //
 // The payload is at most one label token — a name for the root in
 // diagnostics ([A-Za-z0-9] then [A-Za-z0-9._/-]*); a bare directive

@@ -170,7 +170,8 @@ func remoteSites(pass *analysis.Pass, g *callgraph.Graph, name string) []AllocSi
 }
 
 // chainString renders a witness chain with short function names:
-// "RunEpisode -> Engine.At -> eventQueue.Push".
+// "nowsim.runEpisode -> (*nowsim.ProgressivePolicy).NextPeriod ->
+// (*core.Progressive).NextPeriod".
 func chainString(chain []string) string {
 	parts := make([]string, len(chain))
 	for i, name := range chain {

@@ -215,7 +215,7 @@ func RunE15() (*report.Table, error) {
 			work.Add(res.Work)
 			slack.Add(res.Slack)
 			resBF := nowsim.RunTaskEpisodeOpt(pol, base.Clone(), c, reclaim,
-				nowsim.TaskEpisodeOptions{BestFitWindow: -1}) // auto window
+				nowsim.TaskEpisodeOptions{BestFit: true})
 			workBF.Add(resBF.Work)
 		}
 		t.AddRow(d, plan.ExpectedWork, work.Mean(), work.CI(0.95),

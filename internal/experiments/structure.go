@@ -57,7 +57,7 @@ func RunE5() (*report.Table, error) {
 }
 
 // RunE6 validates equation (2.1): the Monte-Carlo mean committed work of
-// the discrete-event simulator must match the analytic E(S; p) within
+// the episode simulator must match the analytic E(S; p) within
 // confidence intervals, for every scenario.
 func RunE6() (*report.Table, error) {
 	t := &report.Table{

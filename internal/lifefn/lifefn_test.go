@@ -251,27 +251,6 @@ func TestMeanLifetimeGeomDecreasing(t *testing.T) {
 	}
 }
 
-func TestInverseP(t *testing.T) {
-	u, _ := NewUniform(200)
-	x, err := InverseP(u, 0.25, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-150) > 1e-8 {
-		t.Errorf("InverseP(0.25) = %g, want 150", x)
-	}
-}
-
-func TestInversePRejectsBadTarget(t *testing.T) {
-	u, _ := NewUniform(10)
-	if _, err := InverseP(u, 1.5, 10); err == nil {
-		t.Error("accepted target > 1")
-	}
-	if _, err := InverseP(u, -0.1, 10); err == nil {
-		t.Error("accepted negative target")
-	}
-}
-
 func TestFuncAdapter(t *testing.T) {
 	f := Func{
 		PFunc:     func(t float64) float64 { return math.Max(0, 1-t/10) },

@@ -91,19 +91,3 @@ func MeanLifetime(l Life) (float64, error) {
 	}
 	return v, nil
 }
-
-// InverseP solves P(t) = y for t within [0, hi] by bisection on the
-// nonincreasing curve. It is the primitive behind both schedule
-// generation (inverting system (3.6)) and inverse-transform sampling of
-// reclaim times. hi must satisfy P(hi) <= y <= P(0).
-func InverseP(l Life, y, hi float64) (float64, error) {
-	if y > 1 || y < 0 {
-		return 0, fmt.Errorf("lifefn: InverseP target %g outside [0, 1]", y)
-	}
-	f := func(t float64) float64 { return l.P(t) - y }
-	root, err := numeric.Brent(f, 0, hi, numeric.RootOptions{AbsTol: 1e-13})
-	if err != nil {
-		return 0, fmt.Errorf("lifefn: InverseP(%s, %g): %w", l, y, err)
-	}
-	return root, nil
-}

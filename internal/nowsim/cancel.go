@@ -52,7 +52,7 @@ func MonteCarloCtx(ctx context.Context, policy Policy, owner Owner, c float64, n
 			}
 		}
 		r := owner.ReclaimAfter(src)
-		res := runEpisodeMaybe(policy, c, r, emit)
+		res := runEpisode(policy, c, r, emit)
 		m.episodeDone()
 		work.Add(res.Work)
 		lost.Add(res.Lost)

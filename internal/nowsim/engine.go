@@ -1,13 +1,12 @@
-// Package nowsim is a discrete-event simulator of cycle-stealing in a
-// network of workstations — the experimental substrate the paper's model
-// abstracts. It provides:
+// Package nowsim simulates cycle-stealing in a network of workstations
+// — the experimental substrate the paper's model abstracts. It provides:
 //
-//   - an event engine (heap-ordered, deterministic tie-breaking);
 //   - owner models that reclaim workstations at random times whose
 //     survival function is a lifefn.Life (or a recorded trace);
 //   - episode execution under pluggable chunking policies, with the
 //     paper's draconian semantics: a period interrupted by the owner's
-//     return loses all its work, and the episode ends;
+//     return loses all its work, and the episode ends (one period is
+//     in flight at a time, so an episode is a plain loop);
 //   - task-level data parallelism: indivisible tasks of known durations
 //     packed into period-sized bundles, with lost bundles re-enqueued;
 //   - a Monte-Carlo harness whose mean committed work converges to the
@@ -15,7 +14,8 @@
 //     experiment (E6);
 //   - a multi-workstation farm in which a coordinator steals cycles
 //     from many owners concurrently (the data-parallel workload the
-//     paper's introduction motivates).
+//     paper's introduction motivates), driven by a discrete-event
+//     engine (heap-ordered, deterministic tie-breaking).
 package nowsim
 
 import (

@@ -2,6 +2,7 @@ package nowsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/lifefn"
 	"repro/internal/rng"
@@ -28,189 +29,80 @@ type EpisodeResult struct {
 	Reclaimed bool
 }
 
-// RunEpisode plays one episode under the paper's draconian semantics,
-// as a discrete-event simulation: the coordinator dispatches periods
-// according to policy; a period whose end arrives before the owner's
-// return commits t-c units of work; the owner's return at reclaim kills
-// the period in flight and ends the episode. c is the per-period
-// communication overhead; reclaim is the (externally sampled) time of
-// the owner's return.
+// RunEpisode plays one episode under the paper's draconian semantics:
+// the coordinator dispatches periods according to policy; a period
+// whose end arrives before the owner's return commits t-c units of
+// work; the owner's return at reclaim kills the period in flight and
+// ends the episode. c is the per-period communication overhead;
+// reclaim is the (externally sampled) time of the owner's return.
+func RunEpisode(policy Policy, c, reclaim float64) EpisodeResult {
+	return runEpisode(policy, c, reclaim, nil)
+}
+
+// runEpisode is the one episode loop. Exactly one period is ever in
+// flight, so the episode is a plain loop over periods (eq. 2.1): period
+// k commits if it ends before reclaim, and the first period the owner
+// reaches is lost and ends the episode. The owner returns only for a
+// reclaim in [0, 1e300); otherwise a lost period ends the episode at the
+// time it was dispatched, unreclaimed.
 //
-// All closures here are hoisted to episode setup: the per-period steady
-// state schedules the shared commit closure with curT updated in place,
-// which is sound because exactly one period is ever in flight.
+// emit, when non-nil, receives the event log as it happens
+// (RunEpisodeRecorded collects it; RunEpisodeObs forwards it to an
+// obs.Sink). A nil emit costs one predictable branch per event.
 //
 //cs:hotpath episode
-func RunEpisode(policy Policy, c, reclaim float64) EpisodeResult {
+func runEpisode(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) EpisodeResult {
 	if c < 0 {
 		panic(fmt.Sprintf("nowsim: negative overhead %g", c)) //lint:allow hotalloc panic path, never taken in steady state
 	}
 	policy.Reset()
-	var (
-		eng   Engine
-		res   EpisodeResult
-		end   bool
-		owner Handle
-		curT  float64 // length of the single period in flight
-	)
-	//lint:allow hotalloc one closure per episode, not per period
-	ownerBack := func() {
-		// Kills whatever is in flight: the dispatch loop checks `end`
-		// before committing.
-		end = true
-		res.Reclaimed = true
-		res.Duration = eng.Now()
-	}
-	if reclaim >= 0 && reclaim < 1e300 {
-		owner = eng.At(reclaim, ownerBack)
-	}
-	var dispatch func()
-	// commit handles every period's completion: results return to the
-	// coordinator. It reads curT (set by dispatch when the period was
-	// scheduled) before dispatching the next.
-	//lint:allow hotalloc one closure per episode, re-armed each period
-	commit := func() {
-		if end {
-			return
-		}
-		t := curT
-		res.PeriodsCommitted++
-		res.Work += sched.PositiveSub(t, c)
-		if t > c {
-			res.Overhead += c
-		} else {
-			res.Overhead += t
-		}
-		dispatch()
-	}
-	//lint:allow hotalloc one closure per episode, not per period
-	dispatch = func() {
-		if end {
-			return
-		}
-		t, ok := policy.NextPeriod(eng.Now())
+	var res EpisodeResult
+	now := 0.0
+	for {
+		t, ok := policy.NextPeriod(now)
 		if !ok || t <= 0 {
 			// Voluntary end: the episode is over before the owner
-			// returns; the pending owner event must not fire.
-			end = true
-			res.Duration = eng.Now()
-			owner.Cancel()
-			return
+			// returns.
+			res.Duration = now
+			if emit != nil {
+				emit(EpisodeEvent{Time: now, Kind: EventVoluntaryEnd, Period: -1})
+			}
+			return res
 		}
+		idx := res.PeriodsDispatched
 		res.PeriodsDispatched++
-		periodEnd := eng.Now() + t
-		if periodEnd < reclaim {
-			curT = t
-			eng.At(periodEnd, commit)
-			return
+		if emit != nil {
+			emit(EpisodeEvent{Time: now, Kind: EventDispatch, Period: idx, Length: t})
+		}
+		// The `<` form keeps a NaN period on the lost branch.
+		if periodEnd := now + t; periodEnd < reclaim {
+			res.PeriodsCommitted++
+			res.Work += sched.PositiveSub(t, c)
+			if t > c {
+				res.Overhead += c
+			} else {
+				res.Overhead += t
+			}
+			now = periodEnd
+			if emit != nil {
+				emit(EpisodeEvent{Time: now, Kind: EventCommit, Period: idx, Length: t})
+			}
+			continue
 		}
 		// The owner returns at or before the period boundary ("if B is
 		// reclaimed by time T_k, the episode ends"): the work is lost.
 		res.Lost += sched.PositiveSub(t, c)
-	}
-	dispatch()
-	eng.RunAll()
-	if !res.Reclaimed && res.Duration == 0 {
-		res.Duration = eng.Now()
-	}
-	return res
-}
-
-// runEpisodeEmit is RunEpisode with a structured event hook: emit
-// receives the log as it happens (RunEpisodeRecorded collects it;
-// RunEpisodeObs forwards it to an obs.Sink). It is a separate loop
-// rather than a hook inside RunEpisode because the hook's captured
-// variables enlarge every per-period closure — measurably (>10%) more
-// than the ≤2% disabled-cost budget even when emit is nil. The two
-// loops must compute identical results for identical inputs; the
-// determinism and recorded-vs-plain regression tests pin that
-// equivalence, so edits to either loop must keep its twin in step —
-// including the closure hoisting: both loops re-arm one shared commit
-// closure per period with curT/curIdx updated in place.
-//
-//cs:hotpath episode-emit
-func runEpisodeEmit(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) EpisodeResult {
-	if c < 0 {
-		panic(fmt.Sprintf("nowsim: negative overhead %g", c)) //lint:allow hotalloc panic path, never taken in steady state
-	}
-	policy.Reset()
-	var (
-		eng    Engine
-		res    EpisodeResult
-		end    bool
-		owner  Handle
-		curT   float64 // length of the single period in flight
-		curIdx int     // index of the single period in flight
-	)
-	//lint:allow hotalloc one closure per episode, not per period
-	ownerBack := func() {
-		end = true
-		res.Reclaimed = true
-		res.Duration = eng.Now()
-	}
-	if reclaim >= 0 && reclaim < 1e300 {
-		owner = eng.At(reclaim, ownerBack)
-	}
-	var dispatch func()
-	//lint:allow hotalloc one closure per episode, re-armed each period
-	commit := func() {
-		if end {
-			return
-		}
-		t, idx := curT, curIdx
-		res.PeriodsCommitted++
-		res.Work += sched.PositiveSub(t, c)
-		if t > c {
-			res.Overhead += c
+		if reclaim >= 0 && reclaim < 1e300 {
+			res.Reclaimed = true
+			res.Duration = reclaim
+			if emit != nil {
+				emit(EpisodeEvent{Time: reclaim, Kind: EventKill, Period: idx, Length: t})
+			}
 		} else {
-			res.Overhead += t
+			res.Duration = now
 		}
-		emit(EpisodeEvent{Time: eng.Now(), Kind: EventCommit, Period: idx, Length: t})
-		dispatch()
+		return res
 	}
-	//lint:allow hotalloc one closure per episode, not per period
-	dispatch = func() {
-		if end {
-			return
-		}
-		t, ok := policy.NextPeriod(eng.Now())
-		if !ok || t <= 0 {
-			end = true
-			res.Duration = eng.Now()
-			owner.Cancel()
-			emit(EpisodeEvent{Time: eng.Now(), Kind: EventVoluntaryEnd, Period: -1})
-			return
-		}
-		idx := res.PeriodsDispatched
-		res.PeriodsDispatched++
-		emit(EpisodeEvent{Time: eng.Now(), Kind: EventDispatch, Period: idx, Length: t})
-		periodEnd := eng.Now() + t
-		if periodEnd < reclaim {
-			curT, curIdx = t, idx
-			eng.At(periodEnd, commit)
-			return
-		}
-		res.Lost += sched.PositiveSub(t, c)
-		//lint:allow hotalloc kill closure fires at most once, at episode end
-		eng.At(reclaim, func() {
-			emit(EpisodeEvent{Time: eng.Now(), Kind: EventKill, Period: idx, Length: t})
-		})
-	}
-	dispatch()
-	eng.RunAll()
-	if !res.Reclaimed && res.Duration == 0 {
-		res.Duration = eng.Now()
-	}
-	return res
-}
-
-// runEpisodeMaybe routes through the hooked loop only when emit is
-// non-nil, keeping unobserved runs on the fast runner.
-func runEpisodeMaybe(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) EpisodeResult {
-	if emit == nil {
-		return RunEpisode(policy, c, reclaim)
-	}
-	return runEpisodeEmit(policy, c, reclaim, emit)
 }
 
 // MonteCarloResult aggregates a Monte-Carlo run of episodes.
@@ -283,14 +175,7 @@ func ValidateExpectedWork(s sched.Schedule, l lifefn.Life, c float64, n int, see
 	res := MonteCarloParallel(func() Policy { return NewSchedulePolicy(s, "validate") }, LifeOwner{Life: l}, c, n, seed, 1, Obs{})
 	mc = res.Work
 	if mc.StdErr > 0 {
-		z = abs(mc.Mean-analytic) / mc.StdErr
+		z = math.Abs(mc.Mean-analytic) / mc.StdErr
 	}
 	return analytic, mc, z
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

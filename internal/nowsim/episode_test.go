@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lifefn"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -65,16 +66,48 @@ func TestRunEpisodeInstantReclaim(t *testing.T) {
 }
 
 func TestRunEpisodeMatchesRealizedWork(t *testing.T) {
-	// The DES must agree with the analytic step function for arbitrary
-	// reclaim times.
+	// The episode loop must agree with the analytic step function for
+	// arbitrary reclaim times.
 	s := sched.MustNew(7, 5.5, 4, 2.5)
 	c := 1.5
 	pol := NewSchedulePolicy(s, "")
 	for _, r := range []float64{0, 1, 6.9, 7, 7.1, 12.4, 12.5, 12.6, 16.4, 16.55, 19, 100} {
-		des := RunEpisode(pol, c, r)
+		got := RunEpisode(pol, c, r)
 		want := sched.RealizedWork(s, c, r)
-		if math.Abs(des.Work-want) > 1e-12 {
-			t.Errorf("reclaim %g: DES work %g, analytic %g", r, des.Work, want)
+		if math.Abs(got.Work-want) > 1e-12 {
+			t.Errorf("reclaim %g: episode work %g, analytic %g", r, got.Work, want)
+		}
+	}
+	// Seeded corpus: guideline schedules for the four paper families at
+	// three overheads, each played against ~2k reclaim draws from its
+	// own life function. The recorded run must match the plain one.
+	uniform, _ := lifefn.NewUniform(100)
+	poly, _ := lifefn.NewPoly(2, 100)
+	geomdec, _ := lifefn.NewGeomDecreasing(1.02)
+	geominc, _ := lifefn.NewGeomIncreasing(100)
+	for _, l := range []lifefn.Life{uniform, poly, geomdec, geominc} {
+		for _, c := range []float64{0.5, 1, 3} {
+			pl, err := core.NewPlanner(l, c, core.PlanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := pl.PlanBest()
+			if err != nil {
+				t.Fatalf("%s c=%g: %v", l, c, err)
+			}
+			pol := NewSchedulePolicy(plan.Schedule, "guideline")
+			src := rng.New(uint64(1000*c) + 17)
+			owner := LifeOwner{Life: l}
+			for i := 0; i < 2000; i++ {
+				r := owner.ReclaimAfter(src)
+				got := RunEpisode(pol, c, r)
+				if want := sched.RealizedWork(plan.Schedule, c, r); math.Abs(got.Work-want) > 1e-12 {
+					t.Fatalf("%s c=%g reclaim %g: episode work %g, analytic %g", l, c, r, got.Work, want)
+				}
+				if rec, _ := RunEpisodeRecorded(pol, c, r); rec != got {
+					t.Fatalf("%s c=%g reclaim %g: recorded %+v, plain %+v", l, c, r, rec, got)
+				}
+			}
 		}
 	}
 }

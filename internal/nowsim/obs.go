@@ -133,15 +133,10 @@ func (m *simMetrics) episodeDone() {
 	m.episodes.Inc()
 }
 
-// episodeEmit builds the emit hook RunEpisodeObs and the Monte-Carlo
-// variants share: forward to the sink (tagged with worker) and update
-// the metrics.
-func (o Obs) episodeEmit(worker int, m *simMetrics) func(EpisodeEvent) {
-	return o.episodeEmitIn(worker, m, obs.Span{})
-}
-
-// episodeEmitIn is episodeEmit with the events attributed to an
-// enclosing span (an inactive span leaves them unattributed).
+// episodeEmitIn builds the emit hook RunEpisodeObs and the Monte-Carlo
+// runners share: forward to the sink (tagged with worker and attributed
+// to an enclosing span; an inactive span leaves them unattributed) and
+// update the metrics. It is nil when there is nothing to observe.
 func (o Obs) episodeEmitIn(worker int, m *simMetrics, span obs.Span) func(EpisodeEvent) {
 	if o.Sink == nil && m == nil {
 		return nil
@@ -165,7 +160,7 @@ func RunEpisodeObs(policy Policy, c, reclaim float64, worker int, o Obs) Episode
 	}
 	m := newSimMetrics(o.Metrics, c)
 	span := obs.NewSpanner(o.Sink).Start(0, worker, "episode", obs.SpanAttrs{})
-	res := runEpisodeEmit(policy, c, reclaim, o.episodeEmitIn(worker, m, span))
+	res := runEpisode(policy, c, reclaim, o.episodeEmitIn(worker, m, span))
 	span.End(res.Duration)
 	m.episodeDone()
 	return res

@@ -69,7 +69,7 @@ func MonteCarloParallel(factory func() Policy, owner Owner, c float64, n int, se
 				}
 				for i := 0; i < count; i++ {
 					r := owner.ReclaimAfter(src)
-					ep := runEpisodeMaybe(policy, c, r, emit)
+					ep := runEpisode(policy, c, r, emit)
 					res.work.Add(ep.Work)
 					res.lost.Add(ep.Lost)
 					res.periods.Add(float64(ep.PeriodsCommitted))

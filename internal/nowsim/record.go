@@ -60,10 +60,11 @@ func (e EpisodeEvent) String() string {
 // RunEpisodeRecorded is RunEpisode plus a full event log — the
 // observability hook for debugging policies and for teaching: the log
 // shows exactly which periods the schedule risked and what the owner's
-// return destroyed.
+// return destroyed. The result is RunEpisode's, and the log ends in a
+// kill exactly when the result is Reclaimed.
 func RunEpisodeRecorded(policy Policy, c, reclaim float64) (EpisodeResult, []EpisodeEvent) {
 	var log []EpisodeEvent
-	res := runEpisodeEmit(policy, c, reclaim, func(e EpisodeEvent) {
+	res := runEpisode(policy, c, reclaim, func(e EpisodeEvent) {
 		log = append(log, e)
 	})
 	return res, log

@@ -1,6 +1,7 @@
 package nowsim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -56,5 +57,22 @@ func TestEventStrings(t *testing.T) {
 	ev := EpisodeEvent{Time: 1.5, Kind: EventCommit, Period: 3, Length: 4}
 	if !strings.Contains(ev.String(), "commit") || !strings.Contains(ev.String(), "period=3") {
 		t.Errorf("event string = %q", ev.String())
+	}
+}
+
+func TestRunEpisodeRecordedMatchesPlainAtEdgeReclaims(t *testing.T) {
+	// Schedule (4, 3, 2), c=1: boundaries at 4, 7, 9. The owner returns
+	// only for a reclaim in [0, 1e300); the log ends in a kill exactly
+	// when the result says the episode was reclaimed.
+	s := sched.MustNew(4, 3, 2)
+	for _, r := range []float64{-1, math.NaN(), 0, 7, 8, math.Inf(1)} {
+		plain := RunEpisode(NewSchedulePolicy(s, "plain"), 1, r)
+		res, log := RunEpisodeRecorded(NewSchedulePolicy(s, "rec"), 1, r)
+		if res != plain {
+			t.Errorf("reclaim %g: recorded %+v, plain %+v", r, res, plain)
+		}
+		if killed := log[len(log)-1].Kind == EventKill; killed != res.Reclaimed {
+			t.Errorf("reclaim %g: log ends in kill=%v with Reclaimed=%v: %v", r, killed, res.Reclaimed, log)
+		}
 	}
 }

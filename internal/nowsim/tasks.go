@@ -140,11 +140,10 @@ type TaskEpisodeResult struct {
 
 // TaskEpisodeOptions tunes task-level episode execution.
 type TaskEpisodeOptions struct {
-	// BestFitWindow enables best-fit-decreasing bundle packing over a
-	// lookahead window of the queue: positive values bound the window,
-	// negative values let the pool size it automatically from the
-	// budget, and 0 keeps plain FIFO packing.
-	BestFitWindow int
+	// BestFit packs each bundle best-fit-decreasing over a lookahead
+	// window the pool sizes from the budget (TakeBundleBestFit with an
+	// automatic window) instead of plain FIFO packing.
+	BestFit bool
 }
 
 // RunTaskEpisode plays one episode like RunEpisode but dispatches real
@@ -156,86 +155,59 @@ func RunTaskEpisode(policy Policy, pool *TaskPool, c, reclaim float64) TaskEpiso
 	return RunTaskEpisodeOpt(policy, pool, c, reclaim, TaskEpisodeOptions{})
 }
 
-// RunTaskEpisodeOpt is RunTaskEpisode with packing options.
+// RunTaskEpisodeOpt is RunTaskEpisode with packing options. It is the
+// same period loop as RunEpisode, with bundle packing, commit and
+// requeue inline.
 func RunTaskEpisodeOpt(policy Policy, pool *TaskPool, c, reclaim float64, opt TaskEpisodeOptions) TaskEpisodeResult {
 	if c < 0 {
 		panic(fmt.Sprintf("nowsim: negative overhead %g", c))
 	}
 	policy.Reset()
-	var (
-		eng   Engine
-		res   TaskEpisodeResult
-		end   bool
-		owner Handle
-	)
-	ownerBack := func() {
-		end = true
-		res.Reclaimed = true
-		res.Duration = eng.Now()
-	}
-	if reclaim >= 0 && reclaim < 1e300 {
-		owner = eng.At(reclaim, ownerBack)
-	}
-	finish := func() {
-		end = true
-		res.Duration = eng.Now()
-		owner.Cancel()
-	}
-	var dispatch func()
-	dispatch = func() {
-		if end {
-			return
-		}
-		t, ok := policy.NextPeriod(eng.Now())
+	var res TaskEpisodeResult
+	now := 0.0
+	for {
+		t, ok := policy.NextPeriod(now)
 		if !ok || t <= c {
-			finish()
-			return
+			res.Duration = now
+			return res
 		}
+		budget := sched.PositiveSub(t, c)
 		var (
 			bundle []Task
 			used   float64
 		)
-		budget := sched.PositiveSub(t, c)
-		switch {
-		case opt.BestFitWindow > 0:
-			bundle, used = pool.TakeBundleBestFit(budget, opt.BestFitWindow)
-		case opt.BestFitWindow < 0:
+		if opt.BestFit {
 			bundle, used = pool.TakeBundleBestFit(budget, 0) // auto window
-		default:
+		} else {
 			bundle, used = pool.TakeBundle(budget)
 		}
 		if len(bundle) == 0 {
-			finish()
-			return
+			res.Duration = now
+			return res
 		}
 		res.PeriodsDispatched++
 		res.Slack += budget - used
 		// The period occupies the full scheduled length t (the
 		// coordinator reserved that window) even if the bundle packs
 		// less than t-c of task time.
-		periodEnd := eng.Now() + t
-		if periodEnd < reclaim {
-			eng.At(periodEnd, func() {
-				if end {
-					return
-				}
-				res.PeriodsCommitted++
-				res.Work += used
-				res.Overhead += c
-				res.TasksCompleted += len(bundle)
-				pool.Commit(bundle)
-				dispatch()
-			})
-			return
+		if periodEnd := now + t; periodEnd < reclaim {
+			res.PeriodsCommitted++
+			res.Work += used
+			res.Overhead += c
+			res.TasksCompleted += len(bundle)
+			pool.Commit(bundle)
+			now = periodEnd
+			continue
 		}
 		res.Lost += used
 		res.TasksLost += len(bundle)
 		pool.Requeue(bundle)
+		if reclaim >= 0 && reclaim < 1e300 {
+			res.Reclaimed = true
+			res.Duration = reclaim
+		} else {
+			res.Duration = now
+		}
+		return res
 	}
-	dispatch()
-	eng.RunAll()
-	if !res.Reclaimed && res.Duration == 0 {
-		res.Duration = eng.Now()
-	}
-	return res
 }

@@ -79,50 +79,83 @@ func TestNewRandomTasks(t *testing.T) {
 	}
 }
 
+// packings runs each task-episode case under FIFO and best-fit packing:
+// on uniform tasks the two must agree.
+var packings = []TaskEpisodeOptions{{}, {BestFit: true}}
+
 func TestRunTaskEpisodeQuantization(t *testing.T) {
 	// Period 10, c=1 → budget 9; tasks of 4 pack 2 per bundle (slack 1).
-	pool, _ := NewUniformTasks(10, 4)
-	s := sched.MustNew(10, 10)
-	res := RunTaskEpisode(NewSchedulePolicy(s, ""), pool, 1, 1000)
-	if res.TasksCompleted != 4 {
-		t.Errorf("completed %d tasks, want 4", res.TasksCompleted)
-	}
-	if math.Abs(res.Work-16) > 1e-12 {
-		t.Errorf("work = %g, want 16", res.Work)
-	}
-	if math.Abs(res.Slack-2) > 1e-12 {
-		t.Errorf("slack = %g, want 2", res.Slack)
-	}
-	if pool.Remaining() != 6 {
-		t.Errorf("remaining = %d", pool.Remaining())
+	for _, opt := range packings {
+		pool, _ := NewUniformTasks(10, 4)
+		s := sched.MustNew(10, 10)
+		res := RunTaskEpisodeOpt(NewSchedulePolicy(s, ""), pool, 1, 1000, opt)
+		if res.TasksCompleted != 4 {
+			t.Errorf("%+v: completed %d tasks, want 4", opt, res.TasksCompleted)
+		}
+		if math.Abs(res.Work-16) > 1e-12 {
+			t.Errorf("%+v: work = %g, want 16", opt, res.Work)
+		}
+		if math.Abs(res.Slack-2) > 1e-12 {
+			t.Errorf("%+v: slack = %g, want 2", opt, res.Slack)
+		}
+		if pool.Remaining() != 6 {
+			t.Errorf("%+v: remaining = %d", opt, pool.Remaining())
+		}
 	}
 }
 
 func TestRunTaskEpisodeLostBundleRequeued(t *testing.T) {
-	pool, _ := NewUniformTasks(4, 2)
-	s := sched.MustNew(5, 5) // second period killed at reclaim 7
-	res := RunTaskEpisode(NewSchedulePolicy(s, ""), pool, 1, 7)
-	if res.TasksCompleted != 2 || res.TasksLost != 2 {
-		t.Errorf("completed/lost = %d/%d", res.TasksCompleted, res.TasksLost)
-	}
-	// Lost tasks must be back in the pool.
-	if pool.Remaining() != 2 {
-		t.Errorf("remaining = %d, want 2 (requeued)", pool.Remaining())
-	}
-	if res.Work != 4 || res.Lost != 4 {
-		t.Errorf("work/lost = %g/%g", res.Work, res.Lost)
+	for _, opt := range packings {
+		pool, _ := NewUniformTasks(4, 2)
+		s := sched.MustNew(5, 5) // second period killed at reclaim 7
+		res := RunTaskEpisodeOpt(NewSchedulePolicy(s, ""), pool, 1, 7, opt)
+		if res.TasksCompleted != 2 || res.TasksLost != 2 {
+			t.Errorf("%+v: completed/lost = %d/%d", opt, res.TasksCompleted, res.TasksLost)
+		}
+		// Lost tasks must be back in the pool.
+		if pool.Remaining() != 2 {
+			t.Errorf("%+v: remaining = %d, want 2 (requeued)", opt, pool.Remaining())
+		}
+		if res.Work != 4 || res.Lost != 4 {
+			t.Errorf("%+v: work/lost = %g/%g", opt, res.Work, res.Lost)
+		}
+		if !res.Reclaimed || res.Duration != 7 {
+			t.Errorf("%+v: reclaimed=%v duration=%g", opt, res.Reclaimed, res.Duration)
+		}
 	}
 }
 
 func TestRunTaskEpisodeStopsWhenNothingFits(t *testing.T) {
-	pool, _ := NewUniformTasks(2, 50)
-	s := sched.MustNew(10, 10)
-	res := RunTaskEpisode(NewSchedulePolicy(s, ""), pool, 1, 1000)
-	if res.PeriodsDispatched != 0 {
-		t.Errorf("dispatched %d periods with oversized tasks", res.PeriodsDispatched)
+	for _, opt := range packings {
+		pool, _ := NewUniformTasks(2, 50)
+		s := sched.MustNew(10, 10)
+		res := RunTaskEpisodeOpt(NewSchedulePolicy(s, ""), pool, 1, 1000, opt)
+		if res.PeriodsDispatched != 0 {
+			t.Errorf("%+v: dispatched %d periods with oversized tasks", opt, res.PeriodsDispatched)
+		}
+		if res.Reclaimed {
+			t.Errorf("%+v: voluntary stop misreported as reclaim", opt)
+		}
 	}
-	if res.Reclaimed {
-		t.Error("voluntary stop misreported as reclaim")
+}
+
+func TestRunTaskEpisodeBestFitPacksTighter(t *testing.T) {
+	// Budget 6 over the queue (3, 5, 1): FIFO stops at the 5 and ships
+	// 3; best fit ships 5+1 and leaves the 3 queued.
+	for _, opt := range packings {
+		pool := &TaskPool{}
+		for i, d := range []float64{3, 5, 1} {
+			pool.Push(Task{ID: i, Duration: d})
+		}
+		res := RunTaskEpisodeOpt(NewSchedulePolicy(sched.MustNew(7), ""), pool, 1, 100, opt)
+		want := 3.0
+		if opt.BestFit {
+			want = 6
+		}
+		//lint:allow floatcmp integer durations pack and sum exactly
+		if res.Work != want || pool.RemainingWork() != 9-want {
+			t.Errorf("%+v: work %g, remaining %g; want %g, %g", opt, res.Work, pool.RemainingWork(), want, 9-want)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func ExpectedWork(s Schedule, l lifefn.Life, c float64) float64 {
 // reclaims the workstation at time r: the sum of t_i ⊖ c over every
 // period that completes strictly before the reclamation ("if B is
 // reclaimed by time T_k, the episode ends" — a period ending exactly at
-// the reclaim instant is lost). The discrete-event simulator and the
+// the reclaim instant is lost). The episode simulator and the
 // analytic E(S; p) meet through this function: E[RealizedWork(s, c, R)]
 // with P(R > t) = p(t) equals ExpectedWork(s, l, c).
 //
@@ -279,7 +279,7 @@ func WorkProfile(s Schedule, c float64) []ProfileStep {
 //
 // where m = s.Len(). The returned slice has m+1 elements summing to 1.
 // It powers the distribution-level (chi-square) validation of the
-// discrete-event simulator, beyond the mean identity E(S;p).
+// episode simulator, beyond the mean identity E(S;p).
 //
 //cs:unit return=probability
 func CommitProbabilities(s Schedule, l lifefn.Life) []float64 {
