@@ -150,9 +150,7 @@ func perfBenchmarks() ([]string, map[string]func(n int) error) {
 		"episode/jsonl-sink",
 		"episode/metrics",
 		"farm/uninstrumented",
-		"farm/flight-sink",
 		"sink/jsonl-emit",
-		"sink/flight-emit",
 		"sink/chrome-emit",
 		"span/start-end",
 		"hdr/observe",
@@ -205,32 +203,12 @@ func perfBenchmarks() ([]string, map[string]func(n int) error) {
 			}
 			return nil
 		},
-		"farm/flight-sink": func(n int) error {
-			for i := 0; i < n; i++ {
-				fr := obs.NewFlightRecorder(1024)
-				cfg, pool, err := perfFarmConfig(nowsim.Obs{Sink: fr})
-				if err != nil {
-					return err
-				}
-				if _, err := nowsim.RunFarm(cfg, pool); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
 		"sink/jsonl-emit": func(n int) error {
 			s := obs.NewJSONLSink(io.Discard)
 			for i := 0; i < n; i++ {
 				s.Emit(sample)
 			}
 			return s.Close()
-		},
-		"sink/flight-emit": func(n int) error {
-			fr := obs.NewFlightRecorder(4096)
-			for i := 0; i < n; i++ {
-				fr.Emit(sample)
-			}
-			return nil
 		},
 		"sink/chrome-emit": func(n int) error {
 			// The Chrome sink buffers everything until Close; one

@@ -9,11 +9,7 @@
 //	csfarm -dist bimodal -lo 0.5 -hi 6
 //	csfarm -policies guideline,fixed:25,allatonce
 //	csfarm -trace run.json -trace-format chrome   # per-worker timeline
-//	csfarm -metrics-addr :9090                    # /metrics, /debug/pprof,
-//	                                              # /debug/csrun (csmon)
-//	csfarm -progress                              # live lines on stderr
-//	csfarm -flight 8192                           # ring of last events,
-//	                                              # dumped on failure/SIGQUIT
+//	csfarm -metrics-addr :9090                    # /metrics, /debug/pprof
 //
 // Exit status: 0 on success, 1 when any policy run fails or leaves the
 // farm undrained, 2 on usage errors.
@@ -26,7 +22,6 @@ import (
 	"math"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lifefn"
@@ -52,8 +47,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		policies = fs.String("policies", "guideline,fixed:25,allatonce", "comma-separated policies: guideline, progressive, fixed:<chunk>, allatonce")
 		seed     = fs.Uint64("seed", 1, "RNG seed")
 		maxTime  = fs.Float64("maxtime", 1e7, "abort horizon")
-		progress = fs.Bool("progress", false, "print live run progress to stderr")
-		progEvr  = fs.Duration("progress-every", time.Second, "interval between -progress lines")
 	)
 	var obsFlags obs.Flags
 	obsFlags.Register(fs)
@@ -77,30 +70,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	defer session.Close()
 	o := nowsim.Obs{Sink: session.Sink}
 
-	// Live monitoring (the -progress ticker and /debug/csrun) needs the
-	// registry plus an event counter; both stay off otherwise so
-	// unmonitored runs keep the nil-instrumentation fast path.
-	monitoring := *progress || session.Server != nil
-	var bd *board
-	if monitoring {
-		counting := &obs.CountingSink{Next: session.Sink}
-		o.Sink = counting
-		o.Metrics = reg
-		bd = newBoard(reg, counting, session.Flight, *workers, *tasks)
-		session.Server.SetStatus(bd.snapshot)
-	}
-	if *progress {
-		// The ticker goroutine shares stderr with the main loop.
-		stderr = &syncWriter{w: stderr}
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			runProgress(stderr, bd, *progEvr, stop)
-		}()
-		defer func() { close(stop); <-done }()
-	}
+	// The registry is fed only when /metrics can be scraped, so runs
+	// without -metrics-addr keep the nil-instrumentation fast path.
 	if session.Server != nil {
+		o.Metrics = reg
 		fmt.Fprintf(stderr, "csfarm: serving metrics on %s\n", session.Server.Addr())
 	}
 
@@ -129,9 +102,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		"policy", "makespan", "committed", "lost", "overhead", "effcy%", "episodes")
 	for _, polSpec := range strings.Split(*policies, ",") {
 		polSpec = strings.TrimSpace(polSpec)
-		if bd != nil {
-			bd.startPolicy(polSpec)
-		}
 		ws := make([]nowsim.Worker, *workers)
 		bad := false
 		for i := range ws {
@@ -153,9 +123,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if bad {
-			if bd != nil {
-				bd.endPolicy(0, 0, 0, 0, false, true)
-			}
 			continue
 		}
 		pool, err := nowsim.NewWorkload(nowsim.WorkloadSpec{
@@ -164,9 +131,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, "csfarm:", err)
 			failures++
-			if bd != nil {
-				bd.endPolicy(0, 0, 0, 0, false, true)
-			}
 			continue
 		}
 		res, err := nowsim.RunFarm(nowsim.FarmConfig{
@@ -179,9 +143,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, "csfarm:", err)
 			failures++
-			if bd != nil {
-				bd.endPolicy(0, 0, 0, 0, false, true)
-			}
 			continue
 		}
 		status := ""
@@ -189,28 +150,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			status = " (NOT DRAINED)"
 			failures++
 		}
-		if bd != nil {
-			bd.endPolicy(res.Makespan, res.CommittedWork, res.Episodes,
-				res.TasksCompleted, res.Drained, !res.Drained)
-		}
 		fmt.Fprintf(stdout, "%-16s %10.0f %12.0f %12.0f %10.0f %8.1f %9d%s\n",
 			polSpec, res.Makespan, res.CommittedWork, res.LostWork,
 			res.OverheadTime, 100*res.Efficiency(), res.Episodes, status)
-	}
-	if bd != nil {
-		bd.finish()
 	}
 	if err := session.Close(); err != nil {
 		fmt.Fprintln(stderr, "csfarm:", err)
 		failures++
 	}
 	if failures > 0 {
-		if session.Flight != nil {
-			fmt.Fprintln(stderr, "csfarm: dumping flight recorder (last events before failure):")
-			if err := session.Flight.Dump(stderr); err != nil {
-				fmt.Fprintln(stderr, "csfarm:", err)
-			}
-		}
 		return 1
 	}
 	return 0

@@ -3,13 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestRunExitCodes(t *testing.T) {
@@ -42,60 +39,6 @@ func TestRunUsageOnFlagError(t *testing.T) {
 	run([]string{"-no-such-flag"}, &stdout, &stderr)
 	if !strings.Contains(stderr.String(), "Usage") && !strings.Contains(stderr.String(), "-policies") {
 		t.Errorf("flag error did not print usage:\n%s", stderr.String())
-	}
-}
-
-// TestRunProgress: -progress prints at least one live line (the final
-// flush on shutdown) without changing the exit code or the table.
-func TestRunProgress(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	argv := []string{"-workers", "2", "-tasks", "40", "-policies", "fixed:25",
-		"-progress", "-progress-every", "10ms", "-flight", "64"}
-	if got := run(argv, &stdout, &stderr); got != 0 {
-		t.Fatalf("run = %d\nstderr: %s", got, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "csfarm: [") {
-		t.Errorf("no progress lines on stderr:\n%s", stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "fixed:25") {
-		t.Errorf("result table missing:\n%s", stdout.String())
-	}
-}
-
-// TestStatusEndpoint drives the board through a policy run shape and
-// asserts /debug/csrun serves the live snapshot as valid JSON.
-func TestStatusEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	counting := &obs.CountingSink{}
-	counting.Emit(obs.Event{Kind: "dispatch"})
-	bd := newBoard(reg, counting, nil, 2, 40)
-	bd.startPolicy("fixed:25")
-	reg.Quantiles("cs_bundle_latency", "").Observe(12.5)
-
-	srv, err := obs.Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetStatus(bd.snapshot)
-
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/csrun")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/csrun = %d", resp.StatusCode)
-	}
-	var st obs.RunStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("status is not valid JSON: %v", err)
-	}
-	if st.Phase != "running" || st.Policy != "fixed:25" || st.EventsTotal != 1 {
-		t.Errorf("status = %+v", st)
-	}
-	if _, ok := st.Quantiles["cs_bundle_latency"]; !ok {
-		t.Errorf("status missing bundle latency quantiles: %+v", st.Quantiles)
 	}
 }
 

@@ -21,9 +21,9 @@
 //
 // Endpoints: POST /v1/plan and POST /v1/estimate (proxied),
 // GET /v1/healthz (the gate's cluster view: per-replica up / draining
-// / down), /metrics, /debug/pprof and /debug/vars from the shared obs
-// mux, GET /debug/traces (gate-level request traces, stitched above
-// the replicas' own), and GET /debug/slo (gate-level burn rates — the
+// / down), /metrics and /debug/pprof from the shared obs mux,
+// GET /debug/traces (gate-level request traces, stitched above the
+// replicas' own), and GET /debug/slo (gate-level burn rates — the
 // user-facing SLO, measured in front of the whole fleet).
 //
 // Exit status: 0 on clean shutdown, 1 on serve failure, 2 on usage

@@ -10,8 +10,6 @@
 //	csserve -addr :9000 -workers 8 -queue 128
 //	csserve -plan-cache 8192 -est-cache 1024 -shards 32
 //	csserve -timeout 5s -max-timeout 30s -max-episodes 1000000
-//	csserve -flight 4096                 # ring of recent requests,
-//	                                     # dumped to stderr on SIGQUIT
 //	csserve -trace-store 4096 -trace-sample 0.5 -trace-slowest 16
 //	csserve -runtime-sample 10s -leak-limit 0
 //	csserve -slo-target 0.999 -slo-latency-ms 250 -slo-latency-target 0.99
@@ -19,7 +17,7 @@
 //	                                     # join a cluster (see csgate)
 //
 // Endpoints: POST /v1/plan, POST /v1/estimate, GET /v1/healthz, plus
-// /metrics, /debug/vars and /debug/pprof from the shared obs mux, and
+// /metrics and /debug/pprof from the shared obs mux, and
 // GET /debug/traces — the tail-sampled request trace store (always
 // keeps errors and the slowest -trace-slowest per -trace-window;
 // keeps the rest with probability -trace-sample). Requests carry W3C
@@ -47,7 +45,6 @@
 // the csgate prober routes around this replica), the hot working set
 // is handed to peers, then the listener stops accepting, in-flight
 // requests get -grace to finish, and the worker pool is closed.
-// SIGQUIT dumps the flight ring and keeps serving.
 //
 // Exit status: 0 on clean shutdown, 1 on serve failure, 2 on usage
 // errors.
@@ -101,7 +98,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		timeout     = fs.Duration("timeout", 10*time.Second, "default per-request compute deadline")
 		maxTimeout  = fs.Duration("max-timeout", 60*time.Second, "ceiling on client-requested timeout_ms")
 		maxEpisodes = fs.Int("max-episodes", 2_000_000, "ceiling on episodes per /v1/estimate request")
-		flight      = fs.Int("flight", 0, "keep the last N requests in a flight ring, dumped on SIGQUIT (0 disables)")
 		grace       = fs.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
 
 		traceStore   = fs.Int("trace-store", 2048, "request trace store capacity in records (negative disables tracing)")
@@ -128,10 +124,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 	}
 
 	reg := obs.NewRegistry()
-	var fr *obs.FlightRecorder
-	if *flight > 0 {
-		fr = obs.NewFlightRecorder(*flight)
-	}
 	var tracer *obs.Tracer
 	if *traceStore >= 0 {
 		tracer = obs.NewTracer(obs.TracerConfig{
@@ -165,7 +157,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		MaxTimeout:           *maxTimeout,
 		MaxEpisodes:          *maxEpisodes,
 		Registry:             reg,
-		Flight:               fr,
 		Tracer:               tracer,
 		SLO:                  slo,
 		Runtime:              bridge,
@@ -232,18 +223,7 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		ready <- lis.Addr().String()
 	}
 
-	// SIGQUIT dumps the flight ring without exiting; SIGTERM/SIGINT (or
-	// the test stop hook) start the graceful drain.
-	if fr != nil {
-		quitCh := make(chan os.Signal, 1)
-		signal.Notify(quitCh, syscall.SIGQUIT)
-		defer signal.Stop(quitCh)
-		go func() {
-			for range quitCh {
-				_ = fr.Dump(stderr)
-			}
-		}()
-	}
+	// SIGTERM/SIGINT (or the test stop hook) start the graceful drain.
 	termCtx, cancelTerm := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer cancelTerm()
 

@@ -17,7 +17,7 @@ func TestServeEndToEnd(t *testing.T) {
 	stop := make(chan struct{})
 	code := make(chan int, 1)
 	go func() {
-		code <- runApp([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-flight", "64"},
+		code <- runApp([]string{"-addr", "127.0.0.1:0", "-workers", "2"},
 			&stdout, &stderr, ready, stop)
 	}()
 	var addr string

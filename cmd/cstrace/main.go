@@ -67,9 +67,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer session.Close()
-	var metrics *obs.Registry
 	if session.Server != nil {
-		metrics = reg
 		fmt.Fprintf(stderr, "cstrace: serving metrics on %s\n", session.Server.Addr())
 	}
 
@@ -90,12 +88,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "fitted         : %s (shape %s, horizon %g)\n", fit, fit.Shape(), fit.Horizon())
 	fmt.Fprintf(stdout, "KS distance    : %.4f\n", ks)
 
-	truthPlan, err := plan(truth, *c, metrics)
+	truthPlan, err := plan(truth, *c)
 	if err != nil {
 		fmt.Fprintln(stderr, "cstrace:", fmt.Errorf("planning on truth: %w", err))
 		return 1
 	}
-	fitPlan, err := plan(fit, *c, metrics)
+	fitPlan, err := plan(fit, *c)
 	if err != nil {
 		fmt.Fprintln(stderr, "cstrace:", fmt.Errorf("planning on fit: %w", err))
 		return 1
@@ -118,8 +116,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func plan(l lifefn.Life, c float64, metrics *obs.Registry) (core.Plan, error) {
-	pl, err := core.NewPlanner(l, c, core.PlanOptions{Metrics: metrics})
+func plan(l lifefn.Life, c float64) (core.Plan, error) {
+	pl, err := core.NewPlanner(l, c, core.PlanOptions{})
 	if err != nil {
 		return core.Plan{}, err
 	}

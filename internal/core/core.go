@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/lifefn"
 	"repro/internal/numeric"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -60,10 +59,6 @@ type PlanOptions struct {
 	// ScanPoints is the grid resolution of the t0 search inside the
 	// guideline bracket. If zero, 64 is used.
 	ScanPoints int
-	// Metrics, when non-nil, receives the cs_plan_* gauges describing
-	// each PlanBest run (bracket width, objective evaluations, chosen
-	// t0, schedule length, expected work). nil disables publishing.
-	Metrics *obs.Registry
 }
 
 func (o PlanOptions) withDefaults() PlanOptions {
@@ -306,20 +301,5 @@ func (pl *Planner) PlanBest() (Plan, error) {
 		}
 		return Plan{}, fmt.Errorf("core: search found no productive schedule in bracket [%g, %g]", br.Lo, br.Hi)
 	}
-	plan := Plan{Schedule: s, T0: t0, Bracket: br, ExpectedWork: e, Evaluations: evaluations}
-	plan.publish(pl.opt.Metrics)
-	return plan, nil
-}
-
-// publish writes the plan's summary gauges to reg (no-op when nil), so
-// a planning run shows up on /metrics next to the simulation series.
-func (p Plan) publish(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("cs_plan_t0_bracket_width", "width of the guideline t0 bracket (Hi - Lo)").Set(p.Bracket.Hi - p.Bracket.Lo)
-	reg.Gauge("cs_plan_search_evaluations", "objective evaluations spent by the t0 search").Set(float64(p.Evaluations))
-	reg.Gauge("cs_plan_schedule_periods", "periods in the planned schedule").Set(float64(p.Schedule.Len()))
-	reg.Gauge("cs_plan_t0", "initial period length the search settled on").Set(p.T0)
-	reg.Gauge("cs_plan_expected_work", "expected committed work of the planned schedule").Set(p.ExpectedWork)
+	return Plan{Schedule: s, T0: t0, Bracket: br, ExpectedWork: e, Evaluations: evaluations}, nil
 }

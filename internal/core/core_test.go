@@ -167,6 +167,30 @@ func TestPlanBestBracketContainsT0(t *testing.T) {
 	}
 }
 
+// TestPlanBestRecordsSearchShape checks that a plan reports the
+// search that produced it: a bracket of positive width and at least
+// ScanPoints objective evaluations.
+func TestPlanBestRecordsSearchShape(t *testing.T) {
+	l, err := lifefn.NewUniform(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPlanner(l, 1, PlanOptions{ScanPoints: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pl.PlanBest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Evaluations < 16 {
+		t.Errorf("Evaluations = %d, want >= ScanPoints (16)", plan.Evaluations)
+	}
+	if w := plan.Bracket.Hi - plan.Bracket.Lo; !(w > 0) {
+		t.Errorf("bracket width %g, want > 0", w)
+	}
+}
+
 func TestPlanBestGeomDecMatchesBCLROptimal(t *testing.T) {
 	// The guideline schedule for a^{-t} must reach the exact optimal
 	// expected work (t*-c)·a^{-t*}/(1-a^{-t*}) to high accuracy.

@@ -4,18 +4,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 )
 
 // Flags is the observability flag set shared by the CLIs, so csfarm,
 // cssim and cstrace expose identical -trace / -trace-format /
-// -metrics-addr / -flight behaviour and cannot drift.
+// -metrics-addr behaviour and cannot drift.
 type Flags struct {
 	Trace       string
 	TraceFormat string
 	MetricsAddr string
-	Flight      int
 }
 
 // Register installs the flags on fs (flag.CommandLine when fs is nil).
@@ -25,36 +22,27 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	}
 	fs.StringVar(&f.Trace, "trace", "", "write a structured event trace to this file")
 	fs.StringVar(&f.TraceFormat, "trace-format", "jsonl", "trace format: jsonl, or chrome (load in chrome://tracing / Perfetto)")
-	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
-	fs.IntVar(&f.Flight, "flight", 0, "keep the last N trace events in a flight-recorder ring, dumped on failure or SIGQUIT (0 disables)")
+	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 }
 
 // Session holds the live observability resources a CLI opened from its
 // flags. All methods are nil-safe; the zero Session is fully disabled.
 type Session struct {
 	// Sink is the sink the caller should emit to: the trace file sink,
-	// the flight recorder, both (fanned out), or nil when neither flag
-	// was given.
+	// or nil when -trace was not given.
 	Sink Sink
 	// Server is the metrics server, nil when -metrics-addr was not
 	// given.
 	Server *Server
-	// Flight is the flight recorder, nil when -flight was not given.
-	// On SIGQUIT the session dumps it to stderr and keeps running
-	// (installing the handler replaces the default quit-with-core
-	// behaviour); callers should also dump it on failure paths.
-	Flight *FlightRecorder
 
-	file    *os.File
-	closer  interface{ Close() error }
-	sigDone chan struct{}
-	sigCh   chan os.Signal
-	closed  bool
+	file   *os.File
+	closer interface{ Close() error }
+	closed bool
 }
 
-// Setup opens the trace file, flight recorder and metrics server
-// requested by the flags. reg may be nil when the caller keeps no
-// metrics. On error, anything already opened is closed.
+// Setup opens the trace file and metrics server requested by the
+// flags. reg may be nil when the caller keeps no metrics. On error,
+// anything already opened is closed.
 func (f *Flags) Setup(reg *Registry) (*Session, error) {
 	s := &Session{}
 	if f.Trace != "" {
@@ -75,27 +63,6 @@ func (f *Flags) Setup(reg *Registry) (*Session, error) {
 			return nil, fmt.Errorf("obs: unknown trace format %q (want jsonl or chrome)", f.TraceFormat)
 		}
 	}
-	if f.Flight > 0 {
-		s.Flight = NewFlightRecorder(f.Flight)
-		if s.Sink != nil {
-			s.Sink = MultiSink{s.Sink, s.Flight}
-		} else {
-			s.Sink = s.Flight
-		}
-		s.sigCh = make(chan os.Signal, 1)
-		s.sigDone = make(chan struct{})
-		signal.Notify(s.sigCh, syscall.SIGQUIT)
-		go func(fr *FlightRecorder, ch chan os.Signal, done chan struct{}) {
-			for {
-				select {
-				case <-ch:
-					_ = fr.Dump(os.Stderr)
-				case <-done:
-					return
-				}
-			}
-		}(s.Flight, s.sigCh, s.sigDone)
-	}
 	if f.MetricsAddr != "" {
 		srv, err := Serve(f.MetricsAddr, reg)
 		if err != nil {
@@ -107,8 +74,8 @@ func (f *Flags) Setup(reg *Registry) (*Session, error) {
 	return s, nil
 }
 
-// Close flushes and closes the trace file, stops the SIGQUIT handler
-// and stops the metrics server. It is idempotent, so callers can Close
+// Close flushes and closes the trace file and stops the metrics
+// server. It is idempotent, so callers can Close
 // explicitly to check the flush error and still keep a defer for
 // early-exit paths.
 func (s *Session) Close() error {
@@ -117,10 +84,6 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	var first error
-	if s.sigCh != nil {
-		signal.Stop(s.sigCh)
-		close(s.sigDone)
-	}
 	if s.closer != nil {
 		if err := s.closer.Close(); err != nil {
 			first = err

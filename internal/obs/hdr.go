@@ -21,9 +21,9 @@ import (
 // whose representative is 0.
 //
 // Observe is two atomic adds plus a CAS loop for the running sum and
-// max — no locks, safe under concurrent writers, and safe to snapshot
-// from another goroutine while the simulation emits (the live-monitor
-// path). A quiescent histogram yields deterministic quantiles.
+// max — no locks, safe under concurrent writers, and safe to read from
+// another goroutine while writers record. A quiescent histogram yields
+// deterministic quantiles.
 type QuantileHist struct {
 	counts [hdrBuckets]atomic.Uint64
 	zero   atomic.Uint64
@@ -149,21 +149,3 @@ func (h *QuantileHist) Quantile(q float64) float64 {
 
 // standardQuantiles are the exposed summary quantiles.
 var standardQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
-
-// standardQuantileLabels label standardQuantiles in exposition and
-// status snapshots (p50 ... p999).
-var standardQuantileLabels = []string{"p50", "p90", "p99", "p999"}
-
-// Snapshot returns the standard quantile set keyed p50/p90/p99/p999 —
-// the payload the /debug/csrun endpoint and csmon render. Empty
-// histograms return nil.
-func (h *QuantileHist) Snapshot() map[string]float64 {
-	if h.Count() == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(standardQuantiles))
-	for i, q := range standardQuantiles {
-		out[standardQuantileLabels[i]] = h.Quantile(q)
-	}
-	return out
-}

@@ -1,105 +1,31 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 )
 
-// Handler serves the registry in the Prometheus text exposition
-// format, negotiating the flavour on the Accept header: a scraper
-// asking for application/openmetrics-text gets the OpenMetrics
-// exposition (which is where histogram-bucket exemplars live);
-// everything else gets the classic exemplar-free 0.0.4 text format.
+// Handler serves the registry in the classic Prometheus text
+// exposition format (version 0.0.4), whatever the Accept header asks
+// for.
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if acceptsOpenMetrics(req.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			_ = r.WriteOpenMetrics(w)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
 }
 
-// acceptsOpenMetrics reports whether an Accept header asks for the
-// OpenMetrics exposition. Prometheus lists it as the preferred media
-// type with version and q parameters; matching the media type of each
-// alternative is enough, and anything unrecognised falls back to the
-// classic format.
-func acceptsOpenMetrics(accept string) bool {
-	for _, alt := range strings.Split(accept, ",") {
-		mediaType, _, _ := strings.Cut(alt, ";")
-		if strings.TrimSpace(mediaType) == "application/openmetrics-text" {
-			return true
-		}
-	}
-	return false
-}
-
-// PublishExpvar publishes the registry under the given expvar name, so
-// /debug/vars includes a live JSON snapshot of every metric. Counters
-// render as integers, gauges as floats, histograms as
-// {count, sum, buckets}. Publishing the same name twice is a no-op
-// (expvar forbids re-publication); the first registry wins.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} {
-		out := make(map[string]interface{})
-		for _, e := range r.snapshot() {
-			switch e.kind {
-			case kindCounter:
-				out[e.name] = e.c.Value()
-			case kindGauge:
-				out[e.name] = e.g.Value()
-			case kindHistogram:
-				buckets := make(map[string]uint64, len(e.h.counts))
-				cum := uint64(0)
-				for i := range e.h.counts {
-					cum += e.h.counts[i].Load()
-					le := "+Inf"
-					if i < len(e.h.upper) {
-						le = formatFloat(e.h.upper[i])
-					}
-					buckets[le] = cum
-				}
-				out[e.name] = map[string]interface{}{
-					"count":   e.h.Count(),
-					"sum":     e.h.Sum(),
-					"buckets": buckets,
-				}
-			case kindQuantile:
-				q := map[string]interface{}{
-					"count": e.q.Count(),
-					"sum":   e.q.Sum(),
-				}
-				for k, v := range e.q.Snapshot() {
-					q[k] = v
-				}
-				out[e.name] = q
-			}
-		}
-		return out
-	}))
-}
-
 // NewMux builds an http.ServeMux exposing /metrics (Prometheus text,
-// when reg is non-nil), /debug/vars (expvar) and the /debug/pprof
-// endpoints — explicitly wired rather than via the pprof package's
-// DefaultServeMux side effects, so importing obs never mutates global
-// HTTP state.
+// when reg is non-nil) and the /debug/pprof endpoints — explicitly
+// wired rather than via the pprof package's DefaultServeMux side
+// effects, so importing obs never mutates global HTTP state.
 func NewMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("/metrics", reg.Handler())
 	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -110,40 +36,22 @@ func NewMux(reg *Registry) *http.ServeMux {
 
 // Server is a running metrics/pprof HTTP server.
 type Server struct {
-	srv    *http.Server
-	lis    net.Listener
-	status statusHandler
+	srv *http.Server
+	lis net.Listener
 }
 
 // Serve starts an HTTP server on addr (e.g. "localhost:9090" or
-// ":0" for an ephemeral port) exposing reg via NewMux plus the
-// /debug/csrun run-status endpoint (404 until SetStatus is called). It
-// returns once the listener is bound; serving continues in a background
-// goroutine until Close.
+// ":0" for an ephemeral port) exposing reg via NewMux. It returns once
+// the listener is bound; serving continues in a background goroutine
+// until Close.
 func Serve(addr string, reg *Registry) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	if reg != nil {
-		reg.PublishExpvar("metrics")
-	}
-	s := &Server{lis: lis}
-	mux := NewMux(reg)
-	mux.Handle("/debug/csrun", &s.status)
-	s.srv = &http.Server{Handler: mux}
+	s := &Server{srv: &http.Server{Handler: NewMux(reg)}, lis: lis}
 	go func() { _ = s.srv.Serve(lis) }()
 	return s, nil
-}
-
-// SetStatus registers the snapshot function behind /debug/csrun. It is
-// nil-safe on both sides (a nil server or nil fn is a no-op), so
-// commands can wire status unconditionally.
-func (s *Server) SetStatus(fn func() RunStatus) {
-	if s == nil || fn == nil {
-		return
-	}
-	s.status.set(fn)
 }
 
 // Addr returns the bound address (useful with ":0").

@@ -3,6 +3,8 @@ package obs
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +25,7 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestServeMetricsVarsPprof(t *testing.T) {
+func TestServeMetricsPprof(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cs_http_test_total", "served requests").Add(3)
 	srv, err := Serve("127.0.0.1:0", reg)
@@ -39,14 +41,6 @@ func TestServeMetricsVarsPprof(t *testing.T) {
 	}
 	if !strings.Contains(body, "cs_http_test_total 3") {
 		t.Errorf("/metrics missing counter:\n%s", body)
-	}
-
-	code, body = get(t, base+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	if !strings.Contains(body, "cs_http_test_total") {
-		t.Errorf("/debug/vars missing published registry:\n%s", body)
 	}
 
 	code, _ = get(t, base+"/debug/pprof/cmdline")
@@ -85,5 +79,33 @@ func TestCLIFlagsSetup(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMetricsHandlerServesClassicText sends the Accept header a
+// Prometheus server puts on every scrape, which lists OpenMetrics
+// first. /metrics answers in the classic 0.0.4 text format regardless:
+// no # EOF terminator and no exemplar syntax.
+func TestMetricsHandlerServesClassicText(t *testing.T) {
+	accept, err := os.ReadFile("testdata/scrape-accept.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Counter("cs_req_total", "requests").Inc()
+	reg.Quantiles(Labeled("cs_http_request_ms", "route", "plan"), "latency").Observe(7.5)
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	req.Header.Set("Accept", strings.TrimSpace(string(accept)))
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, req)
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("Content-Type = %q, want text/plain; version=0.0.4", ct)
+	}
+	body := rec.Body.String()
+	if !strings.Contains(body, "cs_req_total 1\n") {
+		t.Errorf("exposition missing counter:\n%s", body)
+	}
+	if strings.Contains(body, "# EOF") || strings.Contains(body, " # {") {
+		t.Errorf("classic exposition carries OpenMetrics syntax:\n%s", body)
 	}
 }

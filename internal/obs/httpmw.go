@@ -69,36 +69,26 @@ func (tw *timingWriter) Write(p []byte) (int, error) {
 	return tw.ResponseRecorder.Write(p)
 }
 
-// httpLatencyBuckets bound cs_http_request_duration_ms: 0.25ms to
-// ~8.2s in doubling steps, wide enough for a cached lookup and a cold
-// multi-second Monte-Carlo estimate alike.
-var httpLatencyBuckets = ExpBuckets(0.25, 2, 16)
-
-// InstrumentHandler wraps next so every request updates three series
-// on reg:
+// InstrumentHandler wraps next so every request updates two series on
+// reg:
 //
 //	cs_http_requests_total{route="<route>",code="<status>"}  counter
 //	cs_http_request_ms{route="<route>"}                      quantile summary
-//	cs_http_request_duration_ms{route="<route>"}             histogram
 //
 // The latency summary is a QuantileHist (p50/p90/p99/p999 at fixed
-// relative error), recorded in milliseconds; the fixed-bucket
-// histogram carries the same latencies so exemplars have a legal home
-// (the OpenMetrics exposition attaches trace IDs to its bucket lines —
-// summary quantiles may not carry exemplars in any format). Routes are
-// a closed, caller-chosen vocabulary — never derived from the request
-// path — so the label space stays bounded.
+// relative error), recorded in milliseconds. Routes are a closed,
+// caller-chosen vocabulary — never derived from the request path — so
+// the label space stays bounded.
 //
 // It is also where a request's trace begins: an incoming W3C
 // traceparent header continues the caller's trace (csload -> csserve
 // stitch into one), anything else roots a fresh one. The ReqTrace
 // rides the request context so the serving path can attribute queue /
 // cache / coalesce / compute time; the response carries Server-Timing
-// and X-Trace-Id headers, the latency histogram gets the trace ID as
-// an exemplar, and the finalized record is offered to tr's tail
-// sampler (tr may be nil — headers and context still work, nothing is
-// stored). When slo is non-nil every outcome also feeds the rolling
-// SLO windows, so /debug/slo burn rates cover exactly the
+// and X-Trace-Id headers, and the finalized record is offered to tr's
+// tail sampler (tr may be nil — headers and context still work,
+// nothing is stored). When slo is non-nil every outcome also feeds the
+// rolling SLO windows, so /debug/slo burn rates cover exactly the
 // instrumented routes.
 func InstrumentHandler(reg *Registry, route string, tr *Tracer, slo *SLOTracker, next http.Handler) http.Handler {
 	if reg == nil {
@@ -106,9 +96,6 @@ func InstrumentHandler(reg *Registry, route string, tr *Tracer, slo *SLOTracker,
 	}
 	lat := reg.Quantiles(Labeled("cs_http_request_ms", "route", route),
 		"HTTP request latency in milliseconds (log-bucketed quantile summary)")
-	latHist := reg.Histogram(Labeled("cs_http_request_duration_ms", "route", route),
-		"HTTP request latency in milliseconds (fixed buckets; OpenMetrics bucket lines carry trace-ID exemplars)",
-		httpLatencyBuckets)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		var rt *ReqTrace
 		if parent, err := ParseTraceparent(req.Header.Get(TraceparentHeader)); err == nil {
@@ -126,7 +113,6 @@ func InstrumentHandler(reg *Registry, route string, tr *Tracer, slo *SLOTracker,
 		}
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
 		lat.Observe(ms)
-		latHist.ObserveExemplar(ms, rt.TraceID())
 		reg.Counter(Labeled("cs_http_requests_total", "route", route, "code", strconv.Itoa(code)),
 			"HTTP requests by route and status code").Inc()
 		slo.Record(code, ms)

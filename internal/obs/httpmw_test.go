@@ -70,14 +70,15 @@ func TestInstrumentHandlerNilRegistryPassesThrough(t *testing.T) {
 	}
 }
 
-// Satellite requirement: InstrumentHandler under concurrent
-// mixed-status load must keep exact per-code counters and histogram
-// counts (run under -race in CI).
+// InstrumentHandler under concurrent mixed-status load must keep exact
+// per-code counters, latency counts and SLO totals (run under -race in
+// CI).
 func TestInstrumentHandlerConcurrentMixedStatus(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerConfig{Capacity: 4096, SampleRate: -1})
+	slo := NewSLOTracker(SLOConfig{})
 	codes := []int{200, 404, 429, 500}
-	h := InstrumentHandler(reg, "mix", tr, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := InstrumentHandler(reg, "mix", tr, slo, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var code int
 		if _, err := fmt.Sscanf(r.URL.Query().Get("code"), "%d", &code); err != nil {
 			t.Errorf("bad code param: %v", err)
@@ -118,6 +119,11 @@ func TestInstrumentHandlerConcurrentMixedStatus(t *testing.T) {
 	lat := reg.Quantiles(Labeled("cs_http_request_ms", "route", "mix"), "")
 	if got := lat.Count(); got != uint64(len(codes)*perCode) {
 		t.Errorf("histogram count = %d, want %d", got, len(codes)*perCode)
+	}
+	// Only the 500s spend error budget; 404 and 429 count as served.
+	if got := slo.Snapshot().Total; got.Requests != uint64(len(codes)*perCode) || got.Errors != perCode {
+		t.Errorf("SLO total = %d requests, %d errors; want %d, %d",
+			got.Requests, got.Errors, len(codes)*perCode, perCode)
 	}
 	// With the rate coin disabled, the tail sampler must have kept
 	// exactly the error-status requests.
@@ -170,5 +176,32 @@ func TestInstrumentHandlerStitchesRemoteParent(t *testing.T) {
 	h.ServeHTTP(rec2, req2)
 	if got := rec2.Header().Get(TraceIDHeader); got == "" || got == parent.TraceIDString() {
 		t.Fatalf("malformed parent handled wrong: trace id %q", got)
+	}
+}
+
+// nopWriter is a ResponseWriter that allocates nothing itself, so
+// AllocsPerRun counts only what the middleware allocates.
+type nopWriter struct{ h http.Header }
+
+func (w *nopWriter) Header() http.Header         { return w.h }
+func (w *nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *nopWriter) WriteHeader(int)             {}
+
+// TestInstrumentHandlerAllocs pins the middleware's per-request
+// allocations with csserve's tracer and SLO tracker attached: 23 on
+// go1.24 linux/amd64.
+func TestInstrumentHandlerAllocs(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(TracerConfig{Capacity: 2048, SampleRate: 0.1, SlowestK: 8})
+	slo := NewSLOTracker(SLOConfig{})
+	body := []byte("ok")
+	h := InstrumentHandler(reg, "plan", tr, slo, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(body)
+	}))
+	w := &nopWriter{h: make(http.Header)}
+	req := httptest.NewRequest("GET", "/v1/plan", nil)
+	h.ServeHTTP(w, req) // registers the per-code counter
+	if got := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); got != 23 {
+		t.Errorf("instrumented request allocates %.0f/run, want 23", got)
 	}
 }

@@ -3,17 +3,16 @@
 //
 //   - a lock-cheap metrics registry — monotone counters, float gauges
 //     and fixed-bucket histograms, all updated with atomics — with
-//     Prometheus text exposition and expvar publishing;
+//     Prometheus text exposition;
 //   - a structured trace sink (Sink) with JSONL and Chrome trace_event
 //     exporters, so a simulation run renders as a per-worker timeline
 //     in chrome://tracing or Perfetto;
-//   - HTTP wiring for /metrics, /debug/vars and /debug/pprof, plus a
-//     shared flag helper the CLIs use for -trace / -trace-format /
-//     -metrics-addr.
+//   - HTTP wiring for /metrics and /debug/pprof, plus a shared flag
+//     helper the CLIs use for -trace / -trace-format / -metrics-addr.
 //
-// The simulators in internal/nowsim and the planner in internal/core
-// accept these hooks as optional, nil-safe fields: a nil Sink and a nil
-// *Registry disable the instrumentation at (benchmarked) zero cost.
+// The simulators in internal/nowsim accept these hooks as optional,
+// nil-safe fields: a nil Sink and a nil *Registry disable the
+// instrumentation at (benchmarked) zero cost.
 package obs
 
 import (
@@ -75,65 +74,17 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(upper)+1; last is +Inf
 	sum    Gauge
 	n      atomic.Uint64
-
-	// Per-bucket exemplar slots, allocated on the first ObserveExemplar
-	// so exemplar-free histograms pay one nil pointer load.
-	exemplars atomic.Pointer[[]atomic.Pointer[Exemplar]]
-}
-
-// Exemplar ties an observed value to the trace that produced it, in
-// the OpenMetrics sense: a concrete request behind a bucket count. The
-// exposition attaches exemplars to histogram bucket lines, and only in
-// the OpenMetrics format — the classic text format has no syntax for
-// them, and summary quantiles may not carry them in either format.
-type Exemplar struct {
-	Value   float64
-	TraceID string
-}
-
-// bucketIndex returns the index of the bucket holding v; the last
-// index is the implicit +Inf bucket.
-func (h *Histogram) bucketIndex(v float64) int {
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	return i
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.counts[h.bucketIndex(v)].Add(1)
+	i := 0
+	for i < len(h.upper) && v > h.upper[i] {
+		i++
+	}
+	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.n.Add(1)
-}
-
-// ObserveExemplar records v like Observe and, when traceID is
-// nonempty, publishes (v, traceID) as the exemplar for v's bucket.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID == "" {
-		return
-	}
-	slots := h.exemplars.Load()
-	if slots == nil {
-		fresh := make([]atomic.Pointer[Exemplar], len(h.counts))
-		if !h.exemplars.CompareAndSwap(nil, &fresh) {
-			slots = h.exemplars.Load() // lost the race; use the winner's
-		} else {
-			slots = &fresh
-		}
-	}
-	(*slots)[h.bucketIndex(v)].Store(&Exemplar{Value: v, TraceID: traceID})
-}
-
-// exemplarAt returns bucket i's latest exemplar, or nil.
-func (h *Histogram) exemplarAt(i int) *Exemplar {
-	slots := h.exemplars.Load()
-	if slots == nil {
-		return nil
-	}
-	return (*slots)[i].Load()
 }
 
 // Count returns the number of observations.
@@ -158,7 +109,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// metricKind tags a registered metric for TYPE lines and expvar.
+// metricKind tags a registered metric for TYPE lines.
 type metricKind int
 
 const (
@@ -351,25 +302,9 @@ func (r *Registry) snapshot() []*entry {
 }
 
 // WritePrometheus writes the registry in the classic Prometheus text
-// exposition format (version 0.0.4). The classic format has no
-// exemplar syntax, so exemplars are never emitted here — a payload
-// carrying them would fail to parse in every standard scraper. Series
-// are sorted, so the output is deterministic for a quiescent registry.
+// exposition format (version 0.0.4). Series are sorted, so the output
+// is deterministic for a quiescent registry.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.write(w, false)
-}
-
-// WriteOpenMetrics writes the registry in the OpenMetrics 1.0 text
-// format: counter families are named without their _total sample
-// suffix, histogram bucket lines carry trace-ID exemplars when
-// recorded, and the payload is terminated by # EOF. Exemplars appear
-// only on histogram buckets — OpenMetrics forbids them on summary
-// quantile lines.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	return r.write(w, true)
-}
-
-func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	es := r.snapshot()
 	r.mu.Lock()
 	help := make(map[string]string, len(r.help))
@@ -383,14 +318,10 @@ func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	for _, e := range es {
 		base, labels := splitSeries(e.name)
 		if base != lastBase {
-			family, kind := base, e.kind.String()
-			if openMetrics {
-				family, kind = openMetricsFamily(base, e.kind)
-			}
 			if h := help[base]; h != "" {
-				fmt.Fprintf(&sb, "# HELP %s %s\n", family, h)
+				fmt.Fprintf(&sb, "# HELP %s %s\n", base, h)
 			}
-			fmt.Fprintf(&sb, "# TYPE %s %s\n", family, kind)
+			fmt.Fprintf(&sb, "# TYPE %s %s\n", base, e.kind)
 			lastBase = base
 		}
 		switch e.kind {
@@ -399,31 +330,13 @@ func (r *Registry) write(w io.Writer, openMetrics bool) error {
 		case kindGauge:
 			fmt.Fprintf(&sb, "%s %s\n", e.name, formatFloat(e.g.Value()))
 		case kindHistogram:
-			writeHistogram(&sb, base, labels, e.h, openMetrics)
+			writeHistogram(&sb, base, labels, e.h)
 		case kindQuantile:
 			writeQuantiles(&sb, base, labels, e.q)
 		}
 	}
-	if openMetrics {
-		sb.WriteString("# EOF\n")
-	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// openMetricsFamily maps a series base name to its OpenMetrics metric
-// family name and type. OpenMetrics names a counter family without the
-// _total suffix its samples carry; a counter whose name does not follow
-// that convention is exposed as unknown rather than as an invalid
-// counter family.
-func openMetricsFamily(base string, k metricKind) (family, typ string) {
-	if k == kindCounter {
-		if fam, ok := strings.CutSuffix(base, "_total"); ok {
-			return fam, "counter"
-		}
-		return base, "unknown"
-	}
-	return base, k.String()
 }
 
 func writeQuantiles(sb *strings.Builder, base, labels string, q *QuantileHist) {
@@ -437,7 +350,7 @@ func writeQuantiles(sb *strings.Builder, base, labels string, q *QuantileHist) {
 	fmt.Fprintf(sb, "%s_count%s %d\n", base, braced(labels), q.Count())
 }
 
-func writeHistogram(sb *strings.Builder, base, labels string, h *Histogram, exemplars bool) {
+func writeHistogram(sb *strings.Builder, base, labels string, h *Histogram) {
 	cum := uint64(0)
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -445,13 +358,7 @@ func writeHistogram(sb *strings.Builder, base, labels string, h *Histogram, exem
 		if i < len(h.upper) {
 			le = formatFloat(h.upper[i])
 		}
-		fmt.Fprintf(sb, "%s_bucket{%sle=%q} %d", base, joinLabels(labels), le, cum)
-		if exemplars {
-			if e := h.exemplarAt(i); e != nil {
-				fmt.Fprintf(sb, " # {trace_id=%q} %s", e.TraceID, formatFloat(e.Value))
-			}
-		}
-		sb.WriteByte('\n')
+		fmt.Fprintf(sb, "%s_bucket{%sle=%q} %d\n", base, joinLabels(labels), le, cum)
 	}
 	fmt.Fprintf(sb, "%s_sum%s %s\n", base, braced(labels), formatFloat(h.Sum()))
 	fmt.Fprintf(sb, "%s_count%s %d\n", base, braced(labels), h.Count())

@@ -6,8 +6,8 @@ package obs
 // cycles it steals (ROADMAP item 2); this file is where the process's
 // own resource consumption — GC pauses, heap residency, allocation
 // throughput, scheduler latency, goroutine population — becomes
-// scrapeable through the same Prometheus/OpenMetrics exposition the
-// serving metrics use.
+// scrapeable through the same Prometheus exposition the serving
+// metrics use.
 //
 // The bridge samples on a configurable ticker; every sample is a
 // single runtime/metrics.Read over a fixed sample set (no allocation
@@ -47,18 +47,16 @@ type RuntimeBridgeConfig struct {
 	// LeakLimit is the goroutine count treated as a suspected leak. 0
 	// derives it from the first sample: max(128, 8x the count then).
 	LeakLimit int
-	// LeakConsecutive is how many consecutive samples must exceed
-	// LeakLimit before the watchdog flags a leak (3) — a one-sample
-	// burst of request handlers is not a leak.
-	LeakConsecutive int
 }
+
+// leakConsecutive is how many consecutive samples must exceed the leak
+// limit before the watchdog flags a leak — a one-sample burst of
+// request handlers is not a leak.
+const leakConsecutive = 3
 
 func (c RuntimeBridgeConfig) withDefaults() RuntimeBridgeConfig {
 	if c.Interval <= 0 {
 		c.Interval = 10 * time.Second
-	}
-	if c.LeakConsecutive <= 0 {
-		c.LeakConsecutive = 3
 	}
 	return c
 }
@@ -257,7 +255,7 @@ func (b *RuntimeBridge) watchdogLocked(goroutines int) {
 			b.leakGauge.Set(0)
 		}
 	}
-	if b.leakStreak >= b.cfg.LeakConsecutive {
+	if b.leakStreak >= leakConsecutive {
 		if b.leakSuspected.CompareAndSwap(false, true) {
 			b.leakGauge.Set(1)
 			b.leakEvents.Inc()

@@ -79,15 +79,16 @@ func TestRuntimeBridgeStartStop(t *testing.T) {
 
 func TestRuntimeBridgeWatchdog(t *testing.T) {
 	reg := NewRegistry()
-	b := NewRuntimeBridge(reg, RuntimeBridgeConfig{LeakLimit: 10, LeakConsecutive: 2})
+	b := NewRuntimeBridge(reg, RuntimeBridgeConfig{LeakLimit: 10})
 
 	b.watchdogLocked(50)
+	b.watchdogLocked(50)
 	if b.LeakSuspected() {
-		t.Fatalf("one sample over the limit already flagged")
+		t.Fatalf("two samples over the limit already flagged")
 	}
 	b.watchdogLocked(50)
 	if !b.LeakSuspected() {
-		t.Fatalf("two consecutive samples over the limit not flagged")
+		t.Fatalf("three consecutive samples over the limit not flagged")
 	}
 	if got := b.leakEvents.Value(); got != 1 {
 		t.Errorf("leak events = %d, want 1", got)
@@ -98,8 +99,9 @@ func TestRuntimeBridgeWatchdog(t *testing.T) {
 		t.Fatalf("flag not cleared after a healthy sample")
 	}
 	b.watchdogLocked(50)
+	b.watchdogLocked(50)
 	if b.LeakSuspected() {
-		t.Fatalf("streak not reset: one post-recovery sample flagged")
+		t.Fatalf("streak not reset: two post-recovery samples flagged")
 	}
 	b.watchdogLocked(50)
 	if !b.LeakSuspected() || b.leakEvents.Value() != 2 {

@@ -12,7 +12,7 @@ package obs
 // The tracker keeps one-second buckets in a ring sized to the longest
 // window, so memory is fixed and Record is O(1) under a mutex — cheap
 // against request latencies measured in microseconds-to-seconds.
-// GET /debug/slo serves the snapshot; csmon -slo renders it.
+// GET /debug/slo serves the snapshot.
 
 import (
 	"encoding/json"
@@ -34,11 +34,11 @@ type SLOConfig struct {
 	LatencyObjective float64
 	// LatencyThresholdMS is the latency SLI threshold (250).
 	LatencyThresholdMS float64
-	// Windows are the rolling burn-rate windows, ascending (5m, 1h,
-	// 6h). The first two form the page pair, the last two the ticket
-	// pair.
-	Windows []time.Duration
 }
+
+// sloWindows are the rolling burn-rate windows, ascending. The first
+// two form the page pair, the last two the ticket pair.
+var sloWindows = [...]time.Duration{5 * time.Minute, time.Hour, 6 * time.Hour}
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if !(c.AvailabilityObjective > 0 && c.AvailabilityObjective < 1) {
@@ -49,9 +49,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.LatencyThresholdMS <= 0 {
 		c.LatencyThresholdMS = 250
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []time.Duration{5 * time.Minute, time.Hour, 6 * time.Hour}
 	}
 	return c
 }
@@ -79,13 +76,10 @@ type SLOTracker struct {
 // NewSLOTracker builds a tracker, applying defaults for zero config
 // fields.
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	cfg = cfg.withDefaults()
-	longest := cfg.Windows[len(cfg.Windows)-1]
-	secs := int(longest/time.Second) + 1
 	t := &SLOTracker{
-		cfg:  cfg,
+		cfg:  cfg.withDefaults(),
 		now:  time.Now,
-		ring: make([]sloBucket, secs),
+		ring: make([]sloBucket, int(sloWindows[len(sloWindows)-1]/time.Second)+1),
 	}
 	t.start = t.now()
 	return t
@@ -177,9 +171,9 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 		LatencyThresholdMS:    t.cfg.LatencyThresholdMS,
 		UptimeSeconds:         t.now().Sub(t.start).Seconds(),
 	}
-	wins := make([]SLOWindow, len(t.cfg.Windows))
-	winSecs := make([]int64, len(t.cfg.Windows))
-	for i, d := range t.cfg.Windows {
+	wins := make([]SLOWindow, len(sloWindows))
+	var winSecs [len(sloWindows)]int64
+	for i, d := range sloWindows {
 		wins[i].Window = d.String()
 		winSecs[i] = int64(d / time.Second)
 	}
@@ -221,9 +215,6 @@ func (t *SLOTracker) Snapshot() SLOSnapshot {
 // windows: page when both windows of the fast pair burn >= 14.4,
 // ticket when both windows of the slow pair burn >= 6.
 func (t *SLOTracker) alerts(wins []SLOWindow) []SLOAlert {
-	if len(wins) < 2 {
-		return []SLOAlert{}
-	}
 	type pair struct {
 		short, long int
 		threshold   float64

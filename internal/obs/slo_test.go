@@ -33,7 +33,6 @@ func TestSLOBurnRateMath(t *testing.T) {
 		AvailabilityObjective: 0.99, // error budget 1%
 		LatencyObjective:      0.9,  // slow budget 10%
 		LatencyThresholdMS:    100,
-		Windows:               []time.Duration{5 * time.Second, 20 * time.Second, 60 * time.Second},
 	})
 	for i := 0; i < 90; i++ {
 		tr.Record(200, 10) // fast success
@@ -89,36 +88,34 @@ func TestSLOLatencySLI(t *testing.T) {
 }
 
 func TestSLOWindowExpiry(t *testing.T) {
-	tr, clock := sloAt(SLOConfig{
-		Windows: []time.Duration{5 * time.Second, 20 * time.Second, 60 * time.Second},
-	})
+	tr, clock := sloAt(SLOConfig{})
 	tr.Record(500, 1)
-	*clock = clock.Add(10 * time.Second)
+	*clock = clock.Add(10 * time.Minute)
 	tr.Record(200, 1)
 	snap := tr.Snapshot()
-	// The error has aged out of the 5s window but not the 20s or 60s.
+	// The error has aged out of the 5m window but not the 1h or 6h.
 	if w := snap.Windows[0]; w.Requests != 1 || w.Errors != 0 {
-		t.Errorf("5s window = %+v, want the old error expired", w)
+		t.Errorf("5m window = %+v, want the old error expired", w)
 	}
-	if w := snap.Windows[1]; w.Requests != 2 || w.Errors != 1 {
-		t.Errorf("20s window = %+v, want both requests", w)
+	for _, w := range snap.Windows[1:] {
+		if w.Requests != 2 || w.Errors != 1 {
+			t.Errorf("%s window = %+v, want both requests", w.Window, w)
+		}
 	}
 	if snap.Total.Requests != 2 || snap.Total.Errors != 1 {
 		t.Errorf("total = %+v, must never expire", snap.Total)
 	}
-	if snap.UptimeSeconds != 10 {
-		t.Errorf("uptime = %v, want 10", snap.UptimeSeconds)
+	if snap.UptimeSeconds != 600 {
+		t.Errorf("uptime = %v, want 600", snap.UptimeSeconds)
 	}
 }
 
 func TestSLORingReuseAcrossWraps(t *testing.T) {
 	// A bucket slot reused for a much later second must shed its old
 	// counts (the ring is longest-window+1 seconds wide).
-	tr, clock := sloAt(SLOConfig{
-		Windows: []time.Duration{2 * time.Second, 3 * time.Second, 4 * time.Second},
-	})
+	tr, clock := sloAt(SLOConfig{})
 	tr.Record(500, 1)
-	*clock = clock.Add(5 * time.Second) // same slot index mod ring length
+	*clock = clock.Add(6*time.Hour + time.Second) // same slot index mod ring length
 	tr.Record(200, 1)
 	snap := tr.Snapshot()
 	for i, w := range snap.Windows {
@@ -129,10 +126,7 @@ func TestSLORingReuseAcrossWraps(t *testing.T) {
 }
 
 func TestSLOAlertsFiring(t *testing.T) {
-	tr, _ := sloAt(SLOConfig{
-		AvailabilityObjective: 0.999,
-		Windows:               []time.Duration{5 * time.Second, 20 * time.Second, 60 * time.Second},
-	})
+	tr, _ := sloAt(SLOConfig{AvailabilityObjective: 0.999})
 	snap := tr.Snapshot()
 	if len(snap.Alerts) != 4 {
 		t.Fatalf("alerts = %d, want availability+latency x page+ticket", len(snap.Alerts))
@@ -157,7 +151,7 @@ func TestSLOAlertsFiring(t *testing.T) {
 	}
 	page := snap.Alerts[0]
 	//lint:allow floatcmp the burn threshold is a hardcoded constant
-	if page.Severity != "page" || page.BurnThreshold != 14.4 || page.ShortWindow != "5s" {
+	if page.Severity != "page" || page.BurnThreshold != 14.4 || page.ShortWindow != "5m0s" {
 		t.Errorf("page pair = %+v", page)
 	}
 }

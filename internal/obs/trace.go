@@ -56,18 +56,6 @@ type BufferSink struct {
 // Emit implements Sink.
 func (b *BufferSink) Emit(e Event) { b.Events = append(b.Events, e) }
 
-// MultiSink fans one event stream out to several sinks.
-type MultiSink []Sink
-
-// Emit implements Sink.
-func (m MultiSink) Emit(e Event) {
-	for _, s := range m {
-		if s != nil {
-			s.Emit(e)
-		}
-	}
-}
-
 // trimFloat formats a float with the shortest round-trip decimal
 // representation — deterministic across runs and platforms.
 func trimFloat(v float64) string {
@@ -76,8 +64,7 @@ func trimFloat(v float64) string {
 
 // appendEventJSON renders one event as a single JSON object with fixed
 // field order and float formatting, so identical event streams produce
-// byte-identical output. Shared by JSONLSink and the flight recorder's
-// dump.
+// byte-identical output.
 func appendEventJSON(b []byte, e Event) []byte {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendFloat(b, e.Time, 'g', -1, 64)
@@ -173,7 +160,7 @@ const chromePid = 1
 // thread is dropped, and a begin never ended (a run cut off at MaxTime)
 // gets a synthetic end at the thread's last timestamp. The buffering
 // means a Chrome trace of a huge run holds every event in memory; for
-// such runs use the flight recorder or JSONL instead.
+// such runs use JSONL instead.
 type ChromeSink struct {
 	w   *bufio.Writer
 	buf []byte

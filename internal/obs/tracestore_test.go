@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -186,100 +185,5 @@ func TestTracerWindowResetCarriesFloor(t *testing.T) {
 	// A warm-up record beating the carried floor is still kept.
 	if !tr.Offer(mkRec("slow", 200, 150)) {
 		t.Fatalf("record above the carried floor dropped during warm-up")
-	}
-}
-
-func TestHistogramExemplars(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("cs_lat_ms", "latency", []float64{1, 10, 100})
-	h.Observe(5) // exemplar-free observation: no slot array allocated
-	if h.exemplars.Load() != nil {
-		t.Fatalf("Observe allocated exemplar slots")
-	}
-	h.ObserveExemplar(5, "t-mid")
-	h.ObserveExemplar(1000, "t-inf")
-	h.ObserveExemplar(7, "") // no trace ID: observed, no exemplar
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
-	}
-	if e := h.exemplarAt(1); e == nil || e.TraceID != "t-mid" || e.Value != 5 {
-		t.Errorf("bucket 1 exemplar = %+v, want t-mid", e)
-	}
-	if e := h.exemplarAt(3); e == nil || e.TraceID != "t-inf" {
-		t.Errorf("+Inf bucket exemplar = %+v, want t-inf", e)
-	}
-	if e := h.exemplarAt(0); e != nil {
-		t.Errorf("empty bucket exemplar = %+v, want nil", e)
-	}
-}
-
-func TestExemplarInExposition(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram(Labeled("cs_http_request_duration_ms", "route", "plan"),
-		"latency", []float64{1, 10, 100})
-	h.ObserveExemplar(7.5, "deadbeefdeadbeefdeadbeefdeadbeef")
-	reg.Quantiles(Labeled("cs_http_request_ms", "route", "plan"), "latency").Observe(7.5)
-	reg.Counter("cs_req_total", "requests").Inc()
-
-	// The classic text format has no exemplar syntax: the scrape must
-	// stay parseable, so no exemplar may appear anywhere.
-	var classic strings.Builder
-	if err := reg.WritePrometheus(&classic); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(classic.String(), "# {") {
-		t.Errorf("classic exposition carries exemplar syntax:\n%s", classic.String())
-	}
-
-	// The OpenMetrics exposition attaches the exemplar to the bucket
-	// line, names the counter family without its _total suffix, and
-	// terminates with # EOF.
-	var om strings.Builder
-	if err := reg.WriteOpenMetrics(&om); err != nil {
-		t.Fatal(err)
-	}
-	out := om.String()
-	want := `cs_http_request_duration_ms_bucket{route="plan",le="10"} 1 # {trace_id="deadbeefdeadbeefdeadbeefdeadbeef"} 7.5`
-	if !strings.Contains(out, want) {
-		t.Errorf("OpenMetrics exposition missing bucket exemplar %q:\n%s", want, out)
-	}
-	if !strings.Contains(out, "# TYPE cs_req counter\n") || !strings.Contains(out, "cs_req_total 1\n") {
-		t.Errorf("OpenMetrics counter family not renamed:\n%s", out)
-	}
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Errorf("OpenMetrics exposition not terminated by # EOF:\n%s", out)
-	}
-	// Summary quantile lines may not carry exemplars in any format.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "quantile=") && strings.Contains(line, "# {") {
-			t.Errorf("summary quantile line carries an exemplar: %s", line)
-		}
-	}
-}
-
-func TestMetricsHandlerNegotiation(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("cs_req_total", "requests").Inc()
-	srv := reg.Handler()
-
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("default Content-Type = %q, want text/plain", ct)
-	}
-	if strings.Contains(rec.Body.String(), "# EOF") {
-		t.Errorf("classic exposition carries # EOF")
-	}
-
-	rec = httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept",
-		"application/openmetrics-text; version=1.0.0; charset=utf-8, text/plain;q=0.5")
-	srv.ServeHTTP(rec, req)
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
-		t.Errorf("negotiated Content-Type = %q, want application/openmetrics-text", ct)
-	}
-	if !strings.HasSuffix(rec.Body.String(), "# EOF\n") {
-		t.Errorf("OpenMetrics response not terminated by # EOF:\n%s", rec.Body.String())
 	}
 }

@@ -57,11 +57,6 @@ type Config struct {
 	Runtime *obs.RuntimeBridge
 	// Version is reported by /v1/healthz (build stamp; "dev" when empty).
 	Version string
-	// Flight, when non-nil, receives one obs.Event per served request
-	// (Kind "http:<route>", Period = status code, Length = latency in
-	// milliseconds) — the post-mortem tail for crashed or misbehaving
-	// serves.
-	Flight *obs.FlightRecorder
 }
 
 func (c Config) withDefaults() Config {
@@ -175,32 +170,11 @@ func New(cfg Config) *Server {
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Routes mounts the service endpoints on mux. Each route is wrapped in
-// the obs latency/status middleware and, when configured, the flight
-// recorder.
+// the obs latency/status middleware.
 func (s *Server) Routes(mux *http.ServeMux) {
-	mux.Handle("POST /v1/plan", s.instrument("plan", s.cfg.SLO, s.plan))
-	mux.Handle("POST /v1/estimate", s.instrument("estimate", s.cfg.SLO, s.estimate))
-	mux.Handle("GET /v1/healthz", s.instrument("healthz", nil, http.HandlerFunc(s.handleHealthz)))
-}
-
-func (s *Server) instrument(route string, slo *obs.SLOTracker, h http.Handler) http.Handler {
-	inner := h
-	if s.cfg.Flight != nil {
-		fl := s.cfg.Flight
-		inner = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := obs.NewResponseRecorder(w)
-			reqStart := time.Now()
-			h.ServeHTTP(rec, r)
-			fl.Emit(obs.Event{
-				Time:   time.Since(s.start).Seconds(),
-				Worker: -1,
-				Kind:   "http:" + route,
-				Period: rec.Code(),
-				Length: float64(time.Since(reqStart)) / float64(time.Millisecond),
-			})
-		})
-	}
-	return obs.InstrumentHandler(s.reg, route, s.cfg.Tracer, slo, inner)
+	mux.Handle("POST /v1/plan", obs.InstrumentHandler(s.reg, "plan", s.cfg.Tracer, s.cfg.SLO, s.plan))
+	mux.Handle("POST /v1/estimate", obs.InstrumentHandler(s.reg, "estimate", s.cfg.Tracer, s.cfg.SLO, s.estimate))
+	mux.Handle("GET /v1/healthz", obs.InstrumentHandler(s.reg, "healthz", s.cfg.Tracer, nil, http.HandlerFunc(s.handleHealthz)))
 }
 
 // BeginDrain flips only the draining flag: /v1/healthz starts

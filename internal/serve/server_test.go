@@ -387,24 +387,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// Flight-configured servers record one event per request.
-func TestFlightRecorderSeesRequests(t *testing.T) {
-	fl := obs.NewFlightRecorder(16)
-	_, ts := newTestServer(t, Config{Workers: 1, Flight: fl})
-	post(t, ts.URL+"/v1/plan", `{"life":"uniform","lifespan":333}`)
-	post(t, ts.URL+"/v1/plan", `{"bad json`)
-	events, _ := fl.Snapshot()
-	if len(events) != 2 {
-		t.Fatalf("flight events = %d, want 2", len(events))
-	}
-	if events[0].Kind != "http:plan" || events[0].Period != 200 {
-		t.Errorf("event 0 = %+v", events[0])
-	}
-	if events[1].Period != 400 {
-		t.Errorf("event 1 = %+v", events[1])
-	}
-}
-
 // Sequential distinct requests fill the cache up to its LRU capacity.
 func TestPlanCacheEvictionThroughHandlers(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, PlanCacheEntries: 4, CacheShards: 1})
