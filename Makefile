@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 LOAD_ADDR ?= http://localhost:8080
 
-.PHONY: all build test race vet lint lint-sarif fmt-check ci bench bench-perf bench-compare fuzz-smoke serve-smoke cluster-smoke loadtest
+.PHONY: all build test race vet lint lint-sarif fmt-check ci experiments-check bench bench-perf bench-compare fuzz-smoke serve-smoke cluster-smoke loadtest
 
 all: build
 
@@ -49,7 +49,16 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet lint build race serve-smoke cluster-smoke bench-compare
+ci: fmt-check vet lint build race experiments-check serve-smoke cluster-smoke bench-compare
+
+# Regenerate every experiment table and compare it byte for byte with
+# the committed EXPERIMENTS.md from its "### E1 " heading to the end, so
+# a refactor that moves a published number fails here. The fresh tables
+# land in bin/experiments.md.
+experiments-check:
+	@mkdir -p bin
+	$(GO) run ./cmd/csbench -format md > bin/experiments.md
+	tail -n +$$(grep -n '^### E1 ' EXPERIMENTS.md | cut -d: -f1) EXPERIMENTS.md | cmp - bin/experiments.md
 
 # Boot csserve and drive it with csload: cache speedup, coalescing,
 # 429 load shedding, metrics surface and graceful drain, asserted with

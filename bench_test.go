@@ -193,18 +193,6 @@ func BenchmarkMonteCarloSerial(b *testing.B) {
 	}
 }
 
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	l, _ := lifefn.NewUniform(1000)
-	plan := mustPlan(b, l, 1)
-	owner := nowsim.LifeOwner{Life: l}
-	factory := func() nowsim.Policy { return nowsim.NewSchedulePolicy(plan.Schedule, "bench") }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nowsim.MonteCarloParallel(factory, owner, 1, 20_000, 1, 0, nowsim.Obs{})
-	}
-}
-
 func BenchmarkTraceFit(b *testing.B) {
 	l, _ := lifefn.NewUniform(200)
 	obs := trace.SampleAbsences(l, 2000, rng.New(5))

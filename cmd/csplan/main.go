@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	discretepkg "repro/internal/discrete"
 	"repro/internal/lifefn"
+	"repro/internal/nowsim"
 	"repro/internal/optimal"
 	"repro/internal/sched"
 	"repro/internal/worstcase"
@@ -131,26 +132,21 @@ func printWorstCase(stdout, stderr io.Writer, life lifefn.Life, c float64, q int
 		sched.ExpectedWork(res.Schedule, life, c))
 }
 
+// buildLife resolves powerlaw and weibull, which only csplan plans for,
+// and hands every other name to nowsim.BuildLife, as cssim and csserve do.
 func buildLife(name string, lifespan, halfLife, d, scale float64) (lifefn.Life, error) {
 	switch name {
-	case "uniform":
-		return lifefn.NewUniform(lifespan)
-	case "poly":
-		return lifefn.NewPoly(int(d), lifespan)
-	case "geomdec":
-		if !(halfLife > 0) {
-			return nil, fmt.Errorf("csplan: half-life must be positive, got %g", halfLife)
-		}
-		return lifefn.NewGeomDecreasing(math.Pow(2, 1/halfLife))
-	case "geominc":
-		return lifefn.NewGeomIncreasing(lifespan)
 	case "powerlaw":
 		return lifefn.NewPowerLaw(d)
 	case "weibull":
 		return lifefn.NewWeibull(d, scale)
-	default:
-		return nil, fmt.Errorf("csplan: unknown life function %q", name)
+	case "poly":
+		// The poly exponent is an integer: refuse to truncate -d.
+		if math.Mod(d, 1) != 0 || d > math.MaxInt32 {
+			return nil, fmt.Errorf("poly needs an integer exponent -d, got %g", d)
+		}
 	}
+	return nowsim.BuildLife(name, lifespan, halfLife, int(d))
 }
 
 func printOptimalComparison(stdout io.Writer, life lifefn.Life, c float64, plan core.Plan) {

@@ -21,6 +21,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad life", []string{"-life", "cauchy"}, 2},
 		{"bad halflife", []string{"-life", "geomdec", "-halflife", "-1"}, 2},
 		{"bad lifespan", []string{"-life", "uniform", "-L", "-5"}, 2},
+		{"poly", []string{"-life", "poly", "-d", "3", "-L", "100"}, 0},
+		{"non-integer poly exponent", []string{"-life", "poly", "-d", "2.5", "-L", "100"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -49,6 +49,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// Parse already printed the error and usage to stderr.
 		return 2
 	}
+	// One episode has no sample variance: its confidence interval would
+	// be infinite.
+	if *episodes < 2 {
+		fmt.Fprintf(stderr, "cssim: -episodes must be at least 2, got %d\n", *episodes)
+		return 2
+	}
 
 	life, err := nowsim.BuildLife(*lifeName, *lifespan, *halfLife, *d)
 	if err != nil {

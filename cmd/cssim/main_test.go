@@ -22,6 +22,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad lifespan", []string{"-life", "uniform", "-L", "-5"}, 2},
 		{"bad policy", append(append([]string{}, small...), "-policy", "nope"), 2},
 		{"bad chunk", append(append([]string{}, small...), "-policy", "fixed", "-chunk", "-1"), 2},
+		{"zero episodes", []string{"-episodes", "0", "-L", "100"}, 2},
+		{"negative episodes", []string{"-episodes", "-5", "-L", "100"}, 2},
+		{"one episode", []string{"-episodes", "1", "-L", "100"}, 2},
 		{"bad trace format", append(append([]string{}, small...), "-trace", filepath.Join(t.TempDir(), "x"), "-trace-format", "xml"), 2},
 	}
 	for _, tc := range cases {

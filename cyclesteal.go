@@ -30,6 +30,7 @@
 package cyclesteal
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -121,7 +122,11 @@ func ExpectedWork(s Schedule, l Life, c float64) float64 {
 // SimulateEpisodes Monte-Carlo-runs a schedule against owners whose
 // reclaim times follow l, returning the mean committed work and its
 // 95% confidence half-width. It is the empirical counterpart of
-// ExpectedWork.
+// ExpectedWork and runs nowsim.MonteCarloCtx on one goroutine, so the
+// result depends only on the seed.
 func SimulateEpisodes(s Schedule, l Life, c float64, episodes int, seed uint64) (mean, ci95 float64) {
-	return SimulateEpisodesParallel(s, l, c, episodes, seed, 1)
+	// The context never ends, so there is no error to report.
+	res, _ := nowsim.MonteCarloCtx(context.Background(), nowsim.NewSchedulePolicy(s, "facade"),
+		nowsim.LifeOwner{Life: l}, c, episodes, seed, nowsim.Obs{})
+	return res.Work.Mean, res.Work.CI95
 }

@@ -3,8 +3,8 @@
 //
 //   - AllAtOnce: one period spanning the whole opportunity — what a
 //     cycle-stealer with no risk model and full trust would do;
-//   - EqualChunks / FixedChunk: the natural "pick a chunk size" policies
-//     practitioners use;
+//   - FixedChunk / BestFixedChunk: the natural "pick a chunk size"
+//     policies practitioners use;
 //   - Greedy: the myopic recipe discussed in Section 6 of the paper,
 //     which maximizes each period's own expected yield in isolation;
 //   - Doubling: a risk-oblivious geometric ramp in the spirit of the
@@ -47,27 +47,6 @@ func AllAtOnce(l lifefn.Life, c float64) (sched.Schedule, error) {
 		return sched.Schedule{}, fmt.Errorf("baseline: span %g does not exceed overhead %g", sp, c)
 	}
 	s, err := sched.New(sp)
-	if err != nil {
-		return sched.Schedule{}, err
-	}
-	return sched.Normalize(s, c), nil
-}
-
-// EqualChunks splits the opportunity into n equal periods.
-func EqualChunks(l lifefn.Life, c float64, n int) (sched.Schedule, error) {
-	if n < 1 {
-		return sched.Schedule{}, fmt.Errorf("baseline: need at least 1 chunk, got %d", n)
-	}
-	sp := span(l)
-	t := sp / float64(n)
-	if t <= 0 {
-		return sched.Schedule{}, fmt.Errorf("baseline: empty chunks for span %g", sp)
-	}
-	periods := make([]float64, n)
-	for i := range periods {
-		periods[i] = t
-	}
-	s, err := sched.New(periods...)
 	if err != nil {
 		return sched.Schedule{}, err
 	}

@@ -38,39 +38,6 @@ func TestAllAtOnceFailsOnShortSpan(t *testing.T) {
 	}
 }
 
-func TestEqualChunks(t *testing.T) {
-	l := uniform(t, 100)
-	s, err := EqualChunks(l, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 10 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		if math.Abs(s.Period(i)-10) > 1e-9 {
-			t.Fatalf("period %d = %g", i, s.Period(i))
-		}
-	}
-	if _, err := EqualChunks(l, 1, 0); err == nil {
-		t.Error("n=0 accepted")
-	}
-}
-
-func TestEqualChunksNormalizesUnproductive(t *testing.T) {
-	// 200 chunks of length 0.5 <= c merge pairwise and beyond.
-	l := uniform(t, 100)
-	s, err := EqualChunks(l, 1, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < s.Len(); i++ {
-		if s.Period(i) <= 1 {
-			t.Fatalf("unproductive chunk survived normalization: %g", s.Period(i))
-		}
-	}
-}
-
 func TestFixedChunk(t *testing.T) {
 	l := uniform(t, 100)
 	s, err := FixedChunk(l, 1, 7)
@@ -182,7 +149,6 @@ func TestBaselinesAreNormalized(t *testing.T) {
 	c := 3.0
 	build := []func() (sched.Schedule, error){
 		func() (sched.Schedule, error) { return AllAtOnce(l, c) },
-		func() (sched.Schedule, error) { return EqualChunks(l, c, 7) },
 		func() (sched.Schedule, error) { return FixedChunk(l, c, 11) },
 		func() (sched.Schedule, error) { return BestFixedChunk(l, c) },
 		func() (sched.Schedule, error) { return Greedy(l, c, GreedyOptions{}) },

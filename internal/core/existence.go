@@ -43,26 +43,6 @@ func ExistsProductive(l lifefn.Life, c float64) (witness float64, ok bool) {
 	return 0, false
 }
 
-// ExistenceMargin returns the largest sampled value of
-// p(t) + (t-c)·p'(t) for t in (c, span]: positive iff the Corollary 3.2
-// scan finds a witness, and its magnitude indicates how comfortably.
-func ExistenceMargin(l lifefn.Life, c float64) float64 {
-	span := searchSpan(l, 1e-15)
-	if !(span > c) {
-		return math.Inf(-1)
-	}
-	lo := c * (1 + 1e-9)
-	best := math.Inf(-1)
-	for i := 1; i <= 1024; i++ {
-		t := lo + (span-lo)*float64(i)/1024
-		//lint:allow nonnegwork Corollary 3.2 margin; its sign is the computed quantity
-		if m := l.P(t) + (t-c)*l.Deriv(t); m > best {
-			best = m
-		}
-	}
-	return best
-}
-
 // TailMarginFails reports whether the Corollary 3.2 margin
 // p(t) + (t-c)·p'(t) is eventually negative: negative at every sampled
 // time in the far tail (a geometric ladder across the last decades of

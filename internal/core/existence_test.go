@@ -119,12 +119,3 @@ func TestExistsProductiveOverheadDominates(t *testing.T) {
 		t.Error("witness found with c > L")
 	}
 }
-
-func TestExistenceMarginSign(t *testing.T) {
-	if m := ExistenceMargin(mustUniform(100), 1); m <= 0 {
-		t.Errorf("uniform margin = %g, want positive", m)
-	}
-	if m := ExistenceMargin(mustUniform(5), 10); !math.IsInf(m, -1) {
-		t.Errorf("c > L margin = %g, want -Inf", m)
-	}
-}

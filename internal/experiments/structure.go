@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -81,8 +82,9 @@ func RunE6() (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E6 chi-square %s: %w", sc.name, err)
 		}
-		res := nowsim.MonteCarloParallel(func() nowsim.Policy { return nowsim.NewSchedulePolicy(plan.Schedule, sc.name) },
-			nowsim.LifeOwner{Life: sc.life}, c, 10_000, 77+uint64(i), 1, nowsim.Obs{})
+		// The context never ends, so there is no error to report.
+		res, _ := nowsim.MonteCarloCtx(context.Background(), nowsim.NewSchedulePolicy(plan.Schedule, sc.name),
+			nowsim.LifeOwner{Life: sc.life}, c, 10_000, 77+uint64(i), nowsim.Obs{})
 		t.AddRow(sc.name, analytic, mc.Mean, mc.CI95, z, chiP,
 			float64(res.Reclaimed)/float64(res.Episodes))
 	}

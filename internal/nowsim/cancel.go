@@ -19,6 +19,9 @@ const cancelCheckStride = 128
 // with overhead c, using a deterministic stream seeded by seed, and
 // returns aggregate statistics. The mean of Work estimates E(S; p) when
 // the policy plays a fixed schedule and the owner's survival is p.
+// It is the package's only Monte-Carlo loop: one goroutine draws every
+// episode from one unsplit stream, so the result depends only on the
+// inputs and the seed.
 //
 // Every episode's events stream to o.Sink (worker 0) and o.Metrics
 // accumulates the standard metric set. The RNG stream is consumed

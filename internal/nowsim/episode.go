@@ -1,6 +1,7 @@
 package nowsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -172,7 +173,8 @@ func ValidateDistribution(s sched.Schedule, l lifefn.Life, c float64, n int, see
 // errors). A z-score below ~4 on a large n validates equation (2.1).
 func ValidateExpectedWork(s sched.Schedule, l lifefn.Life, c float64, n int, seed uint64) (analytic float64, mc stats.Summary, z float64) {
 	analytic = sched.ExpectedWork(s, l, c)
-	res := MonteCarloParallel(func() Policy { return NewSchedulePolicy(s, "validate") }, LifeOwner{Life: l}, c, n, seed, 1, Obs{})
+	// The context never ends, so there is no error to report.
+	res, _ := MonteCarloCtx(context.Background(), NewSchedulePolicy(s, "validate"), LifeOwner{Life: l}, c, n, seed, Obs{})
 	mc = res.Work
 	if mc.StdErr > 0 {
 		z = math.Abs(mc.Mean-analytic) / mc.StdErr

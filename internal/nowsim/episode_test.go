@@ -146,6 +146,10 @@ func TestMonteCarloDeterministicAcrossRuns(t *testing.T) {
 	if a.Work.Mean == c.Work.Mean {
 		t.Error("different seeds produced identical results")
 	}
+	small := serialMC(t, NewSchedulePolicy(s, ""), LifeOwner{Life: l}, 1, 3, 1, Obs{})
+	if small.Episodes != 3 || small.Work.N != 3 {
+		t.Errorf("small-n result: %+v", small)
+	}
 }
 
 func TestProgressivePolicyInEpisode(t *testing.T) {

@@ -91,37 +91,6 @@ func TestMonteCarloDeterminism(t *testing.T) {
 	}
 }
 
-// TestMonteCarloParallelObsDeterminism: the parallel harness replays
-// block buffers in order, so trace and results are identical for any
-// worker count and identical to the sequential run.
-func TestMonteCarloParallelObsDeterminism(t *testing.T) {
-	l := testLife(t)
-	owner := LifeOwner{Life: l}
-	factory := func() Policy { return &FixedChunkPolicy{Chunk: 7} }
-
-	trace := func(workers int) ([]byte, MonteCarloResult) {
-		var buf bytes.Buffer
-		sink := obs.NewJSONLSink(&buf)
-		res := MonteCarloParallel(factory, owner, 1, 3000, 5, workers, Obs{Sink: sink})
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), res
-	}
-	b2, r2 := trace(2)
-	b8, r8 := trace(8)
-	if !bytes.Equal(b2, b8) {
-		t.Error("parallel traces differ across worker counts")
-	}
-	if !reflect.DeepEqual(r2, r8) {
-		t.Errorf("parallel results differ across worker counts: %+v vs %+v", r2, r8)
-	}
-	plain := MonteCarloParallel(factory, owner, 1, 3000, 5, 4, Obs{})
-	if !reflect.DeepEqual(r2, plain) {
-		t.Errorf("observed parallel %+v != plain parallel %+v", r2, plain)
-	}
-}
-
 func farmConfig(t testing.TB, o Obs) (FarmConfig, *TaskPool) {
 	t.Helper()
 	l, err := lifefn.NewUniform(60)

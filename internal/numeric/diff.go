@@ -13,26 +13,6 @@ func Derivative(f func(float64) float64, x float64) float64 {
 	return (4*d2 - d1) / 3
 }
 
-// DerivativeOneSided estimates f'(x) using points on one side of x only:
-// forward differences when dir > 0, backward when dir < 0. It is needed
-// at the endpoints of life functions defined on [0, L], where a central
-// stencil would leave the domain.
-func DerivativeOneSided(f func(float64) float64, x float64, dir int) float64 {
-	h := diffStep(x)
-	if dir < 0 {
-		h = -h
-	}
-	// Second-order one-sided stencil: (-3f(x) + 4f(x+h) - f(x+2h)) / 2h.
-	return (-3*f(x) + 4*f(x+h) - f(x+2*h)) / (2 * h)
-}
-
-// SecondDerivative estimates f”(x) with a central stencil. It backs the
-// convexity/concavity detector for empirical life functions.
-func SecondDerivative(f func(float64) float64, x float64) float64 {
-	h := math.Sqrt(diffStep(x)) // larger step: f'' amplifies rounding error
-	return (f(x+h) - 2*f(x) + f(x-h)) / (h * h)
-}
-
 func central(f func(float64) float64, x, h float64) float64 {
 	return (f(x+h) - f(x-h)) / (2 * h)
 }

@@ -29,37 +29,3 @@ func TestDerivativePropertyPolynomials(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDerivativeOneSided(t *testing.T) {
-	// Survival curve defined only on [0, L]: left endpoint needs a
-	// forward stencil, right endpoint a backward one.
-	l := 100.0
-	p := func(x float64) float64 { return 1 - x*x/(l*l) }
-	fwd := DerivativeOneSided(p, 0, +1)
-	if math.Abs(fwd-0) > 1e-8 {
-		t.Errorf("forward derivative at 0 = %g, want 0", fwd)
-	}
-	back := DerivativeOneSided(p, l, -1)
-	want := -2 / l
-	if math.Abs(back-want) > 1e-6 {
-		t.Errorf("backward derivative at L = %g, want %g", back, want)
-	}
-}
-
-func TestSecondDerivative(t *testing.T) {
-	got := SecondDerivative(func(x float64) float64 { return x * x * x }, 2)
-	if math.Abs(got-12) > 1e-3 {
-		t.Errorf("f'' = %g, want 12", got)
-	}
-}
-
-func TestSecondDerivativeSignClassifiesCurvature(t *testing.T) {
-	concave := func(x float64) float64 { return 1 - x*x }
-	convex := func(x float64) float64 { return math.Exp(-x) }
-	if SecondDerivative(concave, 1) >= 0 {
-		t.Error("concave function reported nonnegative second derivative")
-	}
-	if SecondDerivative(convex, 1) <= 0 {
-		t.Error("convex function reported nonpositive second derivative")
-	}
-}

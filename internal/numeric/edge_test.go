@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-func TestBisectMaxIterations(t *testing.T) {
-	// One iteration cannot resolve a root to 1e-12.
-	_, err := Bisect(func(x float64) float64 { return x - 0.37 }, 0, 1, RootOptions{MaxIter: 1})
-	if !errors.Is(err, ErrMaxIterations) {
-		t.Errorf("err = %v, want ErrMaxIterations", err)
-	}
-}
-
-func TestBisectNonFinite(t *testing.T) {
-	_, err := Bisect(func(x float64) float64 { return math.NaN() }, 0, 1, RootOptions{})
-	if !errors.Is(err, ErrNonFinite) {
-		t.Errorf("err = %v", err)
-	}
-	// NaN appearing mid-iteration.
-	f := func(x float64) float64 {
-		if x > 0.4 && x < 0.6 {
-			return math.NaN()
-		}
-		return x - 0.37
-	}
-	if _, err := Bisect(f, 0, 1, RootOptions{}); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("mid-iteration NaN: err = %v", err)
-	}
-}
-
 func TestBrentRootAtEndpoints(t *testing.T) {
 	r, err := Brent(func(x float64) float64 { return x }, 0, 1, RootOptions{})
 	if err != nil || r != 0 {
@@ -39,22 +14,6 @@ func TestBrentRootAtEndpoints(t *testing.T) {
 	r, err = Brent(func(x float64) float64 { return x - 1 }, 0, 1, RootOptions{})
 	if err != nil || r != 1 {
 		t.Errorf("right endpoint root: %g, %v", r, err)
-	}
-}
-
-func TestNewtonBadInterval(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	df := func(x float64) float64 { return 1 }
-	if _, err := Newton(f, df, 0, 1, -1, RootOptions{}); !errors.Is(err, ErrInvalidInterval) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestNewtonNonFinite(t *testing.T) {
-	f := func(x float64) float64 { return math.NaN() }
-	df := func(x float64) float64 { return 1 }
-	if _, err := Newton(f, df, 0.5, 0, 1, RootOptions{}); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("err = %v", err)
 	}
 }
 
@@ -103,14 +62,6 @@ func TestIntegrateDepthExhausted(t *testing.T) {
 	_, err := Integrate(f, 0, 10, QuadOptions{Tol: 1e-14, MaxDepth: 2})
 	if !errors.Is(err, ErrMaxIterations) {
 		t.Errorf("err = %v, want depth exhaustion", err)
-	}
-}
-
-func TestDerivativeOneSidedForward(t *testing.T) {
-	// Forward stencil at zero for sqrt-like one-sided functions.
-	f := func(x float64) float64 { return 3*x + 1 }
-	if d := DerivativeOneSided(f, 0, +1); math.Abs(d-3) > 1e-6 {
-		t.Errorf("forward derivative = %g", d)
 	}
 }
 

@@ -54,46 +54,6 @@ func (o RootOptions) withDefaults() RootOptions {
 	return o
 }
 
-// Bisect finds a root of f in [a, b] by bisection. It requires
-// f(a) and f(b) to have opposite signs (an exact zero at an endpoint is
-// accepted). Bisection is slow but unconditionally convergent; it is the
-// fallback of last resort for the hybrid solvers.
-func Bisect(f func(float64) float64, a, b float64, opt RootOptions) (float64, error) {
-	opt = opt.withDefaults()
-	if !(a < b) {
-		return 0, fmt.Errorf("%w: [%g, %g]", ErrInvalidInterval, a, b)
-	}
-	fa, fb := f(a), f(b)
-	if !isFinite(fa) || !isFinite(fb) {
-		return 0, ErrNonFinite
-	}
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < opt.MaxIter; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if !isFinite(fm) {
-			return 0, ErrNonFinite
-		}
-		if fm == 0 || (b-a)/2 < opt.AbsTol+opt.RelTol*math.Abs(m) {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, ErrMaxIterations
-}
-
 // Brent finds a root of f in the bracketing interval [a, b] using
 // Brent's method (inverse quadratic interpolation with secant and
 // bisection safeguards). It converges superlinearly on smooth functions
@@ -187,40 +147,6 @@ func Brent(f func(float64) float64, a, b float64, opt RootOptions) (float64, err
 		}
 	}
 	return b, ErrMaxIterations
-}
-
-// Newton finds a root of f near x0 given its derivative df, falling back
-// to a Brent step inside [lo, hi] whenever the Newton iterate leaves the
-// interval or the derivative degenerates. [lo, hi] must bracket the root.
-func Newton(f, df func(float64) float64, x0, lo, hi float64, opt RootOptions) (float64, error) {
-	opt = opt.withDefaults()
-	if !(lo < hi) {
-		return 0, fmt.Errorf("%w: [%g, %g]", ErrInvalidInterval, lo, hi)
-	}
-	x := math.Min(math.Max(x0, lo), hi)
-	for i := 0; i < opt.MaxIter; i++ {
-		fx := f(x)
-		if !isFinite(fx) {
-			return 0, ErrNonFinite
-		}
-		if fx == 0 {
-			return x, nil
-		}
-		dfx := df(x)
-		if dfx == 0 || !isFinite(dfx) {
-			return Brent(f, lo, hi, opt)
-		}
-		step := fx / dfx
-		next := x - step
-		if next <= lo || next >= hi || !isFinite(next) {
-			return Brent(f, lo, hi, opt)
-		}
-		if math.Abs(step) < opt.AbsTol+opt.RelTol*math.Abs(next) {
-			return next, nil
-		}
-		x = next
-	}
-	return x, ErrMaxIterations
 }
 
 // BracketRootGrowing expands an interval [a, a+step] geometrically to the

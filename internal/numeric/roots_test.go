@@ -9,40 +9,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestBisectLinear(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return 2*x - 3 }, 0, 10, RootOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(root, 1.5, 1e-9) {
-		t.Errorf("root = %g, want 1.5", root)
-	}
-}
-
-func TestBisectEndpointRoot(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x }, 0, 1, RootOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root != 0 {
-		t.Errorf("root = %g, want exact 0", root)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	_, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, RootOptions{})
-	if !errors.Is(err, ErrNoBracket) {
-		t.Errorf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestBisectReversedInterval(t *testing.T) {
-	_, err := Bisect(func(x float64) float64 { return x }, 1, -1, RootOptions{})
-	if !errors.Is(err, ErrInvalidInterval) {
-		t.Errorf("err = %v, want ErrInvalidInterval", err)
-	}
-}
-
 func TestBrentPolynomial(t *testing.T) {
 	// x³ - 2x - 5 has a root near 2.0945514815423265.
 	f := func(x float64) float64 { return x*x*x - 2*x - 5 }
@@ -64,6 +30,11 @@ func TestBrentTranscendental(t *testing.T) {
 	if !almostEqual(root, 0.7390851332151607, 1e-10) {
 		t.Errorf("root = %.16g", root)
 	}
+	// One iteration cannot resolve the root to 1e-12.
+	_, err = Brent(func(x float64) float64 { return math.Cos(x) - x }, 0, 1, RootOptions{MaxIter: 1})
+	if !errors.Is(err, ErrMaxIterations) {
+		t.Errorf("MaxIter 1: err = %v, want ErrMaxIterations", err)
+	}
 }
 
 func TestBrentSteepSurvival(t *testing.T) {
@@ -83,6 +54,11 @@ func TestBrentNoBracket(t *testing.T) {
 	_, err := Brent(func(x float64) float64 { return 1 + x*x }, -5, 5, RootOptions{})
 	if !errors.Is(err, ErrNoBracket) {
 		t.Errorf("err = %v, want ErrNoBracket", err)
+	}
+	// A reversed interval is rejected before f is evaluated.
+	_, err = Brent(func(x float64) float64 { return x }, 1, -1, RootOptions{})
+	if !errors.Is(err, ErrInvalidInterval) {
+		t.Errorf("reversed interval: err = %v, want ErrInvalidInterval", err)
 	}
 }
 
@@ -104,44 +80,6 @@ func TestBrentPropertyRandomCubics(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNewtonQuadratic(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	df := func(x float64) float64 { return 2 * x }
-	root, err := Newton(f, df, 1, 0, 2, RootOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(root, math.Sqrt2, 1e-10) {
-		t.Errorf("root = %.16g, want sqrt(2)", root)
-	}
-}
-
-func TestNewtonFallsBackOnFlatDerivative(t *testing.T) {
-	// Derivative vanishes at the start point; must fall back to Brent.
-	f := func(x float64) float64 { return x*x*x - 1 }
-	df := func(x float64) float64 { return 3 * x * x }
-	root, err := Newton(f, df, 0, -1, 2, RootOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(root, 1, 1e-9) {
-		t.Errorf("root = %g, want 1", root)
-	}
-}
-
-func TestNewtonEscapingIterateFallsBack(t *testing.T) {
-	// tan-like blowup pushes Newton outside [lo, hi]; Brent must save it.
-	f := func(x float64) float64 { return math.Atan(x - 0.5) }
-	df := func(x float64) float64 { return 1 / (1 + (x-0.5)*(x-0.5)) }
-	root, err := Newton(f, df, -0.9, -1, 1, RootOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(root, 0.5, 1e-9) {
-		t.Errorf("root = %g, want 0.5", root)
 	}
 }
 

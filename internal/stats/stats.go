@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the Monte-Carlo
 // experiments report: streaming mean/variance, confidence intervals,
-// quantiles, histograms, and paired comparisons.
+// quantiles and the chi-square goodness-of-fit test.
 package stats
 
 import (
@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/numeric"
 )
 
 // ErrNoData reports a statistic requested over an empty sample.
@@ -267,65 +265,4 @@ func normalQuantile(p float64) float64 {
 		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
-}
-
-// Histogram bins observations into equal-width cells over [Lo, Hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	under  int64
-	over   int64
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi].
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if !(lo < hi) || n < 1 {
-		return nil, fmt.Errorf("stats: invalid histogram [%g, %g) with %d bins", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, n)}, nil
-}
-
-// Add bins one observation (out-of-range values are tallied separately).
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) {
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of binned observations, including out-of-range
-// tallies.
-func (h *Histogram) Total() int64 {
-	n := h.under + h.over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// OutOfRange returns the (below, above) tallies.
-func (h *Histogram) OutOfRange() (int64, int64) { return h.under, h.over }
-
-// MeanAbsError returns the mean absolute difference between paired
-// slices; it fails on length mismatch or empty input.
-func MeanAbsError(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, ErrNoData
-	}
-	diffs := make([]float64, len(a))
-	for i := range a {
-		diffs[i] = math.Abs(a[i] - b[i])
-	}
-	return numeric.Mean(diffs), nil
 }

@@ -194,57 +194,6 @@ func TestTQuantileSymmetry(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 15} {
-		h.Add(v)
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("out of range = %d, %d", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin 4 = %d", h.Counts[4])
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramRejectsBadConfig(t *testing.T) {
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
-func TestMeanAbsError(t *testing.T) {
-	v, err := MeanAbsError([]float64{1, 2, 3}, []float64{1, 4, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-(0+2+3)/3.0) > 1e-12 {
-		t.Errorf("MAE = %g", v)
-	}
-	if _, err := MeanAbsError([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := MeanAbsError(nil, nil); !errors.Is(err, ErrNoData) {
-		t.Error("empty input accepted")
-	}
-}
-
 func TestCIShrinksWithN(t *testing.T) {
 	var small, large Running
 	for i := 0; i < 10; i++ {

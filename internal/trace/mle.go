@@ -94,64 +94,3 @@ func FitUniform(obs []Observation) (lifefn.Uniform, error) {
 	}
 	return lifefn.NewUniform(L)
 }
-
-// FitWeibull fits the survival exp(-(t/scale)^k) by maximum likelihood
-// (profile likelihood in the shape k, closed-form scale given k).
-// Standard censored-data Weibull MLE; requires at least two uncensored
-// observations with distinct durations.
-func FitWeibull(obs []Observation) (lifefn.Weibull, error) {
-	if len(obs) == 0 {
-		return lifefn.Weibull{}, ErrNoObservations
-	}
-	var deaths []float64
-	all := make([]float64, 0, len(obs))
-	for _, o := range obs {
-		if o.Duration > 0 {
-			all = append(all, o.Duration)
-			if !o.Censored {
-				deaths = append(deaths, o.Duration)
-			}
-		}
-	}
-	if len(deaths) < 2 {
-		return lifefn.Weibull{}, fmt.Errorf("%w: need >= 2 positive uncensored observations", ErrUnfittable)
-	}
-	distinct := false
-	for _, d := range deaths[1:] {
-		//lint:allow floatcmp distinctness guard; any difference at all suffices
-		if d != deaths[0] {
-			distinct = true
-			break
-		}
-	}
-	if !distinct {
-		return lifefn.Weibull{}, fmt.Errorf("%w: all uncensored durations identical", ErrUnfittable)
-	}
-	r := float64(len(deaths))
-	// Profile log-likelihood: for fixed k, scale^k = Σ t_i^k / r, and
-	// ll(k) = r·ln k - r·ln(Σ t^k / r) + (k-1)·Σ_deaths ln t - r.
-	profile := func(k float64) float64 {
-		if k <= 0 {
-			return math.Inf(-1)
-		}
-		sumTk := 0.0
-		for _, t := range all {
-			sumTk += math.Pow(t, k)
-		}
-		sumLn := 0.0
-		for _, t := range deaths {
-			sumLn += math.Log(t)
-		}
-		return r*math.Log(k) - r*math.Log(sumTk/r) + (k-1)*sumLn - r
-	}
-	k, _, err := numeric.MaximizeScan(profile, 0.05, 20, 256, numeric.MaxOptions{Tol: 1e-9})
-	if err != nil {
-		return lifefn.Weibull{}, fmt.Errorf("trace: weibull MLE: %w", err)
-	}
-	sumTk := 0.0
-	for _, t := range all {
-		sumTk += math.Pow(t, k)
-	}
-	scale := math.Pow(sumTk/r, 1/k)
-	return lifefn.NewWeibull(k, scale)
-}

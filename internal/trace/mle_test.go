@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/lifefn"
@@ -72,34 +71,6 @@ func TestFitUniformCensored(t *testing.T) {
 	}
 }
 
-func TestFitWeibullRecoversShape(t *testing.T) {
-	truth, _ := lifefn.NewWeibull(0.8, 30)
-	obs := SampleAbsences(truth, 6000, rng.New(37))
-	fit, err := FitWeibull(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.K-0.8)/0.8 > 0.08 {
-		t.Errorf("shape = %g, want 0.8", fit.K)
-	}
-	if math.Abs(fit.Scale-30)/30 > 0.08 {
-		t.Errorf("scale = %g, want 30", fit.Scale)
-	}
-}
-
-func TestFitWeibullExponentialSpecialCase(t *testing.T) {
-	// Exponential data must fit with k ≈ 1.
-	truth, _ := lifefn.NewGeomDecreasing(math.Pow(2, 1.0/20))
-	obs := SampleAbsences(truth, 6000, rng.New(41))
-	fit, err := FitWeibull(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.K-1) > 0.08 {
-		t.Errorf("shape on exponential data = %g, want ~1", fit.K)
-	}
-}
-
 func TestMLEErrorPaths(t *testing.T) {
 	if _, err := FitGeomDecreasing(nil); err == nil {
 		t.Error("empty input accepted")
@@ -110,50 +81,5 @@ func TestMLEErrorPaths(t *testing.T) {
 	}
 	if _, err := FitUniform(allCensored); err == nil {
 		t.Error("all-censored accepted by uniform MLE")
-	}
-	identical := []Observation{{Duration: 3}, {Duration: 3}}
-	if _, err := FitWeibull(identical); err == nil {
-		t.Error("identical durations accepted by Weibull MLE")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	obs := []Observation{
-		{Duration: 1.25},
-		{Duration: 7.5, Censored: true},
-		{Duration: 0.001},
-	}
-	var b strings.Builder
-	if err := WriteCSV(&b, obs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(obs) {
-		t.Fatalf("round trip length %d", len(back))
-	}
-	for i := range obs {
-		if back[i] != obs[i] {
-			t.Errorf("observation %d: %+v != %+v", i, back[i], obs[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                                  // no header
-		"x,y\n1,false\n",                    // wrong header
-		"duration,censored\nabc,false\n",    // bad duration
-		"duration,censored\n-1,false\n",     // negative duration
-		"duration,censored\n1,maybe\n",      // bad flag
-		"duration,censored\n",               // no observations
-		"duration,censored\n1,false,true\n", // wrong field count
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted: %q", i, c)
-		}
 	}
 }

@@ -54,36 +54,6 @@ func GuaranteedWork(s sched.Schedule, c float64, q int) float64 {
 	return total
 }
 
-// StrikeSet returns the indices of the periods an optimal adversary
-// destroys (the q periods with the largest productive time, ties broken
-// toward earlier periods).
-func StrikeSet(s sched.Schedule, c float64, q int) []int {
-	if q <= 0 || s.Len() == 0 {
-		return nil
-	}
-	type pw struct {
-		idx int
-		w   float64
-	}
-	all := make([]pw, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		all[i] = pw{i, sched.PositiveSub(s.Period(i), c)}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].w > all[j].w })
-	if q > len(all) {
-		q = len(all)
-	}
-	out := make([]int, 0, q)
-	for _, p := range all[:q] {
-		if p.w <= 0 {
-			break // striking unproductive periods is pointless
-		}
-		out = append(out, p.idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Result is an optimal worst-case schedule.
 type Result struct {
 	Schedule sched.Schedule

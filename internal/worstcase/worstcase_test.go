@@ -28,22 +28,6 @@ func TestGuaranteedWorkHandComputed(t *testing.T) {
 	}
 }
 
-func TestStrikeSet(t *testing.T) {
-	s := sched.MustNew(4, 10, 6)
-	set := StrikeSet(s, 1, 2)
-	if len(set) != 2 || set[0] != 1 || set[1] != 2 {
-		t.Errorf("strike set = %v, want [1 2]", set)
-	}
-	if StrikeSet(s, 1, 0) != nil {
-		t.Error("q=0 should strike nothing")
-	}
-	// Unproductive periods are not struck.
-	tiny := sched.MustNew(0.5, 0.5)
-	if got := StrikeSet(tiny, 1, 2); len(got) != 0 {
-		t.Errorf("struck unproductive periods: %v", got)
-	}
-}
-
 func TestOptimalMatchesClosedForm(t *testing.T) {
 	for _, cse := range []struct {
 		l, c float64

@@ -96,16 +96,6 @@ func RunCheckpointed(cfg CheckpointConfig, src *Rand) (CheckpointResult, error) 
 	return faultsim.Run(cfg, src)
 }
 
-// SimulateEpisodesParallel is SimulateEpisodes across a goroutine pool
-// (workers <= 0 uses GOMAXPROCS); results are bit-identical for any
-// worker count above one, and one worker is SimulateEpisodes itself.
-func SimulateEpisodesParallel(s Schedule, l Life, c float64, episodes int, seed uint64, workers int) (mean, ci95 float64) {
-	res := nowsim.MonteCarloParallel(func() Policy {
-		return nowsim.NewSchedulePolicy(s, "facade")
-	}, nowsim.LifeOwner{Life: l}, c, episodes, seed, workers, nowsim.Obs{})
-	return res.Work.Mean, res.Work.CI95
-}
-
 // SampleAbsences draws owner-absence observations whose survival is l.
 func SampleAbsences(l Life, n int, src *Rand) []Observation {
 	return trace.SampleAbsences(l, n, src)

@@ -1,8 +1,11 @@
 package cyclesteal
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/nowsim"
 )
 
 func TestSimulationFacadeEndToEnd(t *testing.T) {
@@ -50,11 +53,15 @@ func TestSimulationFacadeEndToEnd(t *testing.T) {
 		t.Error("random pool size")
 	}
 
-	// Parallel Monte-Carlo wrapper must agree with the serial one.
-	m1, _ := SimulateEpisodes(plan.Schedule, life, 1, 5000, 9)
-	m2, _ := SimulateEpisodesParallel(plan.Schedule, life, 1, 5000, 9, 4)
-	if math.Abs(m1-m2) > 0.05*m1 {
-		t.Errorf("serial %g vs parallel %g diverge beyond noise", m1, m2)
+	// The facade is MonteCarloCtx on the same seed, bit for bit.
+	mean, ci := SimulateEpisodes(plan.Schedule, life, 1, 5000, 9)
+	want, err := nowsim.MonteCarloCtx(context.Background(), NewSchedulePolicy(plan.Schedule, "mc"), LifeOwner{Life: life}, 1, 5000, 9, nowsim.Obs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	//lint:allow floatcmp the facade must be MonteCarloCtx exactly
+	if mean != want.Work.Mean || ci != want.Work.CI95 {
+		t.Errorf("SimulateEpisodes = (%g, %g), MonteCarloCtx = (%g, %g)", mean, ci, want.Work.Mean, want.Work.CI95)
 	}
 }
 
