@@ -193,6 +193,34 @@ func BenchmarkMonteCarloSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkReclaimDraw times one inverse-transform reclaim draw per
+// paper family, the sampling cost inside every Monte-Carlo episode.
+func BenchmarkReclaimDraw(b *testing.B) {
+	for _, f := range []struct {
+		name               string
+		lifespan, halfLife float64
+		d                  int
+	}{
+		{"uniform", 1000, 0, 0},
+		{"poly", 1000, 0, 2},
+		{"geomdec", 0, 32, 0},
+		{"geominc", 100, 0, 0},
+	} {
+		l, err := nowsim.BuildLife(f.name, f.lifespan, f.halfLife, f.d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		owner := nowsim.LifeOwner{Life: l}
+		b.Run(f.name, func(b *testing.B) {
+			src := rng.New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = owner.ReclaimAfter(src)
+			}
+		})
+	}
+}
+
 func BenchmarkTraceFit(b *testing.B) {
 	l, _ := lifefn.NewUniform(200)
 	obs := trace.SampleAbsences(l, 2000, rng.New(5))

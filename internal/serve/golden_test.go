@@ -15,8 +15,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current responses")
 
 // goldenCorpus is the fixed request set whose answers the golden file
-// pins: every plan family, and each estimate policy kind under a fixed
-// seed.
+// pins: every plan family, each estimate policy kind under a fixed
+// seed, and estimates whose reclaim draws invert a bounded non-linear
+// life function.
 var goldenCorpus = []struct{ route, body string }{
 	{"plan", `{"life":"uniform","lifespan":500,"c":2}`},
 	{"plan", `{"life":"poly","lifespan":800,"d":3,"c":1}`},
@@ -25,6 +26,8 @@ var goldenCorpus = []struct{ route, body string }{
 	{"estimate", `{"life":"uniform","lifespan":500,"c":2,"policy":"guideline","episodes":4000,"seed":7}`},
 	{"estimate", `{"life":"geomdec","halflife":32,"c":1,"policy":"fixed:10","episodes":3000,"seed":11}`},
 	{"estimate", `{"life":"uniform","lifespan":100,"c":1,"policy":"progressive","episodes":100,"seed":3}`},
+	{"estimate", `{"life":"poly","lifespan":800,"d":3,"c":1,"policy":"guideline","episodes":3000,"seed":5}`},
+	{"estimate", `{"life":"geominc","lifespan":300,"c":2,"policy":"fixed:12","episodes":3000,"seed":13}`},
 }
 
 // goldenPeers is a PeerFiller over another server's cache: with a nil
