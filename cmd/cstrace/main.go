@@ -81,7 +81,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	span := trace.EffectiveSpan(truth)
+	span := lifefn.Span(truth, 1e-3)
 	ks := trace.KSDistance(fit, truth, span, 400)
 	fmt.Fprintf(stdout, "truth          : %s\n", truth)
 	fmt.Fprintf(stdout, "trace          : %d sessions (censor %g, knots %d, seed %d)\n", *sessions, *censor, *knots, *seed)

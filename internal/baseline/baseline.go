@@ -24,25 +24,12 @@ import (
 	"repro/internal/sched"
 )
 
-// span returns the scheduling horizon: the life function's horizon when
-// finite, otherwise the point where survival decays below 1e-12.
-func span(l lifefn.Life) float64 {
-	if h := l.Horizon(); !math.IsInf(h, 1) {
-		return h
-	}
-	s := 1.0
-	for l.P(s) > 1e-12 && s < 1e12 {
-		s *= 2
-	}
-	return s
-}
-
 // AllAtOnce returns the single-period schedule covering the entire
 // opportunity. Under any life function that actually decays it commits
 // work only with probability p(span), making it the canonical loser the
 // paper's Section 1 tension argument starts from.
 func AllAtOnce(l lifefn.Life, c float64) (sched.Schedule, error) {
-	sp := span(l)
+	sp := lifefn.Span(l, 1e-12)
 	if sp <= c {
 		return sched.Schedule{}, fmt.Errorf("baseline: span %g does not exceed overhead %g", sp, c)
 	}
@@ -59,7 +46,7 @@ func FixedChunk(l lifefn.Life, c, t float64) (sched.Schedule, error) {
 	if !(t > 0) {
 		return sched.Schedule{}, fmt.Errorf("baseline: chunk length must be positive, got %g", t)
 	}
-	sp := span(l)
+	sp := lifefn.Span(l, 1e-12)
 	n := int(sp / t)
 	if n > 1_000_000 {
 		n = 1_000_000
@@ -87,7 +74,7 @@ func FixedChunk(l lifefn.Life, c, t float64) (sched.Schedule, error) {
 // schedule with the highest expected work — the strongest "one number to
 // tune" baseline.
 func BestFixedChunk(l lifefn.Life, c float64) (sched.Schedule, error) {
-	sp := span(l)
+	sp := lifefn.Span(l, 1e-12)
 	if sp <= c {
 		return sched.Schedule{}, fmt.Errorf("baseline: span %g does not exceed overhead %g", sp, c)
 	}
@@ -127,7 +114,7 @@ func Greedy(l lifefn.Life, c float64, opt GreedyOptions) (sched.Schedule, error)
 	if opt.MinGain <= 0 {
 		opt.MinGain = 1e-12
 	}
-	sp := span(l)
+	sp := lifefn.Span(l, 1e-12)
 	var periods []float64
 	tau := 0.0
 	for len(periods) < opt.MaxPeriods && tau < sp {
@@ -162,7 +149,7 @@ func Greedy(l lifefn.Life, c float64, opt GreedyOptions) (sched.Schedule, error)
 // only logarithmically many overheads — the shape of the [2]-style
 // strategies for stealing cycles with no risk knowledge.
 func Doubling(l lifefn.Life, c float64) (sched.Schedule, error) {
-	sp := span(l)
+	sp := lifefn.Span(l, 1e-12)
 	if sp <= 2*c {
 		return sched.Schedule{}, fmt.Errorf("baseline: span %g too short for doubling with c=%g", sp, c)
 	}

@@ -80,19 +80,6 @@ func upperRHS(l lifefn.Life, c, t float64, shape lifefn.Shape) float64 {
 	return 2*math.Sqrt(c*c/4-c*p/dp) + c
 }
 
-// searchSpan returns the upper end of the t0 search range: the horizon
-// when finite, otherwise the time by which p decays below tailEps.
-func searchSpan(l lifefn.Life, tailEps float64) float64 {
-	if h := l.Horizon(); !math.IsInf(h, 1) {
-		return h
-	}
-	span := 1.0
-	for l.P(span) > tailEps && span < 1e12 {
-		span *= 2
-	}
-	return span
-}
-
 // T0Bracket computes the guideline bracket for the optimal initial
 // period length: the largest lower bound among Theorem 3.2 and (for
 // concave p with finite horizon) Corollary 5.5, and the smallest upper
@@ -103,7 +90,7 @@ func searchSpan(l lifefn.Life, tailEps float64) float64 {
 func (pl *Planner) T0Bracket() (Bracket, error) {
 	c := pl.c
 	l := pl.life
-	span := searchSpan(l, pl.opt.TailEps)
+	span := lifefn.Span(l, pl.opt.TailEps)
 	if !(span > c) {
 		return Bracket{}, fmt.Errorf("%w: lifespan %g does not exceed overhead %g", ErrNoSchedule, span, c)
 	}
@@ -208,20 +195,18 @@ func firstCrossing(f func(float64) float64, lo, hi float64, n int) (float64, boo
 	if !(lo < hi) {
 		return 0, false
 	}
-	prevT, prevF := lo, f(lo)
-	if prevF >= 0 {
+	prevT := lo
+	if f(lo) >= 0 {
 		return lo, true
 	}
 	h := (hi - lo) / float64(n)
 	for i := 1; i <= n; i++ {
 		t := lo + float64(i)*h
-		ft := f(t)
-		if ft >= 0 {
+		if f(t) >= 0 {
 			return bisectCrossing(f, prevT, t), true
 		}
-		prevT, prevF = t, ft
+		prevT = t
 	}
-	_ = prevF
 	return 0, false
 }
 
@@ -233,19 +218,16 @@ func lastCrossing(f func(float64) float64, lo, hi float64, n int) (float64, bool
 	}
 	h := (hi - lo) / float64(n)
 	prevT := hi
-	prevF := f(hi)
-	if prevF >= 0 {
+	if f(hi) >= 0 {
 		return hi, true
 	}
 	for i := n - 1; i >= 0; i-- {
 		t := lo + float64(i)*h
-		ft := f(t)
-		if ft >= 0 {
+		if f(t) >= 0 {
 			return bisectCrossing(f, prevT, t), true
 		}
-		prevT, prevF = t, ft
+		prevT = t
 	}
-	_ = prevF
 	return 0, false
 }
 

@@ -215,7 +215,7 @@ func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error)
 			reason = StopFlat
 			break
 		}
-		next, err := pl.invertP(target, tk)
+		next, err := lifefn.Inverse(pl.life, target, tk, pl.c)
 		if err != nil {
 			return sched.Schedule{}, reason, fmt.Errorf("core: inverting system (3.6) at period %d: %w", len(periods), err)
 		}
@@ -232,34 +232,6 @@ func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error)
 		return sched.Schedule{}, reason, err
 	}
 	return sched.Normalize(s, pl.c), reason, nil
-}
-
-// invertP solves p(T) = target for T > from on the decreasing branch.
-func (pl *Planner) invertP(target, from float64) (float64, error) {
-	horizon := pl.life.Horizon()
-	var hi float64
-	if math.IsInf(horizon, 1) {
-		lo, h, err := numeric.BracketRootGrowing(func(t float64) float64 {
-			return pl.life.P(t) - target
-		}, from, math.Max(pl.c, from*0.5)+1, 1e30)
-		if err != nil {
-			return 0, err
-		}
-		from, hi = lo, h
-		//lint:allow floatcmp bracket collapsed onto the root exactly
-		if from == hi {
-			return from, nil
-		}
-	} else {
-		hi = horizon
-	}
-	root, err := numeric.Brent(func(t float64) float64 {
-		return pl.life.P(t) - target
-	}, from, hi, numeric.RootOptions{AbsTol: 1e-13})
-	if err != nil {
-		return 0, err
-	}
-	return root, nil
 }
 
 // ExpectedWork evaluates E(s; p) under the planner's configuration.

@@ -20,7 +20,7 @@ import (
 // admits no optimal schedule. See TailMarginFails and AdmitsOptimal for
 // the tail reading under which the claim follows.
 func ExistsProductive(l lifefn.Life, c float64) (witness float64, ok bool) {
-	span := searchSpan(l, 1e-15)
+	span := lifefn.Span(l, 1e-15)
 	if !(span > c) {
 		return 0, false
 	}
@@ -53,7 +53,7 @@ func TailMarginFails(l lifefn.Life, c float64) bool {
 	if !math.IsInf(l.Horizon(), 1) {
 		return false
 	}
-	span := searchSpan(l, 1e-15)
+	span := lifefn.Span(l, 1e-15)
 	if span <= 4*c {
 		return false
 	}
@@ -73,7 +73,7 @@ func TailMarginFails(l lifefn.Life, c float64) bool {
 // across the sampled tail of the life function: the "risk fades with
 // age" regime in which postponing work indefinitely keeps paying off.
 func HazardDecreasing(l lifefn.Life, c float64) bool {
-	span := searchSpan(l, 1e-15)
+	span := lifefn.Span(l, 1e-15)
 	hazard := func(t float64) float64 {
 		p := l.P(t)
 		if p <= 0 {
@@ -178,7 +178,7 @@ func bestAppendGain(l lifefn.Life, c, tau float64) float64 {
 	horizon := l.Horizon()
 	var hi float64
 	if math.IsInf(horizon, 1) {
-		hi = searchSpan(l, 1e-15) // far tail
+		hi = lifefn.Span(l, 1e-15) // far tail
 	} else {
 		hi = horizon - tau
 	}

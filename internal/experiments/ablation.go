@@ -90,13 +90,7 @@ func planCounted(l lifefn.Life, c float64, opt core.PlanOptions, fullSpan bool) 
 		return plan, evals, err
 	}
 	// Naive full-span search: same generator, no bracket.
-	span := l.Horizon()
-	if math.IsInf(span, 1) {
-		span = 1.0
-		for l.P(span) > 1e-12 && span < 1e12 {
-			span *= 2
-		}
-	}
+	span := lifefn.Span(l, 1e-12)
 	scan := opt.ScanPoints
 	if scan <= 0 {
 		scan = 64

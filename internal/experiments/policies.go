@@ -158,7 +158,7 @@ func RunE10() (*report.Table, error) {
 				return nil, fmt.Errorf("no parametric family for %s", truth.name)
 			}
 		}
-		span := trace.EffectiveSpan(truth.life)
+		span := lifefn.Span(truth.life, 1e-3)
 		regretOf := func(fit lifefn.Life) (float64, error) {
 			fitPlan, err := guidelinePlan(fit, c)
 			if err != nil {

@@ -81,13 +81,8 @@ func Run(cfg Config, src *rng.Source) (Result, error) {
 	var res Result
 	committed := 0.0
 	clock := 0.0
-	horizon := cfg.Failure.Horizon()
-	bound := 0.0
-	if horizon > 0 && horizon < 1e300 {
-		bound = horizon
-	}
 	for interval := 0; interval < maxIntervals; interval++ {
-		failAt := src.FromSurvival(cfg.Failure.P, bound) // relative to interval start
+		failAt := lifefn.Draw(cfg.Failure, src.Float64Open()) // relative to interval start
 		policy := cfg.PolicyFactory()
 		policy.Reset()
 		elapsed := 0.0 // within this interval

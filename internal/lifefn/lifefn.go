@@ -9,7 +9,9 @@
 // increasing risk), the power-law family used by the paper's
 // non-existence example, conditional (re-based) life functions for
 // progressive scheduling, and empirical life functions fitted from trace
-// data.
+// data. Inverse, Draw and Span are the one place that finds where p
+// reaches a level: the planner's p⁻¹, every inverse-transform reclaim
+// draw, and the span over which p decays.
 package lifefn
 
 import (

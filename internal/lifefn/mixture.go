@@ -66,14 +66,7 @@ func NewMixture(components []Life, weights []float64) (*Mixture, error) {
 	// bounded components also have derivative kinks at interior
 	// horizons; the planners tolerate these, but strictly speaking the
 	// paper's differentiability assumption holds only piecewise.
-	span := m.horizon
-	if math.IsInf(span, 1) {
-		span = 1.0
-		for m.P(span) > 1e-9 && span < 1e12 {
-			span *= 2
-		}
-	}
-	m.shape = DetectShape(m, 0, span, 256)
+	m.shape = DetectShape(m, 0, Span(m, 1e-9), 256)
 	m.name = fmt.Sprintf("mixture(%d components)", len(m.components))
 	return m, nil
 }

@@ -12,8 +12,7 @@ type ValidateOptions struct {
 	// Samples is the number of grid points checked; 256 if zero.
 	Samples int
 	// Span is the time range checked for unbounded-horizon functions;
-	// if zero, the time by which P has fallen below 1e-6 (capped at
-	// 1e9) is used.
+	// if zero, Span(l, 1e-6) is used.
 	Span float64
 	// Tol is the tolerance for the model identities; 1e-6 if zero.
 	Tol float64
@@ -35,7 +34,7 @@ func Validate(l Life, opt ValidateOptions) error {
 	}
 	span := opt.Span
 	if span <= 0 {
-		span = effectiveSpan(l)
+		span = Span(l, 1e-6)
 	}
 	prev := l.P(0)
 	for i := 1; i <= opt.Samples; i++ {
@@ -67,25 +66,10 @@ func Validate(l Life, opt ValidateOptions) error {
 	return nil
 }
 
-// effectiveSpan returns the horizon for bounded life functions and a
-// time by which P has decayed below 1e-6 for unbounded ones.
-func effectiveSpan(l Life) float64 {
-	if h := l.Horizon(); !math.IsInf(h, 1) {
-		return h
-	}
-	span := 1.0
-	for l.P(span) > 1e-6 && span < 1e9 {
-		span *= 2
-	}
-	return span
-}
-
 // MeanLifetime returns the expected reclaim time E[R] = ∫ P(t) dt,
-// integrated to the horizon (or to the effective span for unbounded
-// functions).
+// integrated to Span(l, 1e-6): the horizon when finite.
 func MeanLifetime(l Life) (float64, error) {
-	span := effectiveSpan(l)
-	v, err := numeric.Integrate(l.P, 0, span, numeric.QuadOptions{Tol: 1e-10})
+	v, err := numeric.Integrate(l.P, 0, Span(l, 1e-6), numeric.QuadOptions{Tol: 1e-10})
 	if err != nil {
 		return v, fmt.Errorf("lifefn: mean lifetime of %s: %w", l, err)
 	}

@@ -22,13 +22,9 @@ type LifeOwner struct {
 }
 
 // ReclaimAfter implements Owner by inverse-transform sampling of the
-// life function.
+// life function through lifefn.Draw.
 func (o LifeOwner) ReclaimAfter(r *rng.Source) float64 {
-	horizon := o.Life.Horizon()
-	if horizon > 0 && !isInf(horizon) {
-		return r.FromSurvival(o.Life.P, horizon)
-	}
-	return r.FromSurvival(o.Life.P, 0)
+	return lifefn.Draw(o.Life, r.Float64Open())
 }
 
 // String implements Owner.
@@ -56,5 +52,3 @@ func (o SessionOwner) String() string {
 	}
 	return "session-owner"
 }
-
-func isInf(x float64) bool { return x > 1e300 }

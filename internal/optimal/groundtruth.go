@@ -38,13 +38,7 @@ func GroundTruth(l lifefn.Life, c float64, opt GroundTruthOptions) (Result, erro
 		return Result{}, fmt.Errorf("optimal: overhead must be positive, got %g", c)
 	}
 	horizon := l.Horizon()
-	span := horizon
-	if math.IsInf(horizon, 1) {
-		span = 1.0
-		for l.P(span) > 1e-12 && span < 1e12 {
-			span *= 2
-		}
-	}
+	span := lifefn.Span(l, 1e-12)
 	if span <= c {
 		return Result{}, nil
 	}

@@ -123,34 +123,3 @@ func (r *Source) Normal() float64 {
 	v := r.Float64Open()
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
-
-// FromSurvival draws a nonnegative lifetime whose survival function is
-// surv (surv(0)=1, nonincreasing, limit 0), by inverse-transform
-// sampling: it solves surv(t) = u by bisection on a geometrically grown
-// bracket. horizon > 0 caps the search (and the lifetime) for survival
-// functions with bounded support; pass 0 for unbounded support.
-func (r *Source) FromSurvival(surv func(float64) float64, horizon float64) float64 {
-	u := r.Float64Open()
-	// Grow hi until surv(hi) <= u.
-	hi := 1.0
-	if horizon > 0 {
-		hi = horizon
-	} else {
-		for surv(hi) > u {
-			hi *= 2
-			if hi > 1e30 {
-				return hi
-			}
-		}
-	}
-	lo := 0.0
-	for i := 0; i < 200 && hi-lo > 1e-12*(1+hi); i++ {
-		mid := lo + (hi-lo)/2
-		if surv(mid) > u {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2
-}

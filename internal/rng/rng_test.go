@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -146,67 +145,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Errorf("normal variance = %g", variance)
-	}
-}
-
-func TestFromSurvivalUniform(t *testing.T) {
-	// Survival 1 - t/L on [0, L]: draws must be Uniform(0, L).
-	r := New(23)
-	l := 50.0
-	surv := func(t float64) float64 {
-		if t >= l {
-			return 0
-		}
-		return 1 - t/l
-	}
-	n := 100_000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.FromSurvival(surv, l)
-		if v < 0 || v > l {
-			t.Fatalf("draw %g outside [0, %g]", v, l)
-		}
-		sum += v
-	}
-	if mean := sum / float64(n); math.Abs(mean-25) > 0.3 {
-		t.Errorf("mean = %g, want 25", mean)
-	}
-}
-
-func TestFromSurvivalExponentialUnbounded(t *testing.T) {
-	r := New(29)
-	surv := func(t float64) float64 { return math.Exp(-t) }
-	n := 50_000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.FromSurvival(surv, 0)
-	}
-	if mean := sum / float64(n); math.Abs(mean-1) > 0.05 {
-		t.Errorf("mean = %g, want 1", mean)
-	}
-}
-
-func TestFromSurvivalPropertyWithinSupport(t *testing.T) {
-	// Property: draws from a bounded survival curve stay in [0, horizon].
-	check := func(seed uint32, li uint8) bool {
-		l := 1 + float64(li)
-		r := New(uint64(seed))
-		surv := func(t float64) float64 {
-			if t >= l {
-				return 0
-			}
-			return 1 - t/l
-		}
-		for i := 0; i < 20; i++ {
-			v := r.FromSurvival(surv, l)
-			if v < 0 || v > l {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

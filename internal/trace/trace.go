@@ -30,16 +30,11 @@ type Observation struct {
 
 // SampleAbsences draws n complete absence observations whose true
 // survival function is the life function l, using inverse-transform
-// sampling.
+// sampling through lifefn.Draw.
 func SampleAbsences(l lifefn.Life, n int, src *rng.Source) []Observation {
 	obs := make([]Observation, n)
-	horizon := l.Horizon()
-	bound := 0.0
-	if !math.IsInf(horizon, 1) {
-		bound = horizon
-	}
 	for i := range obs {
-		obs[i] = Observation{Duration: src.FromSurvival(l.P, bound)}
+		obs[i] = Observation{Duration: lifefn.Draw(l, src.Float64Open())}
 	}
 	return obs
 }
@@ -168,17 +163,4 @@ func KSDistance(a, b lifefn.Life, span float64, n int) float64 {
 		}
 	}
 	return worst
-}
-
-// EffectiveSpan returns a comparison span for a life function: its
-// horizon when bounded, else the time P decays below 1e-3.
-func EffectiveSpan(l lifefn.Life) float64 {
-	if h := l.Horizon(); !math.IsInf(h, 1) {
-		return h
-	}
-	s := 1.0
-	for l.P(s) > 1e-3 && s < 1e12 {
-		s *= 2
-	}
-	return s
 }

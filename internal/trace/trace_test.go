@@ -84,7 +84,7 @@ func TestFitLifeRecoversUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lifefn.Validate(fit, lifefn.ValidateOptions{Span: EffectiveSpan(fit)}); err != nil {
+	if err := lifefn.Validate(fit, lifefn.ValidateOptions{Span: lifefn.Span(fit, 1e-3)}); err != nil {
 		t.Errorf("fitted life invalid: %v", err)
 	}
 	// KS distance to the truth should be sampling-noise sized:
@@ -149,17 +149,5 @@ func TestCensorAt(t *testing.T) {
 	}
 	if obs[1].Censored {
 		t.Error("CensorAt mutated input")
-	}
-}
-
-func TestEffectiveSpan(t *testing.T) {
-	u, _ := lifefn.NewUniform(70)
-	if EffectiveSpan(u) != 70 {
-		t.Error("bounded span")
-	}
-	g, _ := lifefn.NewGeomDecreasing(2)
-	s := EffectiveSpan(g)
-	if g.P(s) > 1e-3 || s <= 0 {
-		t.Errorf("unbounded span = %g", s)
 	}
 }
