@@ -53,12 +53,12 @@ ci: fmt-check vet lint build race experiments-check serve-smoke cluster-smoke be
 
 # Regenerate every experiment table and compare it byte for byte with
 # the committed EXPERIMENTS.md from its "### E1 " heading to the end, so
-# a refactor that moves a published number fails here. The fresh tables
-# land in bin/experiments.md.
+# a refactor that moves a published number fails here, with a unified
+# diff of the rows that moved. The fresh tables land in bin/experiments.md.
 experiments-check:
 	@mkdir -p bin
 	$(GO) run ./cmd/csbench -format md > bin/experiments.md
-	tail -n +$$(grep -n '^### E1 ' EXPERIMENTS.md | cut -d: -f1) EXPERIMENTS.md | cmp - bin/experiments.md
+	tail -n +$$(grep -n '^### E1 ' EXPERIMENTS.md | cut -d: -f1) EXPERIMENTS.md | diff -u - bin/experiments.md
 
 # Boot csserve and drive it with csload: cache speedup, coalescing,
 # 429 load shedding, metrics surface and graceful drain, asserted with
