@@ -327,6 +327,40 @@ func TestEstimateDeadlineCancelsAndPoolSurvives(t *testing.T) {
 	}
 }
 
+// A compute that ignores its context still cannot hold a client past
+// its deadline: the 504 comes from the flight wait, not from the
+// compute returning, and the server answers normally once the compute
+// is released.
+func TestPlanDeadlineAnswersBeforeComputeReturns(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	s.plan.compute = func(_ context.Context, spec PlanSpec, key string) (PlanResponse, error) {
+		<-release
+		return computePlan(context.Background(), spec, key)
+	}
+
+	start := time.Now()
+	resp, raw := post(t, ts.URL+"/v1/plan", `{"life":"uniform","lifespan":555,"timeout_ms":50}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, raw)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("504 took %v with a 50ms deadline", waited)
+	}
+	if got := s.reg.Counter("cs_serve_cancelled_total", "").Value(); got != 1 {
+		t.Errorf("cs_serve_cancelled_total = %d, want 1", got)
+	}
+
+	free()
+	resp, raw = post(t, ts.URL+"/v1/plan", `{"life":"uniform","lifespan":555}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("after release: status = %d (%s), want 200", resp.StatusCode, raw)
+	}
+}
+
 func TestHealthzAndDrain(t *testing.T) {
 	s := New(Config{Workers: 1})
 	mux := http.NewServeMux()
