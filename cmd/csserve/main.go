@@ -2,7 +2,8 @@
 // the paper's guideline schedule (system 3.6) and Monte-Carlo E(S;p)
 // estimates behind an HTTP/JSON API, built to survive production
 // traffic — sharded LRU plan cache, request coalescing, and a bounded
-// worker pool that sheds load with 429 instead of queueing unboundedly.
+// admission queue that sheds load with 429 instead of queueing
+// unboundedly.
 //
 // Usage:
 //
@@ -44,7 +45,8 @@
 // SIGTERM or SIGINT drains gracefully: healthz flips to 503 first (so
 // the csgate prober routes around this replica), the hot working set
 // is handed to peers, then the listener stops accepting, in-flight
-// requests get -grace to finish, and the worker pool is closed.
+// requests get -grace to finish, and the pool waits for every admitted
+// computation.
 //
 // Exit status: 0 on clean shutdown, 1 on serve failure, 2 on usage
 // errors.
@@ -90,8 +92,8 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
-		workers     = fs.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
-		queue       = fs.Int("queue", 64, "bounded request queue capacity (0 = default 64, negative = unbuffered hand-off); full queue answers 429")
+		workers     = fs.Int("workers", 0, "computations run at once (0 = GOMAXPROCS)")
+		queue       = fs.Int("queue", 64, "computations that may wait for a -workers slot (0 = default 64, negative = admit only while a slot is free); full queue answers 429")
 		planCache   = fs.Int("plan-cache", 4096, "plan LRU cache entries (0 = default, negative disables)")
 		estCache    = fs.Int("est-cache", 512, "estimate LRU cache entries (0 = default, negative disables)")
 		shards      = fs.Int("shards", 16, "LRU cache shard count")

@@ -323,7 +323,7 @@ func (n *Node) Handoff(ctx context.Context) int {
 // WarmStart pulls each peer's hot working set and installs the entries
 // this replica owns — the restart-time half of warm handoff, called
 // before serving so the first warm wave hits a populated cache instead
-// of stampeding the worker pool. Returns the number of entries
+// of stampeding the compute pool. Returns the number of entries
 // installed.
 func (n *Node) WarmStart(ctx context.Context) int {
 	installed := 0

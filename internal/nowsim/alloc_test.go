@@ -30,44 +30,6 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineCanceledDrainRecycles: events drained as canceled (by Run's
-// peek loop) return to the free list like fired ones do.
-func TestEngineCanceledDrainRecycles(t *testing.T) {
-	var eng Engine
-	nop := func() {}
-	h := eng.After(1, nop)
-	h.Cancel()
-	eng.RunAll()
-	avg := testing.AllocsPerRun(200, func() {
-		h := eng.After(1, nop)
-		h.Cancel()
-		eng.RunAll()
-	})
-	if avg != 0 {
-		t.Fatalf("schedule/cancel/drain cycle allocates %.2f/run, want 0", avg)
-	}
-}
-
-// TestStaleHandleCancelIsNoOp: a handle to a fired event must not
-// cancel the event's next incarnation after recycling.
-func TestStaleHandleCancelIsNoOp(t *testing.T) {
-	var eng Engine
-	fired := 0
-	h1 := eng.At(1, func() { fired++ })
-	eng.RunAll()
-	if fired != 1 {
-		t.Fatalf("first event fired %d times, want 1", fired)
-	}
-	// This scheduling reuses the recycled event; the stale handle's
-	// generation no longer matches.
-	eng.At(2, func() { fired++ })
-	h1.Cancel()
-	eng.RunAll()
-	if fired != 2 {
-		t.Fatalf("stale Cancel suppressed the recycled event: fired %d times, want 2", fired)
-	}
-}
-
 // TestEpisodeAllocsConstantInPeriods: an episode allocates nothing,
 // however many periods it plays — with or without an event hook.
 func TestEpisodeAllocsConstantInPeriods(t *testing.T) {

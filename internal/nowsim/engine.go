@@ -31,28 +31,8 @@ type event struct {
 	at  float64
 	seq uint64 // FIFO tie-break for simultaneous events
 	fn  Action
-	// canceled events stay in the heap but do not fire.
-	canceled bool
-	// gen counts recycles: a Handle cancels only the incarnation it was
-	// issued for, so a stale handle to a reused event is a no-op.
-	gen uint64
 	// next links the engine's free list of fired events.
 	next *event
-}
-
-// Handle cancels a scheduled event.
-type Handle struct {
-	ev  *event
-	gen uint64
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op, even after the engine has recycled
-// the event for a later scheduling.
-func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.canceled = true
-	}
 }
 
 type eventQueue []*event
@@ -79,16 +59,15 @@ func (q *eventQueue) Pop() interface{} {
 }
 
 // Engine is a sequential discrete-event simulation engine. The zero
-// value is ready to use with the clock at 0. Fired and canceled events
-// are recycled through a free list, so an episode loop that keeps one
-// period in flight schedules its thousands of events through a single
-// allocation.
+// value is ready to use with the clock at 0. Fired events are recycled
+// through a free list, so an episode loop that keeps one period in
+// flight schedules its thousands of events through a single allocation.
 type Engine struct {
 	queue eventQueue
 	now   float64
 	seq   uint64
 	fired uint64
-	// free heads the recycle list of fired/drained events.
+	// free heads the recycle list of fired events.
 	free *event
 	// boot backs the queue's first entries, so simulations that never
 	// hold more than a handful of pending events never allocate the
@@ -106,12 +85,9 @@ func (e *Engine) alloc() *event {
 	return &event{} //lint:allow hotalloc free-list miss: only the high-water mark of in-flight events allocates
 }
 
-// recycle returns a fired or drained-canceled event to the free list,
-// invalidating outstanding handles via the generation counter.
+// recycle returns a fired event to the free list.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.canceled = false
-	ev.gen++
 	ev.next = e.free
 	e.free = ev
 }
@@ -122,14 +98,9 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued (including
-// canceled ones not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// At schedules fn at absolute time t (>= Now) and returns a cancel
-// handle. Scheduling in the past panics: that is always a simulation
-// bug.
-func (e *Engine) At(t float64, fn Action) Handle {
+// At schedules fn at absolute time t (>= Now). Scheduling in the past
+// panics: that is always a simulation bug.
+func (e *Engine) At(t float64, fn Action) {
 	if t < e.now {
 		panic("nowsim: scheduling event in the past")
 	}
@@ -140,50 +111,36 @@ func (e *Engine) At(t float64, fn Action) Handle {
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return Handle{ev, ev.gen}
 }
 
 // After schedules fn delay time units from now.
-func (e *Engine) After(delay float64, fn Action) Handle {
+func (e *Engine) After(delay float64, fn Action) {
 	if delay < 0 {
 		panic("nowsim: negative delay")
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // Step fires the next event. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		fn := ev.fn
-		// Recycle before firing so the action's own scheduling reuses
-		// this event; its handle is already invalidated.
-		e.recycle(ev)
-		fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.at
+	e.fired++
+	fn := ev.fn
+	// Recycle before firing so the action's own scheduling reuses this
+	// event.
+	e.recycle(ev)
+	fn()
+	return true
 }
 
 // Run fires events until the queue empties or the clock would pass
 // until (events at exactly until still fire). Pass +Inf to drain.
 func (e *Engine) Run(until float64) {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			e.recycle(next)
-			continue
-		}
-		if next.at > until {
-			return
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= until {
 		e.Step()
 	}
 }

@@ -65,8 +65,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if len(fired) != 2 {
 		t.Errorf("fired %v, want events at 1 and 2", fired)
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d", e.Pending())
+	if len(e.queue) != 2 {
+		t.Errorf("pending = %d", len(e.queue))
 	}
 	e.Run(math.Inf(1))
 	if len(fired) != 4 {
@@ -82,19 +82,6 @@ func TestEngineRunUntilInclusive(t *testing.T) {
 	if !hit {
 		t.Error("event at exactly `until` did not fire")
 	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	var e Engine
-	hit := false
-	h := e.At(1, func() { hit = true })
-	h.Cancel()
-	e.RunAll()
-	if hit {
-		t.Error("canceled event fired")
-	}
-	h.Cancel() // double cancel is a no-op
-	(Handle{}).Cancel()
 }
 
 func TestEnginePanicsOnPastEvent(t *testing.T) {

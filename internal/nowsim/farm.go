@@ -177,12 +177,9 @@ func RunFarm(cfg FarmConfig, pool *TaskPool) (FarmResult, error) {
 		episodeStart := eng.Now()
 		reclaimAt := episodeStart + w.spec.Owner.ReclaimAfter(w.src)
 		reclaimed := false
-		var ownerEv Handle
 		endEpisode := func(byOwner bool) {
 			if byOwner {
 				reclaimed = true
-			} else {
-				ownerEv.Cancel()
 			}
 			fo.episodeEnd(w, eng.Now())
 			// Owner occupies the machine; return for another episode

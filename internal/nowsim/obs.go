@@ -20,7 +20,7 @@ type Obs struct {
 	// happen. nil disables tracing.
 	Sink obs.Sink
 	// Metrics, when non-nil, accumulates the standard cs_* counter,
-	// gauge and histogram set (see newSimMetrics).
+	// gauge and quantile-summary set (see newSimMetrics).
 	Metrics *obs.Registry
 }
 
@@ -38,10 +38,6 @@ func (e EpisodeEvent) TraceEvent(worker int) obs.Event {
 	}
 }
 
-// periodLenBuckets are the histogram bounds for dispatched period
-// lengths: exponential from 1 to ~4000 time units.
-var periodLenBuckets = obs.ExpBuckets(1, 2, 12)
-
 // simMetrics is the standard instrument set every simulator updates
 // when a registry is supplied. All methods are nil-receiver-safe.
 type simMetrics struct {
@@ -55,7 +51,6 @@ type simMetrics struct {
 	committed  *obs.Gauge
 	lost       *obs.Gauge
 	overhead   *obs.Gauge
-	periodLen  *obs.Histogram
 	periodLenQ *obs.QuantileHist
 	epWorkQ    *obs.QuantileHist
 	// epWork accumulates committed work within the current episode; the
@@ -82,7 +77,6 @@ func newSimMetrics(reg *obs.Registry, c float64) *simMetrics {
 		committed:  reg.Gauge("cs_committed_work", "total committed work"),
 		lost:       reg.Gauge("cs_lost_work", "total work destroyed by reclamations"),
 		overhead:   reg.Gauge("cs_overhead_time", "total communication overhead spent"),
-		periodLen:  reg.Histogram("cs_period_length", "dispatched period lengths", periodLenBuckets),
 		periodLenQ: reg.Quantiles("cs_period_length_quantiles", "dispatched period lengths (log-bucketed quantile summary)"),
 		epWorkQ:    reg.Quantiles("cs_episode_committed_work", "committed work per episode"),
 	}
@@ -98,7 +92,6 @@ func (m *simMetrics) observe(e EpisodeEvent) {
 	switch e.Kind {
 	case EventDispatch:
 		m.dispatches.Inc()
-		m.periodLen.Observe(e.Length)
 		m.periodLenQ.Observe(e.Length)
 	case EventCommit:
 		m.commits.Inc()
@@ -334,7 +327,6 @@ func (f *farmObs) dispatch(w *farmWorker, now, length float64, bundle []Task) in
 	}
 	if f.m != nil {
 		f.m.dispatches.Inc()
-		f.m.periodLen.Observe(length)
 		f.m.periodLenQ.Observe(length)
 		if stolen > 0 {
 			f.m.steals.Inc()

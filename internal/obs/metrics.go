@@ -2,8 +2,8 @@
 // standard library alone. It provides three things:
 //
 //   - a lock-cheap metrics registry — monotone counters, float gauges
-//     and fixed-bucket histograms, all updated with atomics — with
-//     Prometheus text exposition;
+//     and log-bucketed quantile histograms, all updated with atomics —
+//     with Prometheus text exposition;
 //   - a structured trace sink (Sink) with JSONL and Chrome trace_event
 //     exporters, so a simulation run renders as a per-worker timeline
 //     in chrome://tracing or Perfetto;
@@ -63,59 +63,12 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket histogram. Buckets are upper bounds in
-// increasing order; observations above the last bound land in the
-// implicit +Inf bucket. Observation is a linear scan plus two atomic
-// adds — bucket counts are per-bucket (not cumulative) internally and
-// cumulated only at exposition time, so Observe never contends across
-// buckets.
-type Histogram struct {
-	upper  []float64
-	counts []atomic.Uint64 // len(upper)+1; last is +Inf
-	sum    Gauge
-	n      atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.n.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
-// ExpBuckets returns n bucket bounds start, start·factor, ...
-// start·factor^(n-1) — the usual choice for period lengths and other
-// scale-free quantities.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if !(start > 0) || !(factor > 1) || n <= 0 {
-		panic(fmt.Sprintf("obs: invalid ExpBuckets(%g, %g, %d)", start, factor, n))
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
-}
-
 // metricKind tags a registered metric for TYPE lines.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindQuantile
 )
 
@@ -125,8 +78,6 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	case kindQuantile:
 		return "summary"
 	default:
@@ -139,7 +90,6 @@ type entry struct {
 	kind metricKind
 	c    *Counter
 	g    *Gauge
-	h    *Histogram
 	q    *QuantileHist
 }
 
@@ -245,35 +195,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.lookup(name, help, kindGauge).g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds on first use (later calls may pass
-// nil buckets). Bounds must be strictly increasing.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if e.kind != kindHistogram {
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as histogram", name, e.kind))
-		}
-		return e.h
-	}
-	for i := 1; i < len(buckets); i++ {
-		if !(buckets[i] > buckets[i-1]) {
-			panic(fmt.Sprintf("obs: histogram %q buckets not increasing: %v", name, buckets))
-		}
-	}
-	h := &Histogram{
-		upper:  append([]float64(nil), buckets...),
-		counts: make([]atomic.Uint64, len(buckets)+1),
-	}
-	r.entries[name] = &entry{name: name, kind: kindHistogram, h: h}
-	base := baseName(name)
-	if _, ok := r.help[base]; !ok {
-		r.help[base] = help
-	}
-	return h
-}
-
 // Quantiles returns the log-bucketed quantile histogram registered
 // under name, creating it on first use. It is exposed in the
 // Prometheus text format as a summary with quantile labels 0.5, 0.9,
@@ -329,8 +250,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&sb, "%s %d\n", e.name, e.c.Value())
 		case kindGauge:
 			fmt.Fprintf(&sb, "%s %s\n", e.name, formatFloat(e.g.Value()))
-		case kindHistogram:
-			writeHistogram(&sb, base, labels, e.h)
 		case kindQuantile:
 			writeQuantiles(&sb, base, labels, e.q)
 		}
@@ -348,20 +267,6 @@ func writeQuantiles(sb *strings.Builder, base, labels string, q *QuantileHist) {
 	}
 	fmt.Fprintf(sb, "%s_sum%s %s\n", base, braced(labels), formatFloat(q.Sum()))
 	fmt.Fprintf(sb, "%s_count%s %d\n", base, braced(labels), q.Count())
-}
-
-func writeHistogram(sb *strings.Builder, base, labels string, h *Histogram) {
-	cum := uint64(0)
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := "+Inf"
-		if i < len(h.upper) {
-			le = formatFloat(h.upper[i])
-		}
-		fmt.Fprintf(sb, "%s_bucket{%sle=%q} %d\n", base, joinLabels(labels), le, cum)
-	}
-	fmt.Fprintf(sb, "%s_sum%s %s\n", base, braced(labels), formatFloat(h.Sum()))
-	fmt.Fprintf(sb, "%s_count%s %d\n", base, braced(labels), h.Count())
 }
 
 func joinLabels(labels string) string {

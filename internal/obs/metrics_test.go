@@ -29,7 +29,7 @@ func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cs_conc_total", "")
 	g := r.Gauge("cs_conc_gauge", "")
-	h := r.Histogram("cs_conc_hist", "", []float64{1, 2, 4})
+	h := r.Quantiles("cs_conc_quantiles", "")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -50,13 +50,13 @@ func TestCounterConcurrent(t *testing.T) {
 		t.Errorf("gauge = %g, want 4000", g.Value())
 	}
 	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", h.Count())
+		t.Errorf("quantile count = %d, want 8000", h.Count())
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("cs_hist", "period lengths", []float64{1, 10, 100})
+	h := r.Quantiles("cs_hist", "period lengths")
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -66,17 +66,20 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE cs_hist histogram",
-		`cs_hist_bucket{le="1"} 2`,
-		`cs_hist_bucket{le="10"} 3`,
-		`cs_hist_bucket{le="100"} 4`,
-		`cs_hist_bucket{le="+Inf"} 5`,
+		"# HELP cs_hist period lengths",
+		"# TYPE cs_hist summary",
+		`cs_hist{quantile="0.5"} ` + formatFloat(h.Quantile(0.5)),
+		`cs_hist{quantile="0.999"} ` + formatFloat(h.Quantile(0.999)),
 		"cs_hist_sum 556.5",
 		"cs_hist_count 5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// The log buckets resolve each value to within 1/64.
+	if q := h.Quantile(0.5); q < 5*(1-1.0/64) || q > 5*(1+1.0/64) {
+		t.Errorf("median = %g, want 5 within 1/64", q)
 	}
 }
 
@@ -104,7 +107,7 @@ func TestPrometheusLabelsGrouping(t *testing.T) {
 
 func TestHistogramLabeled(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram(Labeled("cs_len", "worker", "2"), "", []float64{1})
+	h := r.Quantiles(Labeled("cs_len", "worker", "2"), "")
 	h.Observe(0.5)
 	h.Observe(3)
 	var sb strings.Builder
@@ -113,8 +116,8 @@ func TestHistogramLabeled(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		`cs_len_bucket{worker="2",le="1"} 1`,
-		`cs_len_bucket{worker="2",le="+Inf"} 2`,
+		`cs_len{worker="2",quantile="0.5"} `,
+		`cs_len{worker="2",quantile="0.99"} `,
 		`cs_len_sum{worker="2"} 3.5`,
 		`cs_len_count{worker="2"} 2`,
 	} {
@@ -127,23 +130,12 @@ func TestHistogramLabeled(t *testing.T) {
 func TestTypeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("re-registering a counter as gauge did not panic")
+			t.Error("re-registering a counter as quantiles did not panic")
 		}
 	}()
 	r := NewRegistry()
 	r.Counter("cs_x", "")
-	r.Gauge("cs_x", "")
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(1, 2, 4)
-	want := []float64{1, 2, 4, 8}
-	for i := range want {
-		//lint:allow floatcmp bucket bounds are exact powers of two
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
-		}
-	}
+	r.Quantiles("cs_x", "")
 }
 
 func TestDeterministicExposition(t *testing.T) {
@@ -151,7 +143,7 @@ func TestDeterministicExposition(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("b_total", "bb").Add(2)
 		r.Gauge("a_gauge", "aa").Set(1)
-		r.Histogram("c_hist", "cc", []float64{1, 2}).Observe(1.5)
+		r.Quantiles("c_quantiles", "cc").Observe(1.5)
 		var sb strings.Builder
 		if err := r.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)

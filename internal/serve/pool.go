@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -18,34 +19,31 @@ var ErrQueueFull = errors.New("serve: worker queue full")
 // ErrPoolClosed reports a submission to a draining or closed pool.
 var ErrPoolClosed = errors.New("serve: pool closed")
 
-// Pool is a fixed-size worker pool with a bounded queue. Submissions
-// never block: a full queue fails fast with ErrQueueFull. A task whose
-// context has already ended by the time a worker picks it up is
-// skipped entirely, so a burst of abandoned requests cannot occupy the
-// workers.
+// Pool is an admission semaphore: at most workers calls run at once,
+// at most queue more wait for a slot, and a call beyond that fails
+// fast with ErrQueueFull. fn runs on the caller's goroutine — the
+// pool hands nothing to other goroutines. A call whose context ends
+// before it gets a slot never runs fn, so a burst of abandoned
+// requests cannot occupy the slots.
 type Pool struct {
-	mu     sync.RWMutex // guards closed vs. sends on tasks
-	closed bool
-	tasks  chan *poolTask
-	wg     sync.WaitGroup
+	slots chan struct{} // one token per running fn; capacity = workers
+	queue int           // calls that may wait beyond the slots
 
-	depth   *obs.Gauge        // queued + running tasks; nil-safe
-	skipped *obs.Counter      // tasks whose ctx ended before a worker ran them
-	wait    *obs.QuantileHist // queue wait (submission -> worker pickup) in ms; nil-safe
+	mu       sync.Mutex // guards closed and admitted
+	closed   bool
+	admitted int            // calls inside Do: waiting + running
+	waiting  atomic.Int64   // admitted calls without a slot yet
+	calls    sync.WaitGroup // admitted calls, awaited by Close
+
+	depth   *obs.Gauge        // waiting + running calls
+	skipped *obs.Counter      // calls whose ctx ended before they got a slot
+	wait    *obs.QuantileHist // queue wait (admission -> slot) in ms
 }
 
-type poolTask struct {
-	ctx  context.Context
-	fn   func(context.Context)
-	enq  time.Time     // submission time, for queue-wait attribution
-	rt   *obs.ReqTrace // the submitting request's trace; nil when untraced
-	ran  bool          // set by the worker before done closes; read by Do only after <-done
-	done chan struct{}
-}
-
-// NewPool starts workers goroutines servicing a queue of the given
-// capacity. workers <= 0 defaults to 1; queue < 0 defaults to 0 (only
-// hand-off, no buffering). depth, skipped and wait may be nil.
+// NewPool returns a pool that runs at most workers calls at once and
+// queues at most queue more. workers <= 0 defaults to 1; queue < 0
+// means 0 (admit only while a slot is free). depth, skipped and wait
+// may be nil.
 func NewPool(workers, queue int, depth *obs.Gauge, skipped *obs.Counter, wait *obs.QuantileHist) *Pool {
 	if workers <= 0 {
 		workers = 1
@@ -53,100 +51,81 @@ func NewPool(workers, queue int, depth *obs.Gauge, skipped *obs.Counter, wait *o
 	if queue < 0 {
 		queue = 0
 	}
-	p := &Pool{tasks: make(chan *poolTask, queue), depth: depth, skipped: skipped, wait: wait}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
+	return &Pool{slots: make(chan struct{}, workers), queue: queue, depth: depth, skipped: skipped, wait: wait}
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for t := range p.tasks {
-		if t.ctx.Err() == nil {
-			// Attribute the time the task spent queued — both to the
-			// pool-wide histogram and to the owning request's trace.
-			waited := time.Since(t.enq)
-			if p.wait != nil {
-				p.wait.Observe(float64(waited) / float64(time.Millisecond))
-			}
-			t.rt.AddPhase(obs.PhaseQueue, t.enq, waited)
-			t.fn(t.ctx)
-			t.ran = true
-		} else if p.skipped != nil {
-			p.skipped.Inc()
-		}
-		if p.depth != nil {
-			p.depth.Add(-1)
-		}
-		close(t.done)
-	}
-}
-
-// Do submits fn and waits until a worker has finished running it or
-// ctx ends, whichever comes first. Do returns nil only when fn has
-// actually run to completion: a task skipped because its context ended
-// while queued reports the context error, never success. fn receives
-// ctx and is expected to honour its cancellation (the Monte-Carlo
-// runner checks it between episodes). When Do returns ctx.Err() the
-// task may still be queued —
-// the worker that eventually dequeues it sees the dead context and
-// skips it, keeping the pool usable after any number of abandoned
-// requests.
+// Do admits the call, waits for a slot, runs fn(ctx) on the calling
+// goroutine and returns once fn has returned. It fails at once with
+// ErrQueueFull when workers + queue calls are already admitted, and
+// with ErrPoolClosed after Close. When ctx ends before a slot frees up
+// Do returns ctx.Err() without calling fn; nil means fn returned. fn is
+// expected to honour ctx (the Monte-Carlo runner checks it between
+// episodes); one that ignores it keeps its slot until it returns.
 func (p *Pool) Do(ctx context.Context, fn func(context.Context)) error {
-	t := &poolTask{ctx: ctx, fn: fn, enq: time.Now(), rt: obs.ReqTraceFrom(ctx), done: make(chan struct{})}
-	p.mu.RLock()
+	p.mu.Lock()
 	if p.closed {
-		p.mu.RUnlock()
+		p.mu.Unlock()
 		return ErrPoolClosed
 	}
-	// Count the task before it becomes visible to workers so the gauge
-	// never dips negative when a worker dequeues and decrements first.
+	if p.admitted >= cap(p.slots)+p.queue {
+		p.mu.Unlock()
+		return ErrQueueFull
+	}
+	p.admitted++
+	p.calls.Add(1)
+	p.mu.Unlock()
 	if p.depth != nil {
 		p.depth.Add(1)
 	}
+
+	admitted := time.Now()
+	p.waiting.Add(1)
+	var err error
 	select {
-	case p.tasks <- t:
-	default:
-		if p.depth != nil {
-			p.depth.Add(-1)
+	case p.slots <- struct{}{}:
+		p.waiting.Add(-1)
+		// A free slot and an ended ctx can be ready together, and the
+		// select picks either: check ctx before running fn.
+		if err = ctx.Err(); err == nil {
+			waited := time.Since(admitted)
+			if p.wait != nil {
+				p.wait.Observe(float64(waited) / float64(time.Millisecond))
+			}
+			obs.ReqTraceFrom(ctx).AddPhase(obs.PhaseQueue, admitted, waited)
+			fn(ctx)
 		}
-		p.mu.RUnlock()
-		return ErrQueueFull
-	}
-	p.mu.RUnlock()
-	select {
-	case <-t.done:
-		if !t.ran {
-			// The worker skipped the task because ctx had already ended.
-			// When done and ctx.Done() are both ready this branch can
-			// still win the select, so report the (sticky) context error
-			// rather than claiming fn ran.
-			return ctx.Err()
-		}
-		return nil
+		<-p.slots
 	case <-ctx.Done():
-		return ctx.Err()
+		p.waiting.Add(-1)
+		err = ctx.Err()
 	}
+	if err != nil && p.skipped != nil {
+		p.skipped.Inc()
+	}
+
+	p.mu.Lock()
+	p.admitted--
+	p.mu.Unlock()
+	if p.depth != nil {
+		p.depth.Add(-1)
+	}
+	p.calls.Done()
+	return err
 }
 
-// QueueDepth returns the number of tasks currently queued (excluding
-// ones a worker has already dequeued).
-func (p *Pool) QueueDepth() int { return len(p.tasks) }
+// QueueDepth returns the number of admitted calls still waiting for a
+// slot (excluding running ones).
+func (p *Pool) QueueDepth() int { return int(p.waiting.Load()) }
 
 // QueueCap returns the queue capacity.
-func (p *Pool) QueueCap() int { return cap(p.tasks) }
+func (p *Pool) QueueCap() int { return p.queue }
 
-// Close drains the pool: it stops accepting submissions, lets the
-// workers finish every task already queued, and returns when they have
-// exited. Safe to call more than once.
+// Close drains the pool: it refuses new calls and returns once every
+// admitted call has returned, so queued calls still run. Safe to call
+// more than once.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
+	p.closed = true
 	p.mu.Unlock()
-	p.wg.Wait()
+	p.calls.Wait()
 }

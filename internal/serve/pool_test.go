@@ -11,8 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
+// Admission is exact: 20 concurrent calls fit 2 slots plus 18 queue
+// places, so none is rejected.
 func TestPoolRunsSubmittedWork(t *testing.T) {
-	p := NewPool(2, 4, nil, nil, nil)
+	p := NewPool(2, 18, nil, nil, nil)
 	defer p.Close()
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -20,15 +22,8 @@ func TestPoolRunsSubmittedWork(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				err := p.Do(context.Background(), func(context.Context) { ran.Add(1) })
-				if err == nil {
-					return
-				}
-				if !errors.Is(err, ErrQueueFull) {
-					t.Error(err)
-					return
-				}
+			if err := p.Do(context.Background(), func(context.Context) { ran.Add(1) }); err != nil {
+				t.Error(err)
 			}
 		}()
 	}
@@ -51,8 +46,8 @@ func TestPoolBackpressure(t *testing.T) {
 		})
 	}()
 	<-occupied
-	// Fill the one queue slot and wait until the task is really queued
-	// (the worker is parked, so the depth cannot drop again).
+	// Fill the one queue place and wait until the call is really waiting
+	// (the slot is held, so the depth cannot drop again).
 	queued := make(chan error, 1)
 	go func() {
 		queued <- p.Do(context.Background(), func(context.Context) {})
@@ -60,7 +55,7 @@ func TestPoolBackpressure(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for p.QueueDepth() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("filler task never reached the queue")
+			t.Fatal("filler call never reached the queue")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -145,39 +140,6 @@ func TestPoolSkippedTaskNeverReportsSuccess(t *testing.T) {
 	}
 }
 
-// A task running when its context expires keeps its worker only until
-// the fn returns (the fn is responsible for honouring ctx); Do itself
-// returns promptly with the context error.
-func TestPoolDoReturnsOnDeadlineWhileRunning(t *testing.T) {
-	// Queue capacity 1: a zero-capacity queue only accepts a task while
-	// a worker is already parked in receive, which races with pool
-	// startup.
-	p := NewPool(1, 1, nil, nil, nil)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	finish := make(chan struct{})
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- p.Do(ctx, func(taskCtx context.Context) {
-			close(started)
-			<-taskCtx.Done()
-			<-finish
-		})
-	}()
-	<-started
-	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Do = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Do did not return after cancellation")
-	}
-	close(finish) // let the worker finish the orphaned fn
-}
-
 // Close must drain queued work before returning, and reject later
 // submissions with ErrPoolClosed.
 func TestPoolCloseDrains(t *testing.T) {
@@ -203,4 +165,60 @@ func TestPoolCloseDrains(t *testing.T) {
 		t.Errorf("Do after Close = %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
+}
+
+// Close refuses new calls at once but returns only after every admitted
+// call — running or still queued — has returned.
+func TestPoolCloseWaitsForAdmittedCalls(t *testing.T) {
+	p := NewPool(1, 1, nil, nil, nil)
+	block := make(chan struct{})
+	occupied := make(chan struct{})
+	var ran atomic.Int64
+	errs := make(chan error, 2)
+	go func() {
+		errs <- p.Do(context.Background(), func(context.Context) {
+			close(occupied)
+			<-block
+			ran.Add(1)
+		})
+	}()
+	<-occupied
+	go func() {
+		errs <- p.Do(context.Background(), func(context.Context) { ran.Add(1) })
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for p.QueueDepth() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second call never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	deadline = time.Now().Add(2 * time.Second)
+	for !errors.Is(p.Do(context.Background(), func(context.Context) {}), ErrPoolClosed) {
+		if time.Now().After(deadline) {
+			t.Fatal("Do during Close never answered ErrPoolClosed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted calls were still inside Do")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(block)
+	<-closed
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("admitted call failed: %v", err)
+		}
+	}
+	if got := ran.Load(); got != 2 {
+		t.Errorf("ran = %d when Close returned, want 2", got)
+	}
 }

@@ -26,7 +26,7 @@ type answer[R any] interface {
 
 // route is one cached computation — /v1/plan or /v1/estimate. Only
 // normalize and compute differ between the two; decoding, keying, the
-// cache, singleflight, peer fill, the worker pool, stamping and
+// cache, singleflight, peer fill, the admission pool, stamping and
 // encoding are shared by ServeHTTP.
 type route[S spec, R any, P answer[R]] struct {
 	srv       *Server

@@ -19,12 +19,13 @@ import (
 // Config tunes a Server. The zero value is usable: every field has a
 // production-shaped default.
 type Config struct {
-	// Workers is the simulation worker-pool size (default GOMAXPROCS).
+	// Workers is the number of computations that run at once (default
+	// GOMAXPROCS).
 	Workers int
-	// Queue is the bounded request-queue capacity. 0 selects the
-	// default of 64; a negative value selects an unbuffered hand-off
-	// queue (a submission succeeds only while a worker is ready to
-	// take it). A full queue answers 429 immediately.
+	// Queue is how many more computations may wait for one of the
+	// Workers slots. 0 selects the default of 64; a negative value
+	// admits a computation only while a slot is free. A full queue
+	// answers 429 immediately.
 	Queue int
 	// PlanCacheEntries / EstimateCacheEntries size the two LRU caches
 	// (defaults 4096 and 512; negative disables a cache).
@@ -94,7 +95,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server answers plan and estimate queries behind the cache /
-// coalescing / worker-pool stack. Create with New, mount with Routes,
+// coalescing / admission-pool stack. Create with New, mount with Routes,
 // stop with Drain.
 type Server struct {
 	cfg      Config
@@ -160,9 +161,9 @@ func New(cfg Config) *Server {
 		compute: s.computeEstimate,
 	}
 	s.pool = NewPool(cfg.Workers, cfg.Queue,
-		reg.Gauge("cs_serve_queue_depth", "requests queued or running in the worker pool"),
+		reg.Gauge("cs_serve_queue_depth", "requests waiting for or holding a pool slot"),
 		reg.Counter("cs_serve_pool_skipped_total", "queued tasks skipped because their request had already been abandoned"),
-		reg.Quantiles("cs_serve_queue_wait_ms", "worker-pool queue wait in milliseconds (submission to pickup)"))
+		reg.Quantiles("cs_serve_queue_wait_ms", "pool queue wait in milliseconds (admission to slot)"))
 	return s
 }
 
@@ -181,12 +182,12 @@ func (s *Server) Routes(mux *http.ServeMux) {
 // answering 503 so load balancers (the csgate prober) route around
 // this replica, while in-flight requests and peer-protocol traffic
 // keep being served. Call at the top of a graceful shutdown; Drain
-// closes the worker pool once the HTTP layer is done.
+// closes the pool once the HTTP layer is done.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Drain flips the server into draining mode (healthz answers 503 so
 // load balancers stop sending traffic) and, once the HTTP layer has
-// finished its in-flight handlers, closes the worker pool. Call after
+// finished its in-flight handlers, closes the pool. Call after
 // http.Server.Shutdown has returned.
 func (s *Server) Drain() {
 	s.draining.Store(true)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -271,19 +270,10 @@ func TestQueueFullReturns429(t *testing.T) {
 	occupied := make(chan struct{})
 	inflight := make(chan error, 1)
 	go func() {
-		// With no queue buffer the hand-off only succeeds once the
-		// worker is parked in receive; retry through pool startup.
-		for {
-			err := s.pool.Do(context.Background(), func(context.Context) {
-				close(occupied)
-				<-block
-			})
-			if !errors.Is(err, ErrQueueFull) {
-				inflight <- err
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
+		inflight <- s.pool.Do(context.Background(), func(context.Context) {
+			close(occupied)
+			<-block
+		})
 	}()
 	<-occupied
 
@@ -305,6 +295,147 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 	if s.reg.Counter("cs_serve_rejected_total", "").Value() == 0 {
 		t.Error("rejection not counted")
+	}
+}
+
+// A request for a key whose only waiter has just given up must not
+// inherit that computation's cancellation: it gets its own answer even
+// while the abandoned compute is still winding down.
+func TestRequestAfterAbandonedEstimateIsAnswered(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	s.estimate.compute = func(ctx context.Context, spec EstimateSpec, key string) (EstimateResponse, error) {
+		<-release // like MonteCarloCtx, notice cancellation only at a batch boundary
+		if err := ctx.Err(); err != nil {
+			return EstimateResponse{}, err
+		}
+		return s.computeEstimate(ctx, spec, key)
+	}
+	const body = `{"life":"uniform","lifespan":1000,"policy":"fixed:10","episodes":2000,"seed":9`
+	resp, raw := post(t, ts.URL+"/v1/estimate", body+`,"timeout_ms":50}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, raw)
+	}
+
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", strings.NewReader(body+`}`))
+		if err != nil {
+			t.Error(err)
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	// Release the compute only once the second request waits on a
+	// flight: a new one, or the abandoned one if that were joinable.
+	deadline := time.Now().Add(5 * time.Second)
+	for !s.flights.hasWaiters() {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never reached the flight group")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	free()
+	if got := <-code; got != http.StatusOK {
+		t.Errorf("request after an abandoned estimate: status = %d, want 200", got)
+	}
+}
+
+// Under a concurrent burst that mixes 200, 429 and 504 answers the
+// backpressure signals stay exact: once every response is in, the
+// queue-depth gauge and healthz queue_depth settle to 0, and the
+// rejection counter equals the 429s the clients saw.
+func TestQueueSignalsExactUnderBurst(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
+	gate := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	s.plan.compute = func(_ context.Context, spec PlanSpec, key string) (PlanResponse, error) {
+		<-gate
+		return computePlan(context.Background(), spec, key)
+	}
+	depth := s.reg.Gauge("cs_serve_queue_depth", "")
+
+	var mu sync.Mutex
+	codes := map[int]int{}
+	var wg sync.WaitGroup
+	send := func(body string) {
+		defer wg.Done()
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		mu.Lock()
+		codes[resp.StatusCode]++
+		mu.Unlock()
+	}
+
+	// One request takes the only slot and holds it at the gate; a burst
+	// of 15 deadline-bound requests then finds one queue place.
+	wg.Add(1)
+	go send(`{"life":"uniform","lifespan":600}`)
+	deadline := time.Now().Add(5 * time.Second)
+	for depth.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never reached the pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var burst sync.WaitGroup
+	for i := 0; i < 15; i++ {
+		wg.Add(1)
+		burst.Add(1)
+		go func(i int) {
+			defer burst.Done()
+			send(fmt.Sprintf(`{"life":"uniform","lifespan":%d,"timeout_ms":200}`, 601+i))
+		}(i)
+	}
+	burst.Wait()
+	open()
+	// With the gate open, a second burst races admission against
+	// completions; its split between 200 and 429 is not fixed.
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go send(fmt.Sprintf(`{"life":"uniform","lifespan":%d}`, 700+i))
+	}
+	wg.Wait()
+	if codes[http.StatusOK] == 0 || codes[http.StatusGatewayTimeout] == 0 || codes[http.StatusTooManyRequests] == 0 {
+		t.Errorf("codes = %v, want a mix of 200, 429 and 504", codes)
+	}
+	if n := codes[200] + codes[429] + codes[504]; n != 32 {
+		t.Errorf("codes = %v, want only 200, 429 and 504 over 32 requests", codes)
+	}
+
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		var h Healthz
+		resp, err := http.Get(ts.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.QueueDepth == 0 && depth.Value() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("idle server reports queue_depth %d, cs_serve_queue_depth %g", h.QueueDepth, depth.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.reg.Counter("cs_serve_rejected_total", "").Value(); got != uint64(codes[http.StatusTooManyRequests]) {
+		t.Errorf("cs_serve_rejected_total = %d, clients saw %d 429s", got, codes[http.StatusTooManyRequests])
 	}
 }
 

@@ -51,7 +51,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		c.waiters++
 		c.shared = true
 		g.mu.Unlock()
-		v, shared, err = g.wait(ctx, c)
+		v, shared, err = g.wait(ctx, key, c)
 		return v, shared, false, err
 	}
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -69,18 +69,22 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		v, err := fn(runCtx)
 		g.mu.Lock()
 		c.val, c.err = v, err
-		delete(g.m, key)
+		if g.m[key] == c {
+			delete(g.m, key)
+		}
 		g.mu.Unlock()
 		close(c.done)
 		cancel()
 	}()
-	v, shared, err = g.wait(ctx, c)
+	v, shared, err = g.wait(ctx, key, c)
 	return v, shared, true, err
 }
 
 // wait blocks until the call completes or ctx ends. Leaving as the
-// last waiter cancels the computation.
-func (g *flightGroup) wait(ctx context.Context, c *flightCall) (any, bool, error) {
+// last waiter cancels the computation and forgets it, so the next
+// caller for key starts afresh instead of inheriting the cancellation
+// while the computation winds down.
+func (g *flightGroup) wait(ctx context.Context, key string, c *flightCall) (any, bool, error) {
 	select {
 	case <-c.done:
 		return c.val, c.shared, c.err
@@ -96,6 +100,9 @@ func (g *flightGroup) wait(ctx context.Context, c *flightCall) (any, bool, error
 	g.mu.Lock()
 	c.waiters--
 	last := c.waiters == 0
+	if last && g.m[key] == c {
+		delete(g.m, key)
+	}
 	shared := c.shared
 	g.mu.Unlock()
 	if last {

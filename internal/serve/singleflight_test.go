@@ -166,3 +166,15 @@ func TestFlightGroupForgetsCompletedCalls(t *testing.T) {
 		}
 	}
 }
+
+// hasWaiters reports whether any call in the group has a waiter.
+func (g *flightGroup) hasWaiters() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, c := range g.m {
+		if c.waiters > 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -8,7 +8,9 @@
 //   - request coalescing (singleflight): N concurrent identical
 //     requests run one computation and share the result, with the
 //     computation cancelled only when every waiter has gone away;
-//   - a bounded worker pool with backpressure: a full queue rejects
+//   - an admission semaphore with backpressure: at most Workers
+//     computations run at once, each on its singleflight goroutine,
+//     and at most Queue more wait for a slot; a full queue rejects
 //     immediately (the handler maps that to 429 + Retry-After) instead
 //     of letting latency collapse, and per-request deadlines abandon
 //     simulations nobody is waiting for.

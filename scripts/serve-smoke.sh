@@ -184,6 +184,14 @@ jq -e '.waves[0].errors == 0' "$SMOKE_DIR/load-burst.json"
 jq -e '.waves[0].status["429"] >= 1' "$SMOKE_DIR/load-burst.json"
 jq -e '.waves[0].status["200"] >= 1' "$SMOKE_DIR/load-burst.json"
 jq -e '.waves[0].status | keys - ["200", "429"] == []' "$SMOKE_DIR/load-burst.json"
+# Every response is in, so nothing waits for a slot, and the server
+# counted exactly the 429s the client saw.
+curl -sf "http://127.0.0.1:$BURST_PORT/v1/healthz" >"$SMOKE_DIR/burst-healthz.json"
+jq -e '.queue_depth == 0' "$SMOKE_DIR/burst-healthz.json"
+curl -sf "http://127.0.0.1:$BURST_PORT/metrics" >"$SMOKE_DIR/burst-metrics.txt"
+rejected=$(awk '$1 == "cs_serve_rejected_total" { print $2 }' "$SMOKE_DIR/burst-metrics.txt")
+jq -e --argjson rejected "${rejected:-null}" '.waves[0].status["429"] == $rejected' \
+  "$SMOKE_DIR/load-burst.json"
 kill -TERM "$BURST_PID"
 wait "$BURST_PID"
 BURST_PID=""
