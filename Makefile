@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 LOAD_ADDR ?= http://localhost:8080
 
-.PHONY: all build test race vet lint lint-sarif fmt-check ci experiments-check bench bench-perf bench-compare fuzz-smoke serve-smoke cluster-smoke loadtest
+.PHONY: all build test race vet lint lint-sarif fmt-check ci experiments-check bench bench-compare fuzz-smoke serve-smoke cluster-smoke loadtest
 
 all: build
 
@@ -98,17 +98,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Writes BENCH_perf.json: calibrated micro-benchmarks over the episode,
-# farm and sink hot paths (ns/op, allocs/op; min and median of N runs),
-# plus the nil-obs overhead percentage the acceptance criterion bounds.
-bench-perf:
-	$(GO) run ./cmd/csbench -perf -perf-out $(CURDIR)/BENCH_perf.json
-
-# Perf-history regression gate: re-run the calibrated suite live and
-# diff it against the committed BENCH_perf.json under the per-benchmark
-# ns/op and allocs/op budgets (exit 1 on any breach; budgets and slack
-# are csbench -compare flags). The machine-readable diff lands in
-# bin/bench-compare.json. Refresh the committed history with
-# `make bench-perf` after a deliberate performance change.
+# Micro-benchmark regression gate: build the BenchmarkPerf table's test
+# binary at BASE (default HEAD^) and at the working tree, run both
+# alternately on this host and fail when `csbench -compare` finds a row
+# whose min ns/op grew past its constant ratio over BASE, whose
+# allocs/op exceed BENCH_perf.json, or which is missing, or when the
+# nil-obs overhead exceeds 2%. Raw outputs and the comparison land in
+# bin/bench-gate/. Example: make bench-compare BASE=origin/main
 bench-compare:
-	$(GO) run ./cmd/csbench -compare $(CURDIR)/BENCH_perf.json -compare-out $(CURDIR)/bin/bench-compare.json
+	bash scripts/bench-gate.sh

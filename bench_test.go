@@ -2,6 +2,7 @@ package cyclesteal
 
 import (
 	"context"
+	"io"
 	"math"
 	"testing"
 
@@ -11,9 +12,11 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/lifefn"
 	"repro/internal/nowsim"
+	"repro/internal/obs"
 	"repro/internal/optimal"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -58,17 +61,243 @@ func BenchmarkE20HeteroFarm(b *testing.B)    { benchExperiment(b, "E20") }
 func BenchmarkE21Adaptive(b *testing.B)      { benchExperiment(b, "E21") }
 func BenchmarkE22RobustBands(b *testing.B)   { benchExperiment(b, "E22") }
 
-// --- Micro-benchmarks of the library's hot paths.
+// --- The gated table. Each sub-benchmark of BenchmarkPerf is a row of
+// BENCH_perf.json, named like it. `make bench-compare`
+// (scripts/bench-gate.sh) runs this table at a base commit and at the
+// working tree on one host and `csbench -compare` gates every row:
+// ns/op against the base, allocs/op against the record. Rename or drop
+// a row only together with its record.
 
-func BenchmarkExpectedWork(b *testing.B) {
-	l, _ := lifefn.NewUniform(1000)
-	plan := mustPlan(b, l, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sched.ExpectedWork(plan.Schedule, l, 1)
+// perfSchedule has 64 shrinking periods, long enough that per-episode
+// setup does not dominate.
+var perfSchedule = func() sched.Schedule {
+	periods := make([]float64, 64)
+	for i := range periods {
+		periods[i] = 40 - 0.5*float64(i)
+	}
+	return sched.MustNew(periods...)
+}()
+
+const (
+	perfOverhead = 1.0
+	perfReclaim  = 1e9 // never reclaimed: all 64 periods dispatch and commit
+)
+
+// perfFamilies are the paper's four life families, swept by the plan/*,
+// mc/20k/* and reclaim/* rows.
+var perfFamilies = []struct {
+	name               string
+	lifespan, halfLife float64
+	d                  int
+}{
+	{"uniform", 1000, 0, 0},
+	{"poly", 1000, 0, 2},
+	{"geomdec", 0, 32, 0},
+	{"geominc", 100, 0, 0},
+}
+
+// benchSink keeps the compiler from discarding a measured call's result.
+var benchSink float64
+
+type perfRow struct {
+	name string
+	run  func(b *testing.B)
+}
+
+func BenchmarkPerf(b *testing.B) {
+	for _, r := range perfRows() {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			r.run(b)
+		})
 	}
 }
+
+func perfRows() []perfRow {
+	sample := obs.Event{Time: 1.5, Worker: 3, Kind: "commit", Period: 2, Length: 4.5, Tasks: 7}
+	episodes := func(o nowsim.Obs) func(b *testing.B) {
+		return func(b *testing.B) {
+			pol := nowsim.NewSchedulePolicy(perfSchedule, "perf")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nowsim.RunEpisodeObs(pol, perfOverhead, perfReclaim, 0, o)
+			}
+		}
+	}
+	rows := []perfRow{
+		{"episode/uninstrumented", func(b *testing.B) {
+			pol := nowsim.NewSchedulePolicy(perfSchedule, "perf")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nowsim.RunEpisode(pol, perfOverhead, perfReclaim)
+			}
+		}},
+		{"episode/obs-disabled", episodes(nowsim.Obs{})},
+		{"episode/jsonl-sink", episodes(nowsim.Obs{Sink: obs.NewJSONLSink(io.Discard)})},
+		{"episode/metrics", episodes(nowsim.Obs{Metrics: obs.NewRegistry()})},
+		{"farm/uninstrumented", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg, pool := perfFarm(b)
+				if _, err := nowsim.RunFarm(cfg, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"sink/jsonl-emit", func(b *testing.B) {
+			s := obs.NewJSONLSink(io.Discard)
+			for i := 0; i < b.N; i++ {
+				s.Emit(sample)
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"sink/chrome-emit", func(b *testing.B) {
+			// The Chrome sink buffers everything until Close; one sink
+			// per measured batch keeps that realistic.
+			s := obs.NewChromeSink(io.Discard)
+			for i := 0; i < b.N; i++ {
+				s.Emit(sample)
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"span/start-end", func(b *testing.B) {
+			sp := obs.NewSpanner(obs.NewJSONLSink(io.Discard))
+			for i := 0; i < b.N; i++ {
+				sp.Start(float64(i), 0, "episode", obs.SpanAttrs{}).End(float64(i) + 1)
+			}
+		}},
+		{"hdr/observe", func(b *testing.B) {
+			var h obs.QuantileHist
+			for i := 0; i < b.N; i++ {
+				h.Observe(float64(i%1000) + 0.5)
+			}
+		}},
+		// The hotpath/* rows pin the //cs:hotpath allocation budgets
+		// (see the AllocsPerRun tests next to each root): their
+		// recorded allocs/op are 0, so any steady-state allocation
+		// creeping back breaches the gate.
+		{"hotpath/engine-reuse", func(b *testing.B) {
+			var eng nowsim.Engine
+			nop := func() {}
+			for i := 0; i < b.N; i++ {
+				eng.After(1, nop)
+				eng.Step()
+			}
+		}},
+		{"hotpath/expected-work", func(b *testing.B) {
+			// Box into the interface once, outside the measured loop:
+			// re-boxing a concrete life per call is itself the
+			// allocation pattern hotalloc flags.
+			var l lifefn.Life = mustUniform(b, 2000)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += sched.ExpectedWork(perfSchedule, l, perfOverhead)
+			}
+		}},
+		{"hotpath/gradient-into", func(b *testing.B) {
+			var l lifefn.Life = mustUniform(b, 2000)
+			buf := make([]float64, perfSchedule.Len())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = sched.GradientInto(buf, perfSchedule, l, perfOverhead)
+			}
+		}},
+		{"hotpath/cache-hit", func(b *testing.B) {
+			c := serve.NewCache(256, 8, serve.CacheMetrics{})
+			c.Put("hot-key", 42)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Get("hot-key"); !ok {
+					b.Fatal("cache miss on resident key")
+				}
+			}
+		}},
+	}
+	var plans, estimates, draws []perfRow
+	for _, f := range perfFamilies {
+		life := func(b *testing.B) lifefn.Life {
+			l, err := nowsim.BuildLife(f.name, f.lifespan, f.halfLife, f.d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return l
+		}
+		plans = append(plans, perfRow{"plan/" + f.name, func(b *testing.B) {
+			pl, err := core.NewPlanner(life(b), 1, core.PlanOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.PlanBest(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}})
+		// One 20k-episode estimate: the compute behind /v1/estimate.
+		estimates = append(estimates, perfRow{"mc/20k/" + f.name, func(b *testing.B) {
+			l := life(b)
+			plan := mustPlan(b, l, 1)
+			owner := nowsim.LifeOwner{Life: l}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pol := nowsim.NewSchedulePolicy(plan.Schedule, "bench")
+				if _, err := nowsim.MonteCarloCtx(context.Background(), pol, owner, 1, 20_000, 1, nowsim.Obs{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}})
+		// One inverse-transform reclaim draw, the sampling cost inside
+		// every Monte-Carlo episode.
+		draws = append(draws, perfRow{"reclaim/" + f.name, func(b *testing.B) {
+			owner := nowsim.LifeOwner{Life: life(b)}
+			src := rng.New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += owner.ReclaimAfter(src)
+			}
+		}})
+	}
+	rows = append(rows, plans...)
+	rows = append(rows, estimates...)
+	return append(rows, draws...)
+}
+
+// perfFarm builds a fresh two-worker farm and its task pool; the
+// farm/uninstrumented row times the build with the run.
+func perfFarm(b *testing.B) (nowsim.FarmConfig, *nowsim.TaskPool) {
+	l := mustUniform(b, 80)
+	ws := make([]nowsim.Worker, 2)
+	for i := range ws {
+		ws[i] = nowsim.Worker{
+			ID:    i,
+			Owner: nowsim.LifeOwner{Life: l},
+			BusySampler: func(r *rng.Source) float64 {
+				return r.Uniform(5, 15)
+			},
+			PolicyFactory: func() nowsim.Policy { return &nowsim.FixedChunkPolicy{Chunk: 20} },
+		}
+	}
+	pool, err := nowsim.NewUniformTasks(80, 1.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nowsim.FarmConfig{Workers: ws, Overhead: 1, Seed: 7, MaxTime: 1e6}, pool
+}
+
+func mustUniform(b *testing.B, lifespan float64) lifefn.Uniform {
+	b.Helper()
+	l, err := lifefn.NewUniform(lifespan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+// --- Other micro-benchmarks of the library.
 
 func BenchmarkGenerateFromUniform(b *testing.B) {
 	l, _ := lifefn.NewUniform(1000)
@@ -77,30 +306,6 @@ func BenchmarkGenerateFromUniform(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pl.GenerateFrom(44); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanBestUniform(b *testing.B) {
-	l, _ := lifefn.NewUniform(1000)
-	pl, _ := core.NewPlanner(l, 1, core.PlanOptions{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanBest(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanBestGeomDecreasing(b *testing.B) {
-	l, _ := lifefn.NewGeomDecreasing(math.Pow(2, 1.0/32))
-	pl, _ := core.NewPlanner(l, 1, core.PlanOptions{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.PlanBest(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,19 +333,6 @@ func BenchmarkGroundTruthSmall(b *testing.B) {
 	}
 }
 
-func BenchmarkEpisodeSimulation(b *testing.B) {
-	l, _ := lifefn.NewUniform(1000)
-	plan := mustPlan(b, l, 1)
-	pol := nowsim.NewSchedulePolicy(plan.Schedule, "bench")
-	src := rng.New(1)
-	owner := nowsim.LifeOwner{Life: l}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = nowsim.RunEpisode(pol, 1, owner.ReclaimAfter(src))
-	}
-}
-
 func BenchmarkTaskEpisode(b *testing.B) {
 	l, _ := lifefn.NewUniform(1000)
 	plan := mustPlan(b, l, 1)
@@ -152,72 +344,6 @@ func BenchmarkTaskEpisode(b *testing.B) {
 		pol := nowsim.NewSchedulePolicy(plan.Schedule, "bench")
 		b.StartTimer()
 		_ = nowsim.RunTaskEpisode(pol, pool, 1, 700)
-	}
-}
-
-func BenchmarkFarm(b *testing.B) {
-	l, _ := lifefn.NewUniform(200)
-	plan := mustPlan(b, l, 1)
-	factory := func() nowsim.Policy { return nowsim.NewSchedulePolicy(plan.Schedule, "bench") }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pool, _ := nowsim.NewUniformTasks(300, 2)
-		workers := make([]nowsim.Worker, 4)
-		for w := range workers {
-			workers[w] = nowsim.Worker{
-				ID:            w,
-				Owner:         nowsim.LifeOwner{Life: l},
-				BusySampler:   func(r *rng.Source) float64 { return r.Uniform(5, 20) },
-				PolicyFactory: factory,
-			}
-		}
-		b.StartTimer()
-		if _, err := nowsim.RunFarm(nowsim.FarmConfig{
-			Workers: workers, Overhead: 1, Seed: uint64(i), MaxTime: 1e6,
-		}, pool); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMonteCarloSerial(b *testing.B) {
-	l, _ := lifefn.NewUniform(1000)
-	plan := mustPlan(b, l, 1)
-	owner := nowsim.LifeOwner{Life: l}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nowsim.MonteCarloCtx(context.Background(), nowsim.NewSchedulePolicy(plan.Schedule, "bench"), owner, 1, 20_000, 1, nowsim.Obs{})
-	}
-}
-
-// BenchmarkReclaimDraw times one inverse-transform reclaim draw per
-// paper family, the sampling cost inside every Monte-Carlo episode.
-func BenchmarkReclaimDraw(b *testing.B) {
-	for _, f := range []struct {
-		name               string
-		lifespan, halfLife float64
-		d                  int
-	}{
-		{"uniform", 1000, 0, 0},
-		{"poly", 1000, 0, 2},
-		{"geomdec", 0, 32, 0},
-		{"geominc", 100, 0, 0},
-	} {
-		l, err := nowsim.BuildLife(f.name, f.lifespan, f.halfLife, f.d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		owner := nowsim.LifeOwner{Life: l}
-		b.Run(f.name, func(b *testing.B) {
-			src := rng.New(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = owner.ReclaimAfter(src)
-			}
-		})
 	}
 }
 

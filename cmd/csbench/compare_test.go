@@ -2,165 +2,263 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func mkReport(benches ...perfBenchResult) perfReport {
-	return perfReport{Suite: "test", GoVersion: "go0.0", Runs: 3, Benchmarks: benches}
+// row is one BenchmarkPerf result: name, ns/op, allocs/op.
+type row struct {
+	name   string
+	ns     float64
+	allocs int
 }
 
-func bench(name string, nsMin, allocsMin float64) perfBenchResult {
-	return perfBenchResult{
-		Name: name, NsPerOpMin: nsMin, NsPerOpMedian: nsMin * 1.1,
-		AllocsPerOpMin: allocsMin, AllocsPerOpMedian: allocsMin,
+// benchRun renders one `go test -bench -benchmem` run of the table as
+// the test binary prints it on a 2-CPU host.
+func benchRun(rows ...row) string {
+	var b strings.Builder
+	b.WriteString("goos: linux\ngoarch: amd64\npkg: repro\ncpu: Intel(R) Xeon(R) Processor\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "BenchmarkPerf/%-32s\t  100000\t%12.1f ns/op\t%8d B/op\t%8d allocs/op\n",
+			r.name+"-2", r.ns, 8*r.allocs, r.allocs)
 	}
+	b.WriteString("PASS\n")
+	return b.String()
+}
+
+// table is a small stand-in for the real table, including the two rows
+// the nil-obs check reads.
+func table() []row {
+	return []row{
+		{"episode/uninstrumented", 380, 0},
+		{"episode/obs-disabled", 381, 0},
+		{"plan/uniform", 918328, 890},
+		{"mc/20k/uniform", 5062905, 5},
+	}
+}
+
+const record = `{"rows": [
+  {"name": "episode/uninstrumented", "allocs_per_op": 0},
+  {"name": "episode/obs-disabled", "allocs_per_op": 0},
+  {"name": "plan/uniform", "allocs_per_op": 890},
+  {"name": "mc/20k/uniform", "allocs_per_op": 5}
+]}`
+
+// with returns a copy of rows with the named row's values replaced.
+func with(rows []row, name string, ns float64, allocs int) []row {
+	out := append([]row(nil), rows...)
+	for i := range out {
+		if out[i].name == name {
+			out[i].ns, out[i].allocs = ns, allocs
+		}
+	}
+	return out
+}
+
+func without(rows []row, name string) []row {
+	var out []row
+	for _, r := range rows {
+		if r.name != name {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// gate writes the record and both outputs to files and runs -compare.
+func gate(t *testing.T, rec, base, head string) (int, string) {
+	t.Helper()
+	dir := t.TempDir()
+	paths := make([]string, 3)
+	for i, body := range []string{rec, base, head} {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("f%d", i))
+		if err := os.WriteFile(paths[i], []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	code := runCompare(paths[0], paths[1], paths[2], &stdout, &stderr)
+	return code, stdout.String() + stderr.String()
+}
+
+// lineFor returns the comparison line that names row.
+func lineFor(out, name string) string {
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 1 && f[1] == name {
+			return l
+		}
+	}
+	return ""
 }
 
 func TestComparePerfIdenticalPasses(t *testing.T) {
-	base := mkReport(bench("a", 1000, 4), bench("b", 50, 0))
-	cmp := comparePerf(base, base, "old", "new", 1.75, 1.15, 2)
-	if cmp.Regressed || cmp.Breaches != 0 {
-		t.Fatalf("identical reports regressed: %+v", cmp)
+	runs := benchRun(table()...) + benchRun(table()...)
+	code, out := gate(t, record, runs, runs)
+	if code != 0 || !strings.Contains(out, "PASS") {
+		t.Fatalf("identical pair: exit %d\n%s", code, out)
 	}
-	if len(cmp.Deltas) != 2 || cmp.Deltas[0].NsRatio != 1 {
-		t.Errorf("deltas = %+v", cmp.Deltas)
+	if l := lineFor(out, "plan/uniform"); !strings.Contains(l, "x1.00") {
+		t.Errorf("plan/uniform line %q, want ratio x1.00", l)
 	}
 }
 
 func TestComparePerfNsBreach(t *testing.T) {
-	base := mkReport(bench("a", 1000, 4))
-	cand := mkReport(bench("a", 2000, 4)) // x2 > x1.75 budget (+25ns slack)
-	cmp := comparePerf(base, cand, "old", "new", 1.75, 1.15, 2)
-	if !cmp.Regressed || cmp.Breaches != 1 || !cmp.Deltas[0].NsBreach {
-		t.Fatalf("2x ns regression not flagged: %+v", cmp)
+	base := benchRun(table()...)
+	slow := benchRun(with(table(), "plan/uniform", 2*918328, 890)...)
+	code, out := gate(t, record, base, slow)
+	if code != 1 {
+		t.Fatalf("2x ns/op: exit %d, want 1\n%s", code, out)
 	}
-	// Within budget: x1.5 passes.
-	ok := comparePerf(base, mkReport(bench("a", 1500, 4)), "old", "new", 1.75, 1.15, 2)
-	if ok.Regressed {
-		t.Fatalf("1.5x flagged under a 1.75x budget: %+v", ok)
+	if l := lineFor(out, "plan/uniform"); !strings.HasPrefix(l, "BREACH") || !strings.Contains(l, "ns/op over base") {
+		t.Errorf("plan/uniform line %q, want an ns/op breach", l)
 	}
-}
-
-func TestComparePerfNsSlackShieldsTinyOps(t *testing.T) {
-	// 5ns -> 20ns is x4 but inside the +25ns absolute slack.
-	base := mkReport(bench("tiny", 5, 0))
-	cmp := comparePerf(base, mkReport(bench("tiny", 20, 0)), "old", "new", 1.75, 1.15, 2)
-	if cmp.Regressed {
-		t.Fatalf("timer-noise drift on a tiny op flagged: %+v", cmp)
+	if l := lineFor(out, "mc/20k/uniform"); !strings.HasPrefix(l, "ok") {
+		t.Errorf("unchanged row %q flagged", l)
+	}
+	// Each side keeps its min over runs: one slow run among fast ones
+	// is noise, not a regression.
+	code, out = gate(t, record, base, slow+base)
+	if code != 0 {
+		t.Fatalf("one slow run of two: exit %d, want 0\n%s", code, out)
 	}
 }
 
+// The record is exact: one allocation over it breaches, with no
+// slack; at or under it passes.
 func TestComparePerfAllocBreachAndSlack(t *testing.T) {
-	base := mkReport(bench("a", 1000, 0), bench("b", 1000, 100))
-	// 0 -> 2 allocs: within the absolute slack of 2.
-	ok := comparePerf(base, mkReport(bench("a", 1000, 2), bench("b", 1000, 100)), "o", "n", 1.75, 1.15, 2)
-	if ok.Regressed {
-		t.Fatalf("zero-baseline alloc drift inside slack flagged: %+v", ok)
-	}
-	// 100 -> 120: x1.2 > x1.15 budget + 2 slack (threshold 117).
-	bad := comparePerf(base, mkReport(bench("a", 1000, 0), bench("b", 1000, 120)), "o", "n", 1.75, 1.15, 2)
-	if !bad.Regressed || !bad.Deltas[1].AllocBreach {
-		t.Fatalf("20%% alloc regression not flagged: %+v", bad)
-	}
-}
-
-func TestComparePerfMissingIsBreachAddedIsNot(t *testing.T) {
-	base := mkReport(bench("kept", 100, 1), bench("dropped", 100, 1))
-	cand := mkReport(bench("kept", 100, 1), bench("brandnew", 100, 1))
-	cmp := comparePerf(base, cand, "o", "n", 1.75, 1.15, 2)
-	if !cmp.Regressed || cmp.Breaches != 1 {
-		t.Fatalf("dropped benchmark not a breach: %+v", cmp)
-	}
-	var missing *perfDelta
-	for i := range cmp.Deltas {
-		if cmp.Deltas[i].Name == "dropped" {
-			missing = &cmp.Deltas[i]
+	base := benchRun(table()...)
+	for _, tc := range []struct {
+		name   string
+		allocs int
+		want   int
+	}{
+		{"episode/uninstrumented", 1, 1},
+		{"plan/uniform", 891, 1},
+		{"plan/uniform", 890, 0},
+		{"plan/uniform", 400, 0},
+	} {
+		ns := 380.0
+		if tc.name == "plan/uniform" {
+			ns = 918328
+		}
+		code, out := gate(t, record, base, benchRun(with(table(), tc.name, ns, tc.allocs)...))
+		if code != tc.want {
+			t.Errorf("%s at %d allocs/op: exit %d, want %d\n%s", tc.name, tc.allocs, code, tc.want, out)
+		}
+		if tc.want == 1 && !strings.Contains(lineFor(out, tc.name), "allocs/op over record") {
+			t.Errorf("%s: breach not named\n%s", tc.name, out)
 		}
 	}
-	if missing == nil || !missing.Missing {
-		t.Fatalf("missing delta not marked: %+v", cmp.Deltas)
+}
+
+// A recorded row missing at head breaches; a row absent at the base or
+// from the record is reported but not gated.
+func TestComparePerfMissingIsBreachAddedIsNot(t *testing.T) {
+	base := benchRun(table()...)
+	code, out := gate(t, record, base, benchRun(without(table(), "mc/20k/uniform")...))
+	if code != 1 || !strings.Contains(lineFor(out, "mc/20k/uniform"), "missing at head") {
+		t.Fatalf("dropped row: exit %d, want 1 naming it\n%s", code, out)
 	}
-	if len(cmp.Added) != 1 || cmp.Added[0] != "brandnew" {
-		t.Errorf("added = %v", cmp.Added)
+
+	added := append(table(), row{"plan/geomdec", 8218325, 795})
+	code, out = gate(t, record, benchRun(without(table(), "plan/uniform")...), benchRun(added...))
+	if code != 0 {
+		t.Fatalf("rows new at head: exit %d, want 0\n%s", code, out)
+	}
+	if l := lineFor(out, "plan/uniform"); !strings.Contains(l, "not at base") {
+		t.Errorf("row absent at base: %q, want it reported as not gated", l)
+	}
+	if l := lineFor(out, "plan/geomdec"); !strings.Contains(l, "not recorded") {
+		t.Errorf("row absent from record: %q, want it reported as not gated", l)
+	}
+	// A base with no table at all, such as a commit from before the
+	// table existed, gates allocs/op only.
+	if code, out := gate(t, record, "PASS\n", benchRun(table()...)); code != 0 {
+		t.Fatalf("empty base: exit %d, want 0\n%s", code, out)
 	}
 }
 
-func writeReport(t *testing.T, dir, name string, r perfReport) string {
-	t.Helper()
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
+func TestCompareNilObsBudget(t *testing.T) {
+	base := benchRun(table()...)
+	code, out := gate(t, record, base, benchRun(with(table(), "episode/obs-disabled", 380*1.03, 0)...))
+	if code != 1 || !strings.Contains(out, "BREACH   nil-obs overhead +3.00%") {
+		t.Fatalf("3%% nil-obs overhead: exit %d, want 1\n%s", code, out)
 	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	code, out = gate(t, record, base, benchRun(with(table(), "episode/obs-disabled", 380*1.015, 0)...))
+	if code != 0 || !strings.Contains(out, "ok       nil-obs overhead +1.50%") {
+		t.Fatalf("1.5%% nil-obs overhead: exit %d, want 0\n%s", code, out)
 	}
-	return path
 }
 
-// The -against file-vs-file path: deterministic exit codes 0/1/2 and a
-// machine-readable diff artifact.
+// Real `go test -bench` lines: the -GOMAXPROCS suffix goes,
+// sub-benchmark slashes and dashes inside a row name stay, other
+// benchmarks are skipped and each row keeps its min over runs, in the
+// parse and in the printed comparison.
 func TestRunCompareFileVsFile(t *testing.T) {
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", mkReport(bench("a", 1000, 4)))
-	same := writeReport(t, dir, "same.json", mkReport(bench("a", 1000, 4)))
-	regressed := writeReport(t, dir, "bad.json", mkReport(bench("a", 9000, 4)))
-	outPath := filepath.Join(dir, "diff.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := runCompare(base, same, 1, outPath, 1.75, 1.15, 2, &stdout, &stderr); code != 0 {
-		t.Fatalf("identical compare exit = %d; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "PASS") {
-		t.Errorf("stdout missing PASS: %s", stdout.String())
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatalf("diff artifact not written: %v", err)
-	}
-	var cmp perfComparison
-	if err := json.Unmarshal(data, &cmp); err != nil {
-		t.Fatalf("diff artifact not JSON: %v", err)
-	}
-	if cmp.Regressed || len(cmp.Deltas) != 1 {
-		t.Errorf("diff artifact = %+v", cmp)
-	}
-
-	stdout.Reset()
-	if code := runCompare(base, regressed, 1, outPath, 1.75, 1.15, 2, &stdout, &stderr); code != 1 {
-		t.Fatalf("regressed compare exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout.String(), "BREACH") || !strings.Contains(stdout.String(), "FAIL") {
-		t.Errorf("stdout missing breach report: %s", stdout.String())
-	}
-	data, err = os.ReadFile(outPath)
+	out := `goos: linux
+goarch: amd64
+pkg: repro
+BenchmarkPerf/episode/obs-disabled-2         	  268308	       452.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPerf/mc/20k/geomdec-2               	       5	  23079204 ns/op	     134 B/op	       5 allocs/op
+BenchmarkTraceFit-2                          	     100	     10000 ns/op	     512 B/op	      12 allocs/op
+PASS
+goos: linux
+goarch: amd64
+pkg: repro
+BenchmarkPerf/episode/obs-disabled-2         	  258757	       401.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPerf/mc/20k/geomdec-2               	       5	  22651853 ns/op	     134 B/op	       6 allocs/op
+BenchmarkPerf/hdr/observe                    	 4204201	        29.65 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+	rows, err := parseBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &cmp); err != nil {
-		t.Fatal(err)
+	want := map[string]benchRow{
+		"episode/obs-disabled": {401.0, 0},
+		"mc/20k/geomdec":       {22651853, 5},
+		"hdr/observe":          {29.65, 0},
 	}
-	if !cmp.Regressed || cmp.Breaches != 1 {
-		t.Errorf("regressed diff artifact = %+v", cmp)
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %v, want %v", rows, want)
+	}
+	for name, w := range want {
+		if rows[name] != w {
+			t.Errorf("%s = %+v, want %+v", name, rows[name], w)
+		}
+	}
+
+	rec := `{"rows": [{"name": "mc/20k/geomdec", "allocs_per_op": 5}, {"name": "hdr/observe", "allocs_per_op": 0}]}`
+	code, cmp := gate(t, rec, out, out)
+	if code != 0 {
+		t.Fatalf("file vs itself: exit %d\n%s", code, cmp)
+	}
+	if f := strings.Fields(lineFor(cmp, "mc/20k/geomdec")); len(f) < 6 || f[2] != "22651853.0" || f[3] != "22651853.0" || f[5] != "5" {
+		t.Errorf("mc/20k/geomdec line %q, want the min ns/op and allocs/op on both sides", f)
 	}
 }
 
 func TestRunCompareBadInputs(t *testing.T) {
-	dir := t.TempDir()
-	good := writeReport(t, dir, "good.json", mkReport(bench("a", 1, 1)))
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"benchmarks":[]}`), 0o644); err != nil {
-		t.Fatal(err)
+	good := benchRun(table()...)
+	for _, tc := range []struct{ name, rec, base, head string }{
+		{"no PASS", record, good, strings.TrimSuffix(good, "PASS\n")},
+		{"failed run", record, good, good + "--- FAIL: BenchmarkPerf/plan/uniform\nFAIL\n"},
+		{"no -benchmem", record, "BenchmarkPerf/plan/uniform-2\t10\t918328 ns/op\nPASS\n", good},
+		{"bad number", record, good, "BenchmarkPerf/plan/uniform-2\t10\tfast ns/op\t0 B/op\t0 allocs/op\nPASS\n"},
+		{"record not JSON", "rows: plan/uniform", good, good},
+		{"record empty", `{"rows": []}`, good, good},
+		{"record unknown field", `{"rows": [{"name": "a", "ns_per_op": 1}]}`, good, good},
+		{"record repeated row", `{"rows": [{"name": "a"}, {"name": "a"}]}`, good, good},
+	} {
+		if code, out := gate(t, tc.rec, tc.base, tc.head); code != 2 {
+			t.Errorf("%s: exit %d, want 2\n%s", tc.name, code, out)
+		}
 	}
-	var out bytes.Buffer
-	if code := runCompare(filepath.Join(dir, "nope.json"), good, 1, "", 1.75, 1.15, 2, &out, &out); code != 2 {
-		t.Errorf("missing baseline exit = %d, want 2", code)
-	}
-	if code := runCompare(good, empty, 1, "", 1.75, 1.15, 2, &out, &out); code != 2 {
-		t.Errorf("empty candidate exit = %d, want 2", code)
+	var stdout, stderr bytes.Buffer
+	if code := runCompare(filepath.Join(t.TempDir(), "absent.json"), "b", "h", &stdout, &stderr); code != 2 {
+		t.Errorf("missing record file: exit %d, want 2", code)
 	}
 }

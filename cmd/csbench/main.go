@@ -8,13 +8,10 @@
 //	csbench -format md       # GitHub-flavored markdown (EXPERIMENTS.md)
 //	csbench -format csv      # CSV, one table after another
 //	csbench -list            # list experiment ids and sources
-//	csbench -perf            # hot-path micro-benchmarks -> BENCH_perf.json
-//	csbench -compare BENCH_perf.json
-//	                         # rerun the suite, fail (exit 1) if any
-//	                         # benchmark breaches its ns/op or allocs/op
-//	                         # budget against the committed history
-//	csbench -compare old.json -against new.json
-//	                         # pure file-vs-file diff, no measuring
+//	csbench -compare BENCH_perf.json base.txt head.txt
+//	                         # gate two `go test -bench BenchmarkPerf
+//	                         # -benchmem` outputs (base commit, head):
+//	                         # exit 1 on a breach (scripts/bench-gate.sh)
 package main
 
 import (
@@ -30,29 +27,20 @@ import (
 
 func main() {
 	var (
-		runList  = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		format   = flag.String("format", "text", "output format: text, md, csv")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		timing   = flag.Bool("timing", false, "print per-experiment wall time to stderr")
-		perf     = flag.Bool("perf", false, "run the hot-path micro-benchmark suite instead of the experiments")
-		perfRuns = flag.Int("perf-runs", 5, "repetitions per -perf benchmark (min and median are reported)")
-		perfOut  = flag.String("perf-out", "BENCH_perf.json", "output file for the -perf JSON report")
-
-		compare     = flag.String("compare", "", "baseline perf JSON; rerun the suite (or diff -against) and exit 1 on any budget breach")
-		against     = flag.String("against", "", "candidate perf JSON for -compare (pure file diff, skips measuring)")
-		compareOut  = flag.String("compare-out", "", "write the machine-readable -compare diff JSON here")
-		nsBudget    = flag.Float64("ns-budget", 1.75, "max candidate/baseline ratio of min ns/op before -compare fails")
-		allocBudget = flag.Float64("alloc-budget", 1.15, "max candidate/baseline ratio of min allocs/op before -compare fails")
-		allocSlack  = flag.Float64("alloc-slack", 2, "absolute allocs/op increase always tolerated (shields near-zero baselines)")
+		runList = flag.String("run", "", "comma-separated experiment ids (default: all)")
+		format  = flag.String("format", "text", "output format: text, md, csv")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		timing  = flag.Bool("timing", false, "print per-experiment wall time to stderr")
+		compare = flag.String("compare", "", "BENCH_perf.json; gate the bench outputs base.txt head.txt given as arguments, exit 1 on a breach")
 	)
 	flag.Parse()
 
 	if *compare != "" {
-		os.Exit(runCompare(*compare, *against, *perfRuns, *compareOut,
-			*nsBudget, *allocBudget, *allocSlack, os.Stdout, os.Stderr))
-	}
-	if *perf {
-		os.Exit(runPerf(*perfRuns, *perfOut, os.Stdout, os.Stderr))
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "csbench: -compare wants two arguments: base.txt head.txt")
+			os.Exit(2)
+		}
+		os.Exit(runCompare(*compare, flag.Arg(0), flag.Arg(1), os.Stdout, os.Stderr))
 	}
 
 	all := experiments.All()

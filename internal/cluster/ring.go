@@ -59,7 +59,12 @@ func (r *Ring) Len() int { return len(r.nodes) }
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // score is the 64-bit FNV-1a hash of node and key with a separator
-// byte, so ("ab","c") and ("a","bc") never collide.
+// byte, so ("ab","c") and ("a","bc") never collide, passed through
+// murmur3's fmix64 finalizer. FNV-1a carries a change in the last bytes
+// only upward from the low bits, and the top bits decide a rendezvous
+// comparison: without the finalizer, keys that differ only in trailing
+// digits all rank replicas by their shared prefix, so one replica wins
+// nearly all of them.
 func score(node, key string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -76,6 +81,11 @@ func score(node, key string) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -135,5 +136,42 @@ func TestRingValidate(t *testing.T) {
 	}
 	if err := NewRing(nil).Validate("http://anyone:1"); err == nil {
 		t.Error("empty ring accepted a named self")
+	}
+}
+
+// Real keys share long prefixes and differ in trailing digits, and
+// replica URLs differ only in their ports. Over keys that differ only
+// in their last byte, every replica of a 2- or 3-node ring must still
+// win a fair part of them, for any node URLs: a score whose top bits
+// come mostly from the node prefix hands one replica nearly every key.
+func TestRingBalanceOnLastByteKeys(t *testing.T) {
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = "plan|life=uniform|L=500|c=2|" + string([]byte{byte(i)})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{2, 3} {
+		for draw := 0; draw < 300; draw++ {
+			urls := make([]string, n)
+			for i := range urls {
+				urls[i] = fmt.Sprintf("http://127.0.0.1:%d", 1024+rng.Intn(64511))
+			}
+			ring := NewRing(urls)
+			if ring.Len() != n {
+				continue // a repeated port
+			}
+			won := make(map[string]int, n)
+			for _, key := range keys {
+				won[ring.Owner(key)]++
+			}
+			// Fair share is 256/n; the binomial spread is under 8 keys,
+			// so half the fair share is more than 5 sigma away.
+			for _, u := range ring.Nodes() {
+				if 2*n*won[u] < len(keys) {
+					t.Fatalf("%d replicas %v: %s owns %d of %d last-byte keys, want >= half its fair share",
+						n, ring.Nodes(), u, won[u], len(keys))
+				}
+			}
+		}
 	}
 }

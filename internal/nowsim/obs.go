@@ -10,7 +10,8 @@ import (
 // Obs bundles the optional observability outputs threaded through the
 // simulators: a structured trace sink and a metrics registry. Both
 // fields are nil-safe and independent; the zero Obs disables all
-// instrumentation at zero cost (benchmarked by csbench -perf).
+// instrumentation at zero cost (benchmarked by the episode/* rows of
+// BenchmarkPerf).
 //
 // Instrumentation never changes simulation results: observed and
 // unobserved runs with the same seed are identical, a property the

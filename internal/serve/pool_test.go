@@ -117,12 +117,12 @@ func TestPoolDeadlineLeavesPoolUsable(t *testing.T) {
 	}
 }
 
-// A task whose context is already dead when the worker dequeues it must
-// never be reported as success: the worker closes done without running
-// fn, and when done and ctx.Done() are both ready Do's select picks
-// randomly — the done branch has to notice fn never ran. (The old code
-// returned nil here roughly half the time, which let handlers cache
-// zero-valued responses.)
+// A call whose context has already ended must neither run fn nor be
+// reported as success. With an idle pool, a free slot and the ended
+// ctx are ready together, so Do's select may take the slot; only the
+// ctx check before fn keeps that branch from running fn and returning
+// nil, which would let a handler cache a zero-valued response. 200
+// calls make the slot branch all but certain to be taken.
 func TestPoolSkippedTaskNeverReportsSuccess(t *testing.T) {
 	p := NewPool(1, 256, nil, nil, nil)
 	defer p.Close()

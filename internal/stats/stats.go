@@ -84,29 +84,6 @@ func (r *Running) CI(level float64) float64 {
 	return TQuantile(1-(1-level)/2, int(r.n-1)) * r.StdErr()
 }
 
-// Merge combines another accumulator into r (parallel reduction).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n1, n2 := float64(r.n), float64(o.n)
-	d := o.mean - r.mean
-	tot := n1 + n2
-	r.mean += d * n2 / tot
-	r.m2 += o.m2 + d*d*n1*n2/tot
-	r.n += o.n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-}
-
 // Summary is a frozen view of a sample.
 type Summary struct {
 	N      int64

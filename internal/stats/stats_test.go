@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRunningBasics(t *testing.T) {
@@ -38,78 +37,6 @@ func TestRunningEmptyAndSingle(t *testing.T) {
 	}
 	if !math.IsInf(r.CI(0.95), 1) {
 		t.Error("single-point CI should be infinite")
-	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	var whole, a, b Running
-	for i := 0; i < 100; i++ {
-		v := math.Sin(float64(i)) * float64(i)
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged n = %d", a.N())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 {
-		t.Errorf("merged mean %g vs %g", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9*whole.Variance() {
-		t.Errorf("merged variance %g vs %g", a.Variance(), whole.Variance())
-	}
-	//lint:allow floatcmp min/max merge is exact selection, no arithmetic
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Error("merged min/max wrong")
-	}
-}
-
-func TestRunningMergeEmptyCases(t *testing.T) {
-	var a, b Running
-	b.Add(5)
-	a.Merge(b) // empty receiver
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Error("merge into empty failed")
-	}
-	var c Running
-	a.Merge(c) // empty argument
-	if a.N() != 1 {
-		t.Error("merge of empty changed receiver")
-	}
-}
-
-func TestRunningPropertyMergeAssociative(t *testing.T) {
-	check := func(xs, ys []float64) bool {
-		for _, v := range append(append([]float64{}, xs...), ys...) {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true
-			}
-		}
-		var seq, a, b Running
-		for _, v := range xs {
-			seq.Add(v)
-			a.Add(v)
-		}
-		for _, v := range ys {
-			seq.Add(v)
-			b.Add(v)
-		}
-		a.Merge(b)
-		if a.N() != seq.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		scale := 1 + math.Abs(seq.Mean())
-		return math.Abs(a.Mean()-seq.Mean()) <= 1e-9*scale
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
