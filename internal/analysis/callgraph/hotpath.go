@@ -19,7 +19,7 @@ import (
 //	func (c *Cache) Get(key string) (any, bool)
 //
 //	//cs:hotpath episode-loop
-//	func runEpisode(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) EpisodeResult
+//	func runEpisode(res *EpisodeResult, policy Policy, c, reclaim float64, emit func(EpisodeEvent))
 //
 // The payload is at most one label token — a name for the root in
 // diagnostics ([A-Za-z0-9] then [A-Za-z0-9._/-]*); a bare directive

@@ -56,7 +56,7 @@ func TestEpisodeAllocsConstantInPeriods(t *testing.T) {
 	count := func(EpisodeEvent) { events++ }
 	avg = testing.AllocsPerRun(100, func() {
 		events = 0
-		res = runEpisode(pol, 0.5, math.Inf(1), count)
+		runEpisode(&res, pol, 0.5, math.Inf(1), count)
 	})
 	if events != 2*1024+1 {
 		t.Fatalf("hooked episode emitted %d events, want %d", events, 2*1024+1)

@@ -44,6 +44,7 @@ func MonteCarloCtx(ctx context.Context, policy Policy, owner Owner, c float64, n
 	m := newSimMetrics(o.Metrics, c)
 	batch := obs.NewSpanner(o.Sink).Start(0, -1, "mc-batch", obs.SpanAttrs{Tasks: n})
 	emit := o.episodeEmitIn(0, m, batch)
+	var res EpisodeResult
 	var work, lost, periods stats.Running
 	var reclaimed int64
 	var err error
@@ -55,7 +56,7 @@ func MonteCarloCtx(ctx context.Context, policy Policy, owner Owner, c float64, n
 			}
 		}
 		r := owner.ReclaimAfter(src)
-		res := runEpisode(policy, c, r, emit)
+		runEpisode(&res, policy, c, r, emit)
 		m.episodeDone()
 		work.Add(res.Work)
 		lost.Add(res.Lost)

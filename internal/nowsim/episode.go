@@ -36,28 +36,34 @@ type EpisodeResult struct {
 // work; the owner's return at reclaim kills the period in flight and
 // ends the episode. c is the per-period communication overhead;
 // reclaim is the (externally sampled) time of the owner's return.
-func RunEpisode(policy Policy, c, reclaim float64) EpisodeResult {
-	return runEpisode(policy, c, reclaim, nil)
+func RunEpisode(policy Policy, c, reclaim float64) (res EpisodeResult) {
+	runEpisode(&res, policy, c, reclaim, nil)
+	return res
 }
 
-// runEpisode is the one episode loop. Exactly one period is ever in
-// flight, so the episode is a plain loop over periods (eq. 2.1): period
-// k commits if it ends before reclaim, and the first period the owner
-// reaches is lost and ends the episode. The owner returns only for a
-// reclaim in [0, 1e300); otherwise a lost period ends the episode at the
-// time it was dispatched, unreclaimed.
+// runEpisode is the one episode loop; it writes the outcome to *res.
+// Exactly one period is ever in flight, so the episode is a plain loop
+// over periods (eq. 2.1): period k commits if it ends before reclaim,
+// and the first period the owner reaches is lost and ends the episode.
+// The owner returns only for a reclaim in [0, 1e300); otherwise a lost
+// period ends the episode at the time it was dispatched, unreclaimed.
 //
 // emit, when non-nil, receives the event log as it happens
 // (RunEpisodeRecorded collects it; RunEpisodeObs forwards it to an
 // obs.Sink). A nil emit costs one predictable branch per event.
 //
+// The result goes out through a pointer because EpisodeResult has more
+// fields than the compiler keeps in registers: returned by value, a
+// wrapper such as RunEpisodeObs would copy it through its own stack
+// frame, about 1% of a 300 ns episode (DESIGN.md §13).
+//
 //cs:hotpath episode
-func runEpisode(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) EpisodeResult {
+func runEpisode(res *EpisodeResult, policy Policy, c, reclaim float64, emit func(EpisodeEvent)) {
 	if c < 0 {
 		panic(fmt.Sprintf("nowsim: negative overhead %g", c)) //lint:allow hotalloc panic path, never taken in steady state
 	}
 	policy.Reset()
-	var res EpisodeResult
+	*res = EpisodeResult{}
 	now := 0.0
 	for {
 		t, ok := policy.NextPeriod(now)
@@ -68,7 +74,7 @@ func runEpisode(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) Epis
 			if emit != nil {
 				emit(EpisodeEvent{Time: now, Kind: EventVoluntaryEnd, Period: -1})
 			}
-			return res
+			return
 		}
 		idx := res.PeriodsDispatched
 		res.PeriodsDispatched++
@@ -102,7 +108,7 @@ func runEpisode(policy Policy, c, reclaim float64, emit func(EpisodeEvent)) Epis
 		} else {
 			res.Duration = now
 		}
-		return res
+		return
 	}
 }
 

@@ -148,16 +148,23 @@ func (o Obs) episodeEmitIn(worker int, m *simMetrics, span obs.Span) func(Episod
 // o.Sink tagged with the given worker index and framed by an "episode"
 // span, and o.Metrics accumulates the standard metric set. A zero Obs
 // makes it exactly RunEpisode.
-func RunEpisodeObs(policy Policy, c, reclaim float64, worker int, o Obs) EpisodeResult {
-	if !o.enabled() {
-		return RunEpisode(policy, c, reclaim)
+func RunEpisodeObs(policy Policy, c, reclaim float64, worker int, o Obs) (res EpisodeResult) {
+	if o.enabled() {
+		o.observeEpisode(&res, policy, c, reclaim, worker)
+	} else {
+		runEpisode(&res, policy, c, reclaim, nil)
 	}
+	return res
+}
+
+// observeEpisode is RunEpisodeObs's instrumented path, kept out of
+// line so the zero Obs path carries none of its frame.
+func (o Obs) observeEpisode(res *EpisodeResult, policy Policy, c, reclaim float64, worker int) {
 	m := newSimMetrics(o.Metrics, c)
 	span := obs.NewSpanner(o.Sink).Start(0, worker, "episode", obs.SpanAttrs{})
-	res := runEpisode(policy, c, reclaim, o.episodeEmitIn(worker, m, span))
+	runEpisode(res, policy, c, reclaim, o.episodeEmitIn(worker, m, span))
 	span.End(res.Duration)
 	m.episodeDone()
-	return res
 }
 
 // WorkerLabel renders the standard worker label for per-worker series,

@@ -63,8 +63,9 @@ func (e EpisodeEvent) String() string {
 // return destroyed. The result is RunEpisode's, and the log ends in a
 // kill exactly when the result is Reclaimed.
 func RunEpisodeRecorded(policy Policy, c, reclaim float64) (EpisodeResult, []EpisodeEvent) {
+	var res EpisodeResult
 	var log []EpisodeEvent
-	res := runEpisode(policy, c, reclaim, func(e EpisodeEvent) {
+	runEpisode(&res, policy, c, reclaim, func(e EpisodeEvent) {
 		log = append(log, e)
 	})
 	return res, log

@@ -196,32 +196,34 @@ kill -TERM "$BURST_PID"
 wait "$BURST_PID"
 BURST_PID=""
 
-# --- perf-history regression gate: deterministic file-vs-file --------
+# --- micro-benchmark regression gate: deterministic file-vs-file -----
 echo "serve-smoke: csbench -compare pass/breach exit codes"
 $GO build -o bin/csbench ./cmd/csbench
-cat >"$SMOKE_DIR/perf-base.json" <<'EOF'
-{"suite":"smoke","go_version":"go0.0","runs":1,"benchmarks":[
-  {"name":"hot/path","ns_per_op_min":1000,"ns_per_op_median":1100,
-   "allocs_per_op_min":4,"allocs_per_op_median":4}]}
+cat >"$SMOKE_DIR/perf-record.json" <<'EOF'
+{"rows":[{"name":"hot/path","allocs_per_op":4}]}
 EOF
-cat >"$SMOKE_DIR/perf-breach.json" <<'EOF'
-{"suite":"smoke","go_version":"go0.0","runs":1,"benchmarks":[
-  {"name":"hot/path","ns_per_op_min":9000,"ns_per_op_median":9900,
-   "allocs_per_op_min":4,"allocs_per_op_median":4}]}
+cat >"$SMOKE_DIR/perf-base.txt" <<'EOF'
+BenchmarkPerf/hot/path-2    100000    1000 ns/op    64 B/op    4 allocs/op
+BenchmarkPerf/hot/path-2    100000    1100 ns/op    64 B/op    4 allocs/op
+PASS
 EOF
-# Identical baseline and candidate must pass with a clean diff artifact.
-./bin/csbench -compare "$SMOKE_DIR/perf-base.json" \
-  -against "$SMOKE_DIR/perf-base.json" \
-  -compare-out "$SMOKE_DIR/perf-diff-ok.json" >/dev/null
-jq -e '.regressed == false and .breaches == 0' "$SMOKE_DIR/perf-diff-ok.json"
-# A 9x ns/op regression must breach the budget and exit nonzero.
-if ./bin/csbench -compare "$SMOKE_DIR/perf-base.json" \
-  -against "$SMOKE_DIR/perf-breach.json" \
-  -compare-out "$SMOKE_DIR/perf-diff-breach.json" >/dev/null; then
-  echo "serve-smoke: csbench -compare passed a 9x regression" >&2
+cat >"$SMOKE_DIR/perf-breach.txt" <<'EOF'
+BenchmarkPerf/hot/path-2     10000    9000 ns/op    64 B/op    4 allocs/op
+BenchmarkPerf/hot/path-2     10000    9900 ns/op    64 B/op    4 allocs/op
+PASS
+EOF
+# An identical base and head must pass.
+./bin/csbench -compare "$SMOKE_DIR/perf-record.json" \
+  "$SMOKE_DIR/perf-base.txt" "$SMOKE_DIR/perf-base.txt" >"$SMOKE_DIR/perf-compare-ok.txt"
+grep -q '^PASS' "$SMOKE_DIR/perf-compare-ok.txt"
+# A 9x ns/op regression must breach the budget and exit 1, naming the row.
+code=0
+./bin/csbench -compare "$SMOKE_DIR/perf-record.json" \
+  "$SMOKE_DIR/perf-base.txt" "$SMOKE_DIR/perf-breach.txt" >"$SMOKE_DIR/perf-compare-breach.txt" || code=$?
+if [ "$code" -ne 1 ]; then
+  echo "serve-smoke: csbench -compare exited $code on a 9x regression, want 1" >&2
   exit 1
 fi
-jq -e '.regressed == true and .breaches == 1' "$SMOKE_DIR/perf-diff-breach.json"
-jq -e '.deltas[0].ns_breach == true' "$SMOKE_DIR/perf-diff-breach.json"
+grep -q '^BREACH *hot/path ' "$SMOKE_DIR/perf-compare-breach.txt"
 
 echo "serve-smoke: OK"
