@@ -102,8 +102,8 @@ bench:
 # binary at BASE (default HEAD^) and at the working tree, run both
 # alternately on this host and fail when `csbench -compare` finds a row
 # whose min ns/op grew past its constant ratio over BASE, whose
-# allocs/op exceed BENCH_perf.json, or which is missing, or when the
-# nil-obs overhead exceeds 2%. Raw outputs and the comparison land in
-# bin/bench-gate/. Example: make bench-compare BASE=origin/main
+# allocs/op exceed BENCH_perf.json, or which is missing. Raw outputs
+# and the comparison land in bin/bench-gate/. Example:
+# make bench-compare BASE=origin/main
 bench-compare:
 	bash scripts/bench-gate.sh

@@ -20,12 +20,7 @@ package main
 //
 // A row absent at the base (a row the change adds) is reported but has
 // no ns/op gate, and a row absent from the record has no allocs/op
-// gate. Separately, episode/obs-disabled may cost at most
-// nilObsBudgetPercent more than episode/uninstrumented at head: the
-// zero Obs must stay free (DESIGN.md §6). That check pairs the two
-// rows' samples run by run and takes the median of the ratios: a 2%
-// budget is finer than the spread of two mins taken at different
-// moments, while the two samples of one run are taken back to back.
+// gate.
 
 import (
 	"bufio"
@@ -44,17 +39,13 @@ const (
 	// in either direction, over 19 gate runs on a shared 2-core host
 	// (ratios within [0.90, 1.08]; DESIGN.md §13).
 	nsRatioBudget = 1.15
-	// nilObsBudgetPercent bounds the disabled-instrumentation overhead.
-	nilObsBudgetPercent = 2.0
 	// benchPrefix names the table; its sub-benchmarks are the rows.
 	benchPrefix = "BenchmarkPerf/"
 )
 
-// benchRow is one row's min ns/op and min allocs/op over its runs, and
-// its ns/op samples in input order.
+// benchRow is one row's min ns/op and min allocs/op over its runs.
 type benchRow struct {
 	ns, allocs float64
-	samples    []float64
 }
 
 // parseBench reads `go test -bench -benchmem` output, possibly several
@@ -89,7 +80,6 @@ func parseBench(r io.Reader) (map[string]benchRow, error) {
 		if !seen || allocs < row.allocs {
 			row.allocs = allocs
 		}
-		row.samples = append(row.samples, ns)
 		rows[name] = row
 	}
 	if err := sc.Err(); err != nil {
@@ -255,44 +245,10 @@ func runCompare(recordPath, basePath, headPath string, stdout, stderr io.Writer)
 			status, name, baseNs, h.ns, ratio, h.allocs, recCol, strings.Join(notes, "; "))
 	}
 
-	plain, okPlain := head["episode/uninstrumented"]
-	off, okOff := head["episode/obs-disabled"]
-	if okPlain && okOff {
-		if len(plain.samples) != len(off.samples) {
-			fmt.Fprintf(stderr, "csbench: compare head: episode/uninstrumented has %d samples, episode/obs-disabled %d: cannot pair them\n",
-				len(plain.samples), len(off.samples))
-			return 2
-		}
-		pct := nilObsOverhead(plain.samples, off.samples)
-		status := "ok"
-		if pct > nilObsBudgetPercent {
-			status = "BREACH"
-			breaches++
-		}
-		fmt.Fprintf(stdout, "%-8s nil-obs overhead %+.2f%% (median of %d paired samples, budget <= %g%%)\n",
-			status, pct, len(off.samples), nilObsBudgetPercent)
-	}
-
 	if breaches > 0 {
 		fmt.Fprintf(stdout, "FAIL: %d breach(es)\n", breaches)
 		return 1
 	}
 	fmt.Fprintf(stdout, "PASS: %d row(s), ns/op within x%.2f of base, allocs/op within record\n", len(names), nsRatioBudget)
 	return 0
-}
-
-// nilObsOverhead is the median over i of off[i]/plain[i] - 1, in
-// percent. The i-th samples of the two rows come from the same run.
-func nilObsOverhead(plain, off []float64) float64 {
-	ratios := make([]float64, len(off))
-	for i := range off {
-		ratios[i] = off[i] / plain[i]
-	}
-	sort.Float64s(ratios)
-	n := len(ratios)
-	med := ratios[n/2]
-	if n%2 == 0 {
-		med = (ratios[n/2-1] + ratios[n/2]) / 2
-	}
-	return 100 * (med - 1)
 }

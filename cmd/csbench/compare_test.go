@@ -29,12 +29,10 @@ func benchRun(rows ...row) string {
 	return b.String()
 }
 
-// table is a small stand-in for the real table, including the two rows
-// the nil-obs check reads.
+// table is a small stand-in for the real table.
 func table() []row {
 	return []row{
 		{"episode/uninstrumented", 380, 0},
-		{"episode/obs-disabled", 381, 0},
 		{"plan/uniform", 918328, 890},
 		{"mc/20k/uniform", 5062905, 5},
 	}
@@ -42,7 +40,6 @@ func table() []row {
 
 const record = `{"rows": [
   {"name": "episode/uninstrumented", "allocs_per_op": 0},
-  {"name": "episode/obs-disabled", "allocs_per_op": 0},
   {"name": "plan/uniform", "allocs_per_op": 890},
   {"name": "mc/20k/uniform", "allocs_per_op": 5}
 ]}`
@@ -181,35 +178,6 @@ func TestComparePerfMissingIsBreachAddedIsNot(t *testing.T) {
 	}
 }
 
-// episodeRuns renders one run per (uninstrumented, obs-disabled) ns/op
-// pair, the two rows back to back as the gate's one-sample runs take
-// them.
-func episodeRuns(pairs ...[2]float64) string {
-	var b strings.Builder
-	for _, p := range pairs {
-		b.WriteString(benchRun(with(with(table(), "episode/uninstrumented", p[0], 0), "episode/obs-disabled", p[1], 0)...))
-	}
-	return b.String()
-}
-
-func TestCompareNilObsBudget(t *testing.T) {
-	base := benchRun(table()...)
-	// Three of four runs pay 3%; in the fourth a burst hit the
-	// uninstrumented sample, and the quietest obs-disabled sample sits
-	// below the quietest uninstrumented one, which a min-vs-min check
-	// would read as free.
-	code, out := gate(t, record, base, episodeRuns([2]float64{400, 412}, [2]float64{300, 309}, [2]float64{500, 515}, [2]float64{330, 295}))
-	if code != 1 || !strings.Contains(out, "BREACH   nil-obs overhead +3.00% (median of 4 paired samples") {
-		t.Fatalf("3%% nil-obs overhead: exit %d, want 1\n%s", code, out)
-	}
-	// Each run pays 0.5% but one obs-disabled sample caught a burst: a
-	// min-vs-min check would read +5%, the paired median does not.
-	code, out = gate(t, record, base, episodeRuns([2]float64{400, 402}, [2]float64{300, 315}, [2]float64{500, 502.5}))
-	if code != 0 || !strings.Contains(out, "ok       nil-obs overhead +0.50% (median of 3 paired samples") {
-		t.Fatalf("0.5%% nil-obs overhead: exit %d, want 0\n%s", code, out)
-	}
-}
-
 // Real `go test -bench` lines: the -GOMAXPROCS suffix goes,
 // sub-benchmark slashes and dashes inside a row name stay, other
 // benchmarks are skipped and each row keeps its min over runs, in the
@@ -218,14 +186,14 @@ func TestRunCompareFileVsFile(t *testing.T) {
 	out := `goos: linux
 goarch: amd64
 pkg: repro
-BenchmarkPerf/episode/obs-disabled-2         	  268308	       452.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPerf/episode/uninstrumented-2       	  268308	       452.5 ns/op	       0 B/op	       0 allocs/op
 BenchmarkPerf/mc/20k/geomdec-2               	       5	  23079204 ns/op	     134 B/op	       5 allocs/op
 BenchmarkTraceFit-2                          	     100	     10000 ns/op	     512 B/op	      12 allocs/op
 PASS
 goos: linux
 goarch: amd64
 pkg: repro
-BenchmarkPerf/episode/obs-disabled-2         	  258757	       401.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPerf/episode/uninstrumented-2       	  258757	       401.0 ns/op	       0 B/op	       0 allocs/op
 BenchmarkPerf/mc/20k/geomdec-2               	       5	  22651853 ns/op	     134 B/op	       6 allocs/op
 BenchmarkPerf/hdr/observe                    	 4204201	        29.65 ns/op	       0 B/op	       0 allocs/op
 PASS
@@ -235,9 +203,9 @@ PASS
 		t.Fatal(err)
 	}
 	want := map[string]benchRow{
-		"episode/obs-disabled": {401.0, 0, []float64{452.5, 401.0}},
-		"mc/20k/geomdec":       {22651853, 5, []float64{23079204, 22651853}},
-		"hdr/observe":          {29.65, 0, []float64{29.65}},
+		"episode/uninstrumented": {401.0, 0},
+		"mc/20k/geomdec":         {22651853, 5},
+		"hdr/observe":            {29.65, 0},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %v, want %v", rows, want)
@@ -269,7 +237,6 @@ func TestRunCompareBadInputs(t *testing.T) {
 		{"record empty", `{"rows": []}`, good, good},
 		{"record unknown field", `{"rows": [{"name": "a", "ns_per_op": 1}]}`, good, good},
 		{"record repeated row", `{"rows": [{"name": "a"}, {"name": "a"}]}`, good, good},
-		{"unpaired episode samples", record, good, good + benchRun(without(table(), "episode/obs-disabled")...)},
 	} {
 		if code, out := gate(t, tc.rec, tc.base, tc.head); code != 2 {
 			t.Errorf("%s: exit %d, want 2\n%s", tc.name, code, out)

@@ -22,6 +22,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad dist", []string{"-dist", "cauchy"}, 2},
 		{"bad policy", append(append([]string{}, small[:4]...), "-policies", "nope"), 1},
 		{"bad trace format", append(append([]string{}, small...), "-trace", filepath.Join(t.TempDir(), "x"), "-trace-format", "xml"), 2},
+		{"bad trace format without -trace", append(append([]string{}, small...), "-trace-format", "xml"), 2},
 		{"not drained", append(append([]string{}, small...), "-maxtime", "5"), 1},
 	}
 	for _, tc := range cases {

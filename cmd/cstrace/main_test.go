@@ -26,6 +26,7 @@ func TestRunExitCodes(t *testing.T) {
 		// fit: a runtime failure, not a usage error.
 		{"unfittable", append(append([]string{}, small...), "-censor", "1e-12"), 1},
 		{"bad trace format", append(append([]string{}, small...), "-trace", filepath.Join(t.TempDir(), "x"), "-trace-format", "xml"), 2},
+		{"bad trace format without -trace", append(append([]string{}, small...), "-trace-format", "xml"), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,9 @@
-// Package obssafe preserves the zero-cost-when-nil observability
+// Package obssafe preserves the nil-when-disabled observability
 // contract: instrumentation fields (Sink, Metrics) are nil when
 // disabled, and the nil check is owned by the wrapper layer
-// (nowsim.Obs's emit closures, farmObs methods), not scattered over
-// emission sites.
+// (nowsim.Obs's emit closure, farmObs methods), not scattered over
+// emission sites, so disabled instrumentation costs one branch where
+// the wrapper is called.
 //
 // The analyzer flags any method call made directly through a struct
 // field named Sink or Metrics — `o.Sink.Emit(e)`,

@@ -43,7 +43,7 @@ func MonteCarloCtx(ctx context.Context, policy Policy, owner Owner, c float64, n
 	src := rng.New(seed)
 	m := newSimMetrics(o.Metrics, c)
 	batch := obs.NewSpanner(o.Sink).Start(0, -1, "mc-batch", obs.SpanAttrs{Tasks: n})
-	emit := o.episodeEmitIn(0, m, batch)
+	emit := o.episodeEmitIn(m, batch)
 	var res EpisodeResult
 	var work, lost, periods stats.Running
 	var reclaimed int64

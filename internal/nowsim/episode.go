@@ -49,13 +49,11 @@ func RunEpisode(policy Policy, c, reclaim float64) (res EpisodeResult) {
 // period ends the episode at the time it was dispatched, unreclaimed.
 //
 // emit, when non-nil, receives the event log as it happens
-// (RunEpisodeRecorded collects it; RunEpisodeObs forwards it to an
+// (RunEpisodeRecorded collects it; MonteCarloCtx forwards it to an
 // obs.Sink). A nil emit costs one predictable branch per event.
 //
-// The result goes out through a pointer because EpisodeResult has more
-// fields than the compiler keeps in registers: returned by value, a
-// wrapper such as RunEpisodeObs would copy it through its own stack
-// frame, about 1% of a 300 ns episode (DESIGN.md §13).
+// The result goes out through a pointer so that MonteCarloCtx can
+// reuse one EpisodeResult across all its episodes.
 //
 //cs:hotpath episode
 func runEpisode(res *EpisodeResult, policy Policy, c, reclaim float64, emit func(EpisodeEvent)) {

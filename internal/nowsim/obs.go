@@ -10,8 +10,8 @@ import (
 // Obs bundles the optional observability outputs threaded through the
 // simulators: a structured trace sink and a metrics registry. Both
 // fields are nil-safe and independent; the zero Obs disables all
-// instrumentation at zero cost (benchmarked by the episode/* rows of
-// BenchmarkPerf).
+// instrumentation at the cost of a nil-hook branch per event (gated by
+// the episode/uninstrumented and mc/20k/* rows of BenchmarkPerf).
 //
 // Instrumentation never changes simulation results: observed and
 // unobserved runs with the same seed are identical, a property the
@@ -127,44 +127,21 @@ func (m *simMetrics) episodeDone() {
 	m.episodes.Inc()
 }
 
-// episodeEmitIn builds the emit hook RunEpisodeObs and the Monte-Carlo
-// runners share: forward to the sink (tagged with worker and attributed
-// to an enclosing span; an inactive span leaves them unattributed) and
-// update the metrics. It is nil when there is nothing to observe.
-func (o Obs) episodeEmitIn(worker int, m *simMetrics, span obs.Span) func(EpisodeEvent) {
+// episodeEmitIn builds MonteCarloCtx's emit hook: forward each event
+// to the sink (tagged worker 0 and attributed to an enclosing span; an
+// inactive span leaves it unattributed) and update the metrics. It is
+// nil when there is nothing to observe.
+func (o Obs) episodeEmitIn(m *simMetrics, span obs.Span) func(EpisodeEvent) {
 	if o.Sink == nil && m == nil {
 		return nil
 	}
 	return func(e EpisodeEvent) {
 		if o.Sink != nil {
 			//lint:allow obssafe this is the nil-safe wrapper itself
-			o.Sink.Emit(span.Attach(e.TraceEvent(worker)))
+			o.Sink.Emit(span.Attach(e.TraceEvent(0)))
 		}
 		m.observe(e)
 	}
-}
-
-// RunEpisodeObs is RunEpisode with observability: events stream to
-// o.Sink tagged with the given worker index and framed by an "episode"
-// span, and o.Metrics accumulates the standard metric set. A zero Obs
-// makes it exactly RunEpisode.
-func RunEpisodeObs(policy Policy, c, reclaim float64, worker int, o Obs) (res EpisodeResult) {
-	if o.enabled() {
-		o.observeEpisode(&res, policy, c, reclaim, worker)
-	} else {
-		runEpisode(&res, policy, c, reclaim, nil)
-	}
-	return res
-}
-
-// observeEpisode is RunEpisodeObs's instrumented path, kept out of
-// line so the zero Obs path carries none of its frame.
-func (o Obs) observeEpisode(res *EpisodeResult, policy Policy, c, reclaim float64, worker int) {
-	m := newSimMetrics(o.Metrics, c)
-	span := obs.NewSpanner(o.Sink).Start(0, worker, "episode", obs.SpanAttrs{})
-	runEpisode(res, policy, c, reclaim, o.episodeEmitIn(worker, m, span))
-	span.End(res.Duration)
-	m.episodeDone()
 }
 
 // WorkerLabel renders the standard worker label for per-worker series,

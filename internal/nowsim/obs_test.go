@@ -23,30 +23,37 @@ func testLife(t testing.TB) lifefn.Life {
 	return l
 }
 
-// TestRunEpisodeObsMatchesRecorded: the obs event stream is exactly the
-// recorded log, tagged with the worker index and framed by an "episode"
-// span that every point event references as its parent.
-func TestRunEpisodeObsMatchesRecorded(t *testing.T) {
+// fixedOwner reclaims at the same time in every episode.
+type fixedOwner float64
+
+func (f fixedOwner) ReclaimAfter(*rng.Source) float64 { return float64(f) }
+func (f fixedOwner) String() string                   { return "fixed" }
+
+// TestMonteCarloEmitMatchesRecorded: for one episode, MonteCarloCtx's
+// event stream is exactly the recorded log, tagged worker 0 and framed
+// by the "mc-batch" span that every point event references as its
+// parent.
+func TestMonteCarloEmitMatchesRecorded(t *testing.T) {
 	s := sched.MustNew(4, 3, 2)
 	var buf obs.BufferSink
-	res := RunEpisodeObs(NewSchedulePolicy(s, "obs"), 1, 8, 7, Obs{Sink: &buf})
+	res := serialMC(t, NewSchedulePolicy(s, "obs"), fixedOwner(8), 1, 1, 7, Obs{Sink: &buf})
 	plain, log := RunEpisodeRecorded(NewSchedulePolicy(s, "rec"), 1, 8)
-	if res != plain {
-		t.Errorf("observed result %+v != recorded result %+v", res, plain)
+	//lint:allow floatcmp a one-episode mean is that episode's work verbatim
+	if res.Episodes != 1 || res.Work.Mean != plain.Work || (res.Reclaimed == 1) != plain.Reclaimed {
+		t.Errorf("Monte-Carlo result %+v does not match the recorded episode %+v", res, plain)
 	}
 	if len(buf.Events) != len(log)+2 {
 		t.Fatalf("sink got %d events, recorder %d (+2 span frames)", len(buf.Events), len(log))
 	}
 	first, last := buf.Events[0], buf.Events[len(buf.Events)-1]
-	if first.Phase != obs.PhaseBegin || first.Kind != "episode" || first.Span == 0 || first.Worker != 7 {
-		t.Errorf("first event is not the episode span begin: %+v", first)
+	if first.Phase != obs.PhaseBegin || first.Kind != "mc-batch" || first.Span == 0 || first.Tasks != 1 {
+		t.Errorf("first event is not the mc-batch span begin: %+v", first)
 	}
-	//lint:allow floatcmp the span end copies Duration verbatim
-	if last.Phase != obs.PhaseEnd || last.Span != first.Span || last.Time != res.Duration {
-		t.Errorf("last event is not the matching span end at Duration: %+v", last)
+	if last.Phase != obs.PhaseEnd || last.Kind != "mc-batch" || last.Span != first.Span {
+		t.Errorf("last event is not the matching mc-batch span end: %+v", last)
 	}
 	for i := range log {
-		want := log[i].TraceEvent(7)
+		want := log[i].TraceEvent(0)
 		//lint:allow obssafe the test builds the expected attributed event by hand
 		want.Parent = first.Span
 		if buf.Events[i+1] != want {

@@ -41,9 +41,16 @@ type Session struct {
 }
 
 // Setup opens the trace file and metrics server requested by the
-// flags. reg may be nil when the caller keeps no metrics. On error,
-// anything already opened is closed.
+// flags. reg may be nil when the caller keeps no metrics. The trace
+// format is checked first, whether or not a trace file is requested,
+// so a bad one never truncates an existing file; an empty format is
+// jsonl, which keeps the zero Flags valid. On error, anything already
+// opened is closed.
 func (f *Flags) Setup(reg *Registry) (*Session, error) {
+	chrome := f.TraceFormat == "chrome"
+	if !chrome && f.TraceFormat != "jsonl" && f.TraceFormat != "" {
+		return nil, fmt.Errorf("obs: unknown trace format %q (want jsonl or chrome)", f.TraceFormat)
+	}
 	s := &Session{}
 	if f.Trace != "" {
 		file, err := os.Create(f.Trace)
@@ -51,16 +58,12 @@ func (f *Flags) Setup(reg *Registry) (*Session, error) {
 			return nil, fmt.Errorf("obs: create trace file: %w", err)
 		}
 		s.file = file
-		switch f.TraceFormat {
-		case "jsonl":
-			sink := NewJSONLSink(file)
-			s.Sink, s.closer = sink, sink
-		case "chrome":
+		if chrome {
 			sink := NewChromeSink(file)
 			s.Sink, s.closer = sink, sink
-		default:
-			_ = file.Close()
-			return nil, fmt.Errorf("obs: unknown trace format %q (want jsonl or chrome)", f.TraceFormat)
+		} else {
+			sink := NewJSONLSink(file)
+			s.Sink, s.closer = sink, sink
 		}
 	}
 	if f.MetricsAddr != "" {

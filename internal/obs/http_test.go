@@ -64,9 +64,22 @@ func TestCLIFlagsSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f = Flags{Trace: dir + "/run.json", TraceFormat: "nope"}
+	// A bad format errors before the trace file is opened: an existing
+	// file keeps its bytes.
+	kept := dir + "/kept.jsonl"
+	if err := os.WriteFile(kept, []byte("earlier run\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f = Flags{Trace: kept, TraceFormat: "nope"}
 	if _, err := f.Setup(nil); err == nil {
 		t.Error("bad trace format did not error")
+	}
+	if b, err := os.ReadFile(kept); err != nil || string(b) != "earlier run\n" {
+		t.Errorf("bad trace format touched the existing trace file: %q, %v", b, err)
+	}
+	f = Flags{TraceFormat: "nope"}
+	if _, err := f.Setup(nil); err == nil {
+		t.Error("bad trace format without a trace file did not error")
 	}
 
 	var zero Flags

@@ -6,8 +6,8 @@ import (
 	"repro/internal/lifefn"
 )
 
-// The //cs:hotpath roots in this package are held to a zero-allocation
-// steady state; these tests pin that budget at runtime.
+// The //cs:hotpath root in this package is held to a zero-allocation
+// steady state; this test pins that budget at runtime.
 
 func allocLife(t *testing.T) lifefn.Life {
 	t.Helper()
@@ -44,38 +44,5 @@ func TestExpectedWorkAllocFree(t *testing.T) {
 	_ = sink
 	if avg != 0 {
 		t.Fatalf("ExpectedWork allocates %.2f/run, want 0", avg)
-	}
-}
-
-// TestGradientIntoAllocFree: with an adequate caller buffer, a
-// gradient evaluation allocates nothing — the buffer doubles as
-// boundary storage, so not even a scratch slice is needed.
-func TestGradientIntoAllocFree(t *testing.T) {
-	l := allocLife(t)
-	s := allocSchedule(t, 32)
-	buf := make([]float64, s.Len())
-	avg := testing.AllocsPerRun(100, func() {
-		buf = GradientInto(buf, s, l, 0.5)
-	})
-	if avg != 0 {
-		t.Fatalf("GradientInto with a reused buffer allocates %.2f/run, want 0", avg)
-	}
-}
-
-// TestGradientIntoMatchesGradient: the in-place boundary trick must
-// reproduce Gradient's values exactly (same Kahan accumulation order).
-func TestGradientIntoMatchesGradient(t *testing.T) {
-	l := allocLife(t)
-	s := allocSchedule(t, 17)
-	want := Gradient(s, l, 0.5)
-	got := GradientInto(make([]float64, 0), s, l, 0.5)
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch: got %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		//lint:allow floatcmp the in-place rewrite must be bit-identical, not merely close
-		if got[i] != want[i] {
-			t.Fatalf("grad[%d] = %g, want %g (must be bit-identical)", i, got[i], want[i])
-		}
 	}
 }

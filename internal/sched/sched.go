@@ -202,26 +202,14 @@ func RealizedWork(s Schedule, c, r float64) float64 {
 // contribute their boundary-shift terms but no direct work term,
 // matching the one-sided derivative of the ⊖ operator from above.
 //
+// The result slice doubles as boundary storage: the forward pass
+// leaves T_k in grad[k], and the backward pass reads each boundary just
+// before overwriting it.
+//
 //cs:unit c=time
 func Gradient(s Schedule, l lifefn.Life, c float64) []float64 {
-	return GradientInto(nil, s, l, c)
-}
-
-// GradientInto is Gradient writing into grad, which is grown only when
-// its capacity is short: an optimizer iterating on a fixed-length
-// schedule reuses one buffer across all its gradient evaluations. The
-// buffer doubles as boundary storage — the forward pass leaves T_k in
-// grad[k], and the backward pass reads each boundary just before
-// overwriting it — so the steady state allocates nothing at all.
-//
-//cs:hotpath gradient
-//cs:unit c=time
-func GradientInto(grad []float64, s Schedule, l lifefn.Life, c float64) []float64 {
 	m := s.Len()
-	if cap(grad) < m {
-		grad = make([]float64, m) //lint:allow hotalloc grows only when the caller's buffer is short
-	}
-	grad = grad[:m]
+	grad := make([]float64, m)
 	var sum numeric.KahanSum
 	for k, t := range s.periods {
 		sum.Add(t)
