@@ -6,13 +6,35 @@ import (
 	"repro/internal/numeric"
 )
 
-// Inverse solves P(T) = y for T >= from on the decreasing branch of l:
+// inverter is implemented by the life functions whose p⁻¹ has a closed
+// form: the paper's Section-4 families.
+type inverter interface {
+	// inverse returns the t with P(t) = y, for y in (0, 1).
+	//
+	//cs:unit y=probability return=time
+	inverse(y float64) float64
+}
+
+// Inverse solves P(T) = y for T >= from on the decreasing branch of l.
+// For the four paper families (Uniform, Poly, GeomDecreasing,
+// GeomIncreasing) and y in (0, 1) it evaluates p⁻¹ in closed form,
+// whenever the result lies in [from, Horizon()]. Otherwise it runs
 // Brent's method on [from, Horizon()] when the horizon is finite, else
 // on a bracket grown geometrically from from with first step
-// max(minStep, from/2)+1, up to 1e30. Roots are located to an absolute
-// tolerance of 1e-13 plus 4 ulp. The planner's system (3.6) and every
-// reclaim draw go through here.
+// max(minStep, from/2)+1, up to 1e30; Brent locates roots to an
+// absolute tolerance of 1e-13 plus 4 ulp. The planner's system (3.6)
+// goes through here.
 func Inverse(l Life, y, from, minStep float64) (float64, error) {
+	if inv, ok := l.(inverter); ok && y > 0 && y < 1 {
+		if t := inv.inverse(y); t >= from && t <= l.Horizon() {
+			return t, nil
+		}
+	}
+	return brentInverse(l, y, from, minStep)
+}
+
+// brentInverse is Inverse's root-finding path, for every life function.
+func brentInverse(l Life, y, from, minStep float64) (float64, error) {
 	f := func(t float64) float64 { return l.P(t) - y }
 	hi := l.Horizon()
 	if math.IsInf(hi, 1) {
@@ -38,7 +60,7 @@ func Inverse(l Life, y, from, minStep float64) (float64, error) {
 // When the search fails it returns the search's upper end, Horizon()
 // (+Inf for an unbounded life).
 func Draw(l Life, u float64) float64 {
-	t, err := Inverse(l, u, 0, 0)
+	t, err := brentInverse(l, u, 0, 0)
 	if err != nil {
 		return l.Horizon()
 	}

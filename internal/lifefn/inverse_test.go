@@ -153,3 +153,86 @@ func TestDrawUnreachedLevelIsInf(t *testing.T) {
 		t.Errorf("Draw = %g, want +Inf", v)
 	}
 }
+
+// paperFamilies returns the four families with a closed-form p⁻¹, each
+// at several parameters.
+func paperFamilies(t testing.TB) []Life {
+	var lives []Life
+	add := func(l Life, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		lives = append(lives, l)
+	}
+	for _, l := range []float64{1, 100, 1e4} {
+		add(NewUniform(l))
+	}
+	for _, d := range []int{2, 3, 5} {
+		for _, l := range []float64{10, 400} {
+			add(NewPoly(d, l))
+		}
+	}
+	for _, hl := range []float64{1, 8, 100} {
+		add(NewGeomDecreasing(math.Pow(2, 1/hl)))
+	}
+	for _, l := range []float64{5, 60, 100} {
+		add(NewGeomIncreasing(l))
+	}
+	return lives
+}
+
+// closedFormTol is how far the closed-form root may sit from Brent's:
+// 1e-12 relative, plus the width within which Brent's answer is itself
+// undetermined. Where p is flat (y near 1 on the concave families) P
+// rounds to the same value over an interval of about 4ε/|p'(T)|, and
+// Brent may stop anywhere inside it.
+func closedFormTol(l Life, root float64) float64 {
+	return 1e-12*math.Max(1, root) + 4*0x1p-52/math.Abs(l.Deriv(root))
+}
+
+// checkClosedForm compares Inverse on l, which takes the closed form,
+// with Inverse on l wrapped so that only Brent can answer.
+func checkClosedForm(t *testing.T, l Life, y, from float64) {
+	t.Helper()
+	got, err := Inverse(l, y, from, 1)
+	if err != nil {
+		t.Errorf("%s: Inverse(%g, from %g): %v", l, y, from, err)
+		return
+	}
+	if cf := l.(inverter).inverse(y); got != cf {
+		t.Errorf("%s: Inverse(%g, from %g) = %g, not the closed form %g", l, y, from, got, cf)
+	}
+	if got < from {
+		t.Errorf("%s: Inverse(%g, from %g) = %g before from", l, y, from, got)
+	}
+	if d := math.Abs(l.P(got) - y); d > 1e-9 {
+		t.Errorf("%s: P(Inverse(%g, from %g)) off by %g", l, y, from, d)
+	}
+	want, err := Inverse(struct{ Life }{l}, y, from, 1)
+	if err != nil {
+		t.Errorf("%s: Brent Inverse(%g, from %g): %v", l, y, from, err)
+		return
+	}
+	if d := math.Abs(got - want); d > closedFormTol(l, got) {
+		t.Errorf("%s: y=%g from %g: closed form %.17g, Brent %.17g (|Δ| = %g)", l, y, from, got, want, d)
+	}
+}
+
+// closedFormYs spans (0, 1) out to both ends.
+var closedFormYs = []float64{1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12}
+
+func TestInverseClosedFormMatchesBrent(t *testing.T) {
+	for _, l := range paperFamilies(t) {
+		for _, y := range closedFormYs {
+			cf := l.(inverter).inverse(y)
+			for _, from := range []float64{0, cf / 2} {
+				checkClosedForm(t, l, y, from)
+			}
+			// From the root itself the closed form still answers; Brent
+			// may not, since P(from) can round to either side of y.
+			if got, err := Inverse(l, y, cf, 1); err != nil || got != cf {
+				t.Errorf("%s: Inverse(%g, from its own root %g) = %g, %v", l, y, cf, got, err)
+			}
+		}
+	}
+}

@@ -132,6 +132,13 @@ func (u Uniform) Shape() Shape { return Linear }
 //cs:unit return=time
 func (u Uniform) Horizon() float64 { return u.L }
 
+// inverse implements the closed-form p⁻¹: L(1-y).
+//
+//cs:unit y=probability return=time
+func (u Uniform) inverse(y float64) float64 {
+	return u.L * (1 - y)
+}
+
 // String implements Life.
 func (u Uniform) String() string { return fmt.Sprintf("uniform(L=%g)", u.L) }
 
@@ -190,6 +197,13 @@ func (p Poly) Shape() Shape {
 //cs:unit return=time
 func (p Poly) Horizon() float64 { return p.L }
 
+// inverse implements the closed-form p⁻¹: L(1-y)^{1/d}.
+//
+//cs:unit y=probability return=time
+func (p Poly) inverse(y float64) float64 {
+	return p.L * math.Pow(1-y, 1/float64(p.D))
+}
+
 // String implements Life.
 func (p Poly) String() string { return fmt.Sprintf("poly(d=%d, L=%g)", p.D, p.L) }
 
@@ -233,6 +247,13 @@ func (g GeomDecreasing) Shape() Shape { return Convex }
 
 // Horizon implements Life.
 func (g GeomDecreasing) Horizon() float64 { return math.Inf(1) }
+
+// inverse implements the closed-form p⁻¹: -ln y / ln a.
+//
+//cs:unit y=probability return=time
+func (g GeomDecreasing) inverse(y float64) float64 {
+	return -math.Log(y) / g.LnA()
+}
 
 // String implements Life.
 func (g GeomDecreasing) String() string { return fmt.Sprintf("geomdec(a=%g)", g.A) }
@@ -286,6 +307,15 @@ func (g GeomIncreasing) Shape() Shape { return Concave }
 //
 //cs:unit return=time
 func (g GeomIncreasing) Horizon() float64 { return g.L }
+
+// inverse implements the closed-form p⁻¹: L + log1p(-y·den)/ln 2 with
+// den = 1 - 2^{-L}, computed as P computes it.
+//
+//cs:unit y=probability return=time
+func (g GeomIncreasing) inverse(y float64) float64 {
+	den := -math.Expm1(-g.L * math.Ln2)
+	return g.L + math.Log1p(-y*den)/math.Ln2
+}
 
 // String implements Life.
 func (g GeomIncreasing) String() string { return fmt.Sprintf("geominc(L=%g)", g.L) }
