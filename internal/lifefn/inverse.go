@@ -23,18 +23,13 @@ type inverter interface {
 // on a bracket grown geometrically from from with first step
 // max(minStep, from/2)+1, up to 1e30; Brent locates roots to an
 // absolute tolerance of 1e-13 plus 4 ulp. The planner's system (3.6)
-// goes through here.
+// and every reclaim draw go through here.
 func Inverse(l Life, y, from, minStep float64) (float64, error) {
 	if inv, ok := l.(inverter); ok && y > 0 && y < 1 {
 		if t := inv.inverse(y); t >= from && t <= l.Horizon() {
 			return t, nil
 		}
 	}
-	return brentInverse(l, y, from, minStep)
-}
-
-// brentInverse is Inverse's root-finding path, for every life function.
-func brentInverse(l Life, y, from, minStep float64) (float64, error) {
 	f := func(t float64) float64 { return l.P(t) - y }
 	hi := l.Horizon()
 	if math.IsInf(hi, 1) {
@@ -60,7 +55,7 @@ func brentInverse(l Life, y, from, minStep float64) (float64, error) {
 // When the search fails it returns the search's upper end, Horizon()
 // (+Inf for an unbounded life).
 func Draw(l Life, u float64) float64 {
-	t, err := brentInverse(l, u, 0, 0)
+	t, err := Inverse(l, u, 0, 0)
 	if err != nil {
 		return l.Horizon()
 	}
