@@ -112,3 +112,14 @@ func allowMix(s Schedule) float64 {
 	//lint:allow unitflow intentional: packing both magnitudes into one scalar for a gauge
 	return s.Period + s.Total
 }
+
+// Non-finding: a function literal's return answers to the literal, not
+// to the annotated function around it; the literal's body is still
+// checked.
+//
+//cs:unit p=probability return=time
+func closureReturn(s Schedule, p float64) float64 {
+	residual := func(float64) float64 { return p }
+	mix := func() float64 { return s.Period + s.Total } // want "mixing time and work"
+	return s.Period + residual(0)*0 + mix()*0
+}

@@ -102,6 +102,11 @@ func checkNode(pass *analysis.Pass, in *dim.Info, env dim.Env, n ast.Node, resul
 			checkAssign(pass, in, env, e)
 		case *ast.ReturnStmt:
 			checkReturn(pass, in, env, e, resultDims)
+		case *ast.FuncLit:
+			// A return inside a function literal answers to the
+			// literal, whose results declare no dimension.
+			checkNode(pass, in, env, e.Body, dim.FuncDims{})
+			return false
 		case *ast.CompositeLit:
 			checkComposite(pass, in, env, e)
 		}

@@ -199,6 +199,7 @@ func checkClosedForm(t *testing.T, l Life, y, from float64) {
 		t.Errorf("%s: Inverse(%g, from %g): %v", l, y, from, err)
 		return
 	}
+	//lint:allow floatcmp Inverse returns the closed form as computed
 	if cf := l.(inverter).inverse(y); got != cf {
 		t.Errorf("%s: Inverse(%g, from %g) = %g, not the closed form %g", l, y, from, got, cf)
 	}
@@ -230,6 +231,7 @@ func TestInverseClosedFormMatchesBrent(t *testing.T) {
 			}
 			// From the root itself the closed form still answers; Brent
 			// may not, since P(from) can round to either side of y.
+			//lint:allow floatcmp Inverse returns the closed form as computed
 			if got, err := Inverse(l, y, cf, 1); err != nil || got != cf {
 				t.Errorf("%s: Inverse(%g, from its own root %g) = %g, %v", l, y, cf, got, err)
 			}
