@@ -105,3 +105,22 @@ func TestPlanBestClosedFormMatchesBrent(t *testing.T) {
 		})
 	}
 }
+
+// TestPlanBestAllocs bounds a whole plan's allocations for the four
+// paper families, at the parameters of the plan/* benchmark rows: the
+// scan generates into one buffer and the closed-form inverse allocates
+// nothing.
+func TestPlanBestAllocs(t *testing.T) {
+	for _, l := range []lifefn.Life{mustUniform(1000), mustPoly(2, 1000), mustGeomDec(math.Pow(2, 1.0/32)), mustGeomInc(100)} {
+		pl := mustPlanner(t, l, 1)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := pl.PlanBest(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per plan", l, got)
+		if got > 10 {
+			t.Errorf("%s: PlanBest allocates %.0f/run, want at most 10", l, got)
+		}
+	}
+}

@@ -10,7 +10,9 @@
 //  1. Every non-initial period length follows inductively from t_0
 //     through system (3.6): p(T_k) = p(T_{k-1}) + (t_{k-1}-c)·p'(T_{k-1}).
 //     GenerateFrom implements that forward induction for arbitrary
-//     differentiable life functions by numerically inverting p.
+//     differentiable life functions by inverting p with lifefn.Inverse:
+//     in closed form for the paper's four families, by root finding
+//     otherwise.
 //
 //  2. The initial period length t_0 is bracketed by Theorem 3.2 (lower
 //     bound, any differentiable p) and Theorem 3.3 (upper bounds for
@@ -171,11 +173,12 @@ func (r StopReason) Structural() bool {
 //
 //	p(T_k) = p(T_{k-1}) + (t_{k-1} - c)·p'(T_{k-1}),
 //
-// inverting p numerically at each step. Generation stops when the next
-// period would be unproductive (length <= c; the productive normal form
-// of Proposition 2.1 excludes it), when the target survival drops to
-// zero or below (the horizon is exhausted), when p(T_k) falls below
-// TailEps, or at MaxPeriods.
+// inverting p at each step with lifefn.Inverse (in closed form for the
+// paper's four families, with Brent's method otherwise). Generation
+// stops when the next period would be unproductive (length <= c; the
+// productive normal form of Proposition 2.1 excludes it), when the
+// target survival drops to zero or below (the horizon is exhausted),
+// when p(T_k) falls below TailEps, or at MaxPeriods.
 func (pl *Planner) GenerateFrom(t0 float64) (sched.Schedule, error) {
 	s, _, err := pl.GenerateTrace(t0)
 	return s, err
@@ -183,6 +186,15 @@ func (pl *Planner) GenerateFrom(t0 float64) (sched.Schedule, error) {
 
 // GenerateTrace is GenerateFrom plus the reason generation stopped.
 func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error) {
+	var buf []float64
+	return pl.generate(&buf, t0)
+}
+
+// generate runs system (3.6) from t0, appending the periods to (*buf)[:0]
+// and keeping the grown slice in *buf, then validates them as sched.New
+// does and normalizes them in place. The returned schedule shares *buf's
+// backing array, so it is valid until the next generate into buf.
+func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, StopReason, error) {
 	if !(t0 > pl.c) {
 		return sched.Schedule{}, StopUnproductive, fmt.Errorf("%w: t0=%g, c=%g", ErrBadT0, t0, pl.c)
 	}
@@ -193,7 +205,7 @@ func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error)
 		// a smooth, zero-valued objective rather than an error.
 		t0 = horizon
 	}
-	periods := []float64{t0}
+	periods := append((*buf)[:0], t0)
 	tPrev := t0
 	tk := t0 // running boundary T_{k-1}
 	reason := StopMaxPeriods
@@ -217,6 +229,7 @@ func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error)
 		}
 		next, err := lifefn.Inverse(pl.life, target, tk, pl.c)
 		if err != nil {
+			*buf = periods
 			return sched.Schedule{}, reason, fmt.Errorf("core: inverting system (3.6) at period %d: %w", len(periods), err)
 		}
 		t := next - tk
@@ -227,11 +240,9 @@ func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error)
 		periods = append(periods, t)
 		tPrev, tk = t, next
 	}
-	s, err := sched.New(periods...)
-	if err != nil {
-		return sched.Schedule{}, reason, err
-	}
-	return sched.Normalize(s, pl.c), reason, nil
+	*buf = periods
+	s, err := sched.Adopt(periods, pl.c)
+	return s, reason, err
 }
 
 // ExpectedWork evaluates E(s; p) under the planner's configuration.
@@ -249,10 +260,13 @@ func (pl *Planner) PlanBest() (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
+	// Every evaluation generates into one buffer, local to this call so
+	// that concurrent PlanBest calls share nothing.
+	buf := make([]float64, 0, 64)
 	evaluations := 0
 	objective := func(t0 float64) float64 {
 		evaluations++
-		s, genErr := pl.GenerateFrom(t0)
+		s, _, genErr := pl.generate(&buf, t0)
 		if genErr != nil {
 			return math.Inf(-1)
 		}
@@ -262,7 +276,7 @@ func (pl *Planner) PlanBest() (Plan, error) {
 	if err != nil {
 		return Plan{}, fmt.Errorf("core: t0 search failed: %w", err)
 	}
-	s, err := pl.GenerateFrom(t0)
+	s, _, err := pl.generate(&buf, t0)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -273,5 +287,6 @@ func (pl *Planner) PlanBest() (Plan, error) {
 		}
 		return Plan{}, fmt.Errorf("core: search found no productive schedule in bracket [%g, %g]", br.Lo, br.Hi)
 	}
-	return Plan{Schedule: s, T0: t0, Bracket: br, ExpectedWork: e, Evaluations: evaluations}, nil
+	// The plan leaves the buffer as its one copy.
+	return Plan{Schedule: s.Prefix(s.Len()), T0: t0, Bracket: br, ExpectedWork: e, Evaluations: evaluations}, nil
 }

@@ -41,12 +41,34 @@ type Schedule struct {
 //
 //cs:unit periods=time
 func New(periods ...float64) (Schedule, error) {
-	for i, t := range periods {
-		if !(t > 0) || math.IsInf(t, 0) || math.IsNaN(t) {
-			return Schedule{}, fmt.Errorf("%w: period %d has length %g", ErrInvalidSchedule, i, t)
-		}
+	if err := validate(periods); err != nil {
+		return Schedule{}, err
 	}
 	return Schedule{periods: append([]float64(nil), periods...)}, nil
+}
+
+// Adopt is New followed by Normalize without either copy: it validates
+// periods as New does, rewrites them in place into the productive
+// normal form and returns a schedule over their backing array. The
+// schedule takes ownership of the slice: the caller must not modify it
+// while the schedule is in use.
+//
+//cs:unit periods=time c=time
+func Adopt(periods []float64, c float64) (Schedule, error) {
+	if err := validate(periods); err != nil {
+		return Schedule{}, err
+	}
+	return Schedule{periods: normalize(periods[:0], periods, c)}, nil
+}
+
+//cs:unit periods=time
+func validate(periods []float64) error {
+	for i, t := range periods {
+		if !(t > 0) || math.IsInf(t, 0) || math.IsNaN(t) {
+			return fmt.Errorf("%w: period %d has length %g", ErrInvalidSchedule, i, t)
+		}
+	}
+	return nil
 }
 
 // MustNew is New but panics on invalid input; for literals in tests and
@@ -301,22 +323,30 @@ func CommitProbabilities(s Schedule, l lifefn.Life) []float64 {
 //
 //cs:unit c=time
 func Normalize(s Schedule, c float64) Schedule {
+	return Schedule{periods: normalize(make([]float64, 0, len(s.periods)), s.periods, c)}
+}
+
+// normalize appends the productive normal form of periods to dst and
+// returns it. dst may share periods' backing array from its start:
+// every write lands at or before the period being read.
+//
+//cs:unit periods=time c=time
+func normalize(dst, periods []float64, c float64) []float64 {
 	if c < 0 {
 		panic(fmt.Sprintf("sched: negative overhead c=%g", c))
 	}
-	out := make([]float64, 0, len(s.periods))
 	carry := 0.0
-	for _, t := range s.periods {
+	for _, t := range periods {
 		t += carry
 		carry = 0
 		if t <= c {
 			carry = t
 			continue
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 	}
 	// A trailing carry is an unproductive final period: drop it.
-	return Schedule{periods: out}
+	return dst
 }
 
 // Shift returns S^{⟨k,δ⟩}: the schedule with t_k replaced by t_k + delta

@@ -362,3 +362,27 @@ func TestPropertyShiftDownNeverBeatsOptimalStructure(t *testing.T) {
 		t.Errorf("delta = %g, want %g", delta, want)
 	}
 }
+
+func TestAdoptNormalizesInPlace(t *testing.T) {
+	periods := []float64{0.5, 3, 0.25, 4, 0.75}
+	s, err := Adopt(periods, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Normalize(MustNew(0.5, 3, 0.25, 4, 0.75), 1)
+	if !s.Equal(want, 0) {
+		t.Fatalf("Adopt = %v, want %v", s, want)
+	}
+	// The schedule lives in the adopted array: no copy was made.
+	periods[0] = 99
+	if s.Period(0) != 99 {
+		t.Errorf("Adopt copied its slice")
+	}
+	for _, bad := range [][]float64{{1, 0}, {math.NaN()}, {math.Inf(1)}, {-2}} {
+		_, errNew := New(bad...)
+		_, errAdopt := Adopt(append([]float64(nil), bad...), 1)
+		if !errors.Is(errAdopt, ErrInvalidSchedule) || errAdopt.Error() != errNew.Error() {
+			t.Errorf("Adopt(%v) error %v, New's %v", bad, errAdopt, errNew)
+		}
+	}
+}
