@@ -116,6 +116,6 @@ func InstrumentHandler(reg *Registry, route string, tr *Tracer, slo *SLOTracker,
 		reg.Counter(Labeled("cs_http_requests_total", "route", route, "code", strconv.Itoa(code)),
 			"HTTP requests by route and status code").Inc()
 		slo.Record(code, ms)
-		tr.Offer(rt.Finalize(code))
+		tr.Offer(rt, code)
 	})
 }

@@ -182,60 +182,26 @@ func (rt *ReqTrace) ServerTiming() string {
 }
 
 // Finalize closes the trace: the total is stamped, late phases are
-// locked out, and the snapshot is returned for the tail sampler. The
-// zero record (empty TraceID) is returned on a nil trace.
+// locked out, and the snapshot is returned. The zero record (empty
+// TraceID) is returned on a nil trace. Tracer.Offer closes a trace the
+// same way without building the record unless it keeps it.
 func (rt *ReqTrace) Finalize(status int) TraceRecord {
 	if rt == nil {
 		return TraceRecord{}
 	}
+	var s traceSlot
+	s.fill(rt, status, rt.close(), "")
+	return s.record()
+}
+
+// close locks out later phases and annotations and returns the total
+// in milliseconds.
+func (rt *ReqTrace) close() float64 {
 	totalMS := float64(time.Since(rt.start)) / float64(time.Millisecond)
 	rt.mu.Lock()
 	rt.finalized = true
-	phases := append([]PhaseSpan(nil), rt.phases...)
-	var attrs map[string]string
-	if len(rt.attrs) > 0 {
-		attrs = make(map[string]string, len(rt.attrs))
-		for k, v := range rt.attrs {
-			attrs[k] = v
-		}
-	}
 	rt.mu.Unlock()
-
-	rec := TraceRecord{
-		TraceID:       rt.tc.TraceIDString(),
-		SpanID:        rt.tc.SpanIDString(),
-		Remote:        rt.remote,
-		Route:         rt.route,
-		Status:        status,
-		StartUnixNano: rt.start.UnixNano(),
-		TotalMS:       totalMS,
-		Phases:        phases,
-		Attrs:         attrs,
-	}
-	if rt.remote {
-		rec.ParentID = hexOf(rt.parent[:])
-	}
-	rec.Breakdown = make(map[string]float64, len(phases)+1)
-	for _, p := range phases {
-		rec.Breakdown[p.Name+"_ms"] += p.DurMS
-		if p.Name == PhaseCache {
-			if out, ok := p.Attrs["outcome"]; ok {
-				rec.Cache = out
-			}
-		}
-	}
-	rec.Breakdown["total_ms"] = totalMS
-	return rec
-}
-
-func hexOf(b []byte) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 2*len(b))
-	for i, c := range b {
-		out[2*i] = digits[c>>4]
-		out[2*i+1] = digits[c&0xf]
-	}
-	return string(out)
+	return totalMS
 }
 
 func clampNonNeg(v float64) float64 {

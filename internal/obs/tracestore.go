@@ -6,13 +6,17 @@ package obs
 // Head sampling (deciding at request start) cannot know which requests
 // will matter; the requests worth keeping are exactly the ones whose
 // outcome is only known at the end — errors, shed load, and the slow
-// tail. So the Tracer samples at Finalize time: errors and 429s are
-// always kept, the slowest K per time window are always kept, and the
-// rest are kept with a fixed probability so the store also reflects
-// normal traffic. Kept records land in a fixed-size ring; memory is
-// bounded by Capacity regardless of load.
+// tail. So the Tracer samples when the request ends: errors and 429s
+// are always kept, the slowest K per time window are always kept, and
+// the rest are kept with a fixed probability so the store also
+// reflects normal traffic. The decision needs only the status and the
+// total, so a dropped request builds nothing. Kept records are copied
+// into a ring of fixed-size slots that NewTracer allocates once: the
+// store's memory does not grow with throughput. The wire TraceRecord
+// is built only when /debug/traces reads a slot.
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -42,6 +46,180 @@ type TraceRecord struct {
 	SampledBy     string             `json:"sampled_by,omitempty"`
 }
 
+// A trace slot holds a whole record inline when it has at most
+// slotPhases phases of at most slotAttrs attributes each and at most
+// slotAttrs root attributes: every trace csserve records fits, the
+// deepest being a fresh cluster estimate (cache, peer, queue, mc,
+// compute). A record that needs more — a csgate request failing over
+// across many replicas — spills its phases or root attributes into an
+// overflow allocated for it alone.
+const (
+	slotPhases = 8
+	slotAttrs  = 2
+)
+
+// slotAttr is one attribute held inline.
+type slotAttr struct{ k, v string }
+
+// slotPhase is a PhaseSpan held inline.
+type slotPhase struct {
+	name           string
+	startMS, durMS float64
+	nattrs         int
+	attrs          [slotAttrs]slotAttr
+}
+
+// traceSlot is one ring entry: a kept record in its stored form. IDs
+// stay bytes; Breakdown and Cache are derived when record builds the
+// wire form.
+type traceSlot struct {
+	traceID   [16]byte
+	spanID    [8]byte
+	parentID  [8]byte
+	remote    bool
+	route     string
+	status    int
+	start     int64 // Unix nanoseconds
+	totalMS   float64
+	sampledBy string
+
+	nphases int
+	phases  [slotPhases]slotPhase
+	nattrs  int
+	attrs   [slotAttrs]slotAttr
+
+	// Overflow, nil unless the record does not fit inline: then every
+	// phase lives in morePhases, and the root attributes in moreAttrs.
+	morePhases []PhaseSpan
+	moreAttrs  map[string]string
+}
+
+// fill copies the closed trace rt into s, allocating only for a record
+// that does not fit inline. rt is closed, so its phases and attributes
+// no longer change and are read without its lock.
+func (s *traceSlot) fill(rt *ReqTrace, status int, totalMS float64, sampledBy string) {
+	*s = traceSlot{
+		traceID:   rt.tc.TraceID,
+		spanID:    rt.tc.SpanID,
+		parentID:  rt.parent,
+		remote:    rt.remote,
+		route:     rt.route,
+		status:    status,
+		start:     rt.start.UnixNano(),
+		totalMS:   totalMS,
+		sampledBy: sampledBy,
+		// The previous occupant's overflow is dropped by the reset.
+	}
+	if fitsInline(rt.phases) {
+		s.nphases = len(rt.phases)
+		for i, p := range rt.phases {
+			sp := &s.phases[i]
+			sp.name, sp.startMS, sp.durMS = p.Name, p.StartMS, p.DurMS
+			sp.nattrs = copyAttrs(sp.attrs[:], p.Attrs)
+		}
+	} else {
+		s.morePhases = append([]PhaseSpan(nil), rt.phases...)
+	}
+	if len(rt.attrs) <= slotAttrs {
+		s.nattrs = copyAttrs(s.attrs[:], rt.attrs)
+	} else {
+		s.moreAttrs = make(map[string]string, len(rt.attrs))
+		for k, v := range rt.attrs {
+			s.moreAttrs[k] = v
+		}
+	}
+}
+
+func fitsInline(phases []PhaseSpan) bool {
+	if len(phases) > slotPhases {
+		return false
+	}
+	for _, p := range phases {
+		if len(p.Attrs) > slotAttrs {
+			return false
+		}
+	}
+	return true
+}
+
+// copyAttrs copies m, which fits, into dst and returns its size.
+func copyAttrs(dst []slotAttr, m map[string]string) int {
+	n := 0
+	for k, v := range m {
+		dst[n] = slotAttr{k, v}
+		n++
+	}
+	return n
+}
+
+// attrMap rebuilds the map form of inline attributes, nil when empty.
+func attrMap(attrs []slotAttr) map[string]string {
+	if len(attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(attrs))
+	for _, a := range attrs {
+		m[a.k] = a.v
+	}
+	return m
+}
+
+// phaseMS sums the durations of s's phases named name.
+func (s *traceSlot) phaseMS(name string) float64 {
+	ms := 0.0
+	for _, p := range s.phases[:s.nphases] {
+		if p.name == name {
+			ms += p.durMS
+		}
+	}
+	for _, p := range s.morePhases {
+		if p.Name == name {
+			ms += p.DurMS
+		}
+	}
+	return ms
+}
+
+// record builds the wire form of s: hex IDs, the phases, and the
+// Breakdown and Cache derived from them.
+func (s *traceSlot) record() TraceRecord {
+	rec := TraceRecord{
+		TraceID:       hex.EncodeToString(s.traceID[:]),
+		SpanID:        hex.EncodeToString(s.spanID[:]),
+		Remote:        s.remote,
+		Route:         s.route,
+		Status:        s.status,
+		StartUnixNano: s.start,
+		TotalMS:       s.totalMS,
+		Phases:        s.morePhases,
+		Attrs:         s.moreAttrs,
+		SampledBy:     s.sampledBy,
+	}
+	if s.remote {
+		rec.ParentID = hex.EncodeToString(s.parentID[:])
+	}
+	if s.nphases > 0 {
+		rec.Phases = make([]PhaseSpan, s.nphases)
+		for i, p := range s.phases[:s.nphases] {
+			rec.Phases[i] = PhaseSpan{Name: p.name, StartMS: p.startMS, DurMS: p.durMS, Attrs: attrMap(p.attrs[:p.nattrs])}
+		}
+	}
+	if s.nattrs > 0 {
+		rec.Attrs = attrMap(s.attrs[:s.nattrs])
+	}
+	rec.Breakdown = make(map[string]float64, len(rec.Phases)+1)
+	for _, p := range rec.Phases {
+		rec.Breakdown[p.Name+"_ms"] += p.DurMS
+		if p.Name == PhaseCache {
+			if out, ok := p.Attrs["outcome"]; ok {
+				rec.Cache = out
+			}
+		}
+	}
+	rec.Breakdown["total_ms"] = s.totalMS
+	return rec
+}
+
 // TracerConfig sizes the store and tunes the tail-sampling policy.
 // Zero values select the defaults in parentheses.
 type TracerConfig struct {
@@ -66,7 +244,7 @@ type Tracer struct {
 	now func() time.Time // injectable clock for window-rotation tests
 
 	mu          sync.Mutex
-	ring        []TraceRecord
+	ring        []traceSlot
 	next        int // ring insertion cursor
 	filled      bool
 	offered     uint64
@@ -78,6 +256,7 @@ type Tracer struct {
 }
 
 // NewTracer builds a Tracer, applying defaults for zero config fields.
+// It allocates all Capacity slots up front.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 2048
@@ -97,31 +276,36 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{
 		cfg:      cfg,
 		now:      time.Now,
-		ring:     make([]TraceRecord, cfg.Capacity),
+		ring:     make([]traceSlot, cfg.Capacity),
 		byReason: make(map[string]uint64, 3),
+		slowest:  make([]float64, 0, cfg.SlowestK),
 	}
 	t.windowStart = t.now()
 	return t
 }
 
-// Offer submits a finalized record to the sampler and reports whether
-// it was kept. Records with an empty TraceID (a nil ReqTrace's
-// Finalize) are ignored.
-func (t *Tracer) Offer(rec TraceRecord) bool {
-	if t == nil || rec.TraceID == "" {
+// Offer closes rt with the response status — later phases are dropped,
+// as by Finalize — and submits it to the tail sampler, reporting
+// whether it was kept. A kept trace is copied into the next slot; a
+// dropped one builds nothing. A nil rt is ignored.
+func (t *Tracer) Offer(rt *ReqTrace, status int) bool {
+	if rt == nil {
+		return false
+	}
+	totalMS := rt.close()
+	if t == nil {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.offered++
-	reason := t.sampleReason(rec)
+	reason := t.sampleReason(status, totalMS)
 	if reason == "" {
 		return false
 	}
-	rec.SampledBy = reason
 	t.kept++
 	t.byReason[reason]++
-	t.ring[t.next] = rec
+	t.ring[t.next].fill(rt, status, totalMS, reason)
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0
@@ -131,10 +315,10 @@ func (t *Tracer) Offer(rec TraceRecord) bool {
 }
 
 // sampleReason applies the tail policy; "" means drop. Caller holds mu.
-func (t *Tracer) sampleReason(rec TraceRecord) string {
+func (t *Tracer) sampleReason(status int, totalMS float64) string {
 	// Errors and shed load (429) always matter; a record with no
 	// status at all means the handler died, which matters most.
-	if rec.Status >= 400 || rec.Status == 0 {
+	if status >= 400 || status == 0 {
 		return SampledError
 	}
 	// Slowest K per window. The buffer tracks the K largest totals
@@ -155,15 +339,20 @@ func (t *Tracer) sampleReason(rec TraceRecord) string {
 		t.slowest = t.slowest[:0]
 	}
 	warm := len(t.slowest) >= t.cfg.SlowestK
-	if !warm || rec.TotalMS > t.slowest[0] {
-		i := sort.SearchFloat64s(t.slowest, rec.TotalMS)
+	if !warm || totalMS > t.slowest[0] {
+		if warm {
+			// Evict the minimum, then insert in order: the buffer never
+			// outgrows the capacity NewTracer gave it.
+			i := sort.SearchFloat64s(t.slowest[1:], totalMS)
+			copy(t.slowest[:i], t.slowest[1:i+1])
+			t.slowest[i] = totalMS
+			return SampledSlow
+		}
+		i := sort.SearchFloat64s(t.slowest, totalMS)
 		t.slowest = append(t.slowest, 0)
 		copy(t.slowest[i+1:], t.slowest[i:])
-		t.slowest[i] = rec.TotalMS
-		if len(t.slowest) > t.cfg.SlowestK {
-			t.slowest = t.slowest[1:]
-		}
-		if warm || rec.TotalMS >= t.slowFloor {
+		t.slowest[i] = totalMS
+		if totalMS >= t.slowFloor {
 			return SampledSlow
 		}
 	}
@@ -234,39 +423,46 @@ func (t *Tracer) Query(q TraceQuery) []TraceRecord {
 	if q.Limit <= 0 {
 		q.Limit = 50
 	}
+	// A trace ID that is not 32 lowercase hex digits matches nothing.
+	var traceID [16]byte
+	badID := q.TraceID != "" && hexLower(q.TraceID, traceID[:]) != nil
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	stored := t.storedLocked()
-	recs := make([]TraceRecord, 0, stored)
+	var hits []*traceSlot
 	// Walk backwards from the cursor: most recent first.
-	for i := 0; i < stored; i++ {
+	for i := 0; i < stored && !badID; i++ {
 		idx := t.next - 1 - i
 		if idx < 0 {
 			idx += len(t.ring)
 		}
-		rec := t.ring[idx]
-		if rec.TotalMS < q.MinMS {
+		s := &t.ring[idx]
+		if s.totalMS < q.MinMS {
 			continue
 		}
-		if q.Status != 0 && rec.Status != q.Status {
+		if q.Status != 0 && s.status != q.Status {
 			continue
 		}
-		if q.Route != "" && rec.Route != q.Route {
+		if q.Route != "" && s.route != q.Route {
 			continue
 		}
-		if q.TraceID != "" && rec.TraceID != q.TraceID {
+		if q.TraceID != "" && s.traceID != traceID {
 			continue
 		}
-		if q.Phase != "" && !(rec.Breakdown[q.Phase+"_ms"] > 0) {
+		if q.Phase != "" && !(s.phaseMS(q.Phase) > 0) {
 			continue
 		}
-		recs = append(recs, rec)
+		hits = append(hits, s)
 	}
-	t.mu.Unlock()
 	if q.Slowest {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].TotalMS > recs[j].TotalMS })
+		sort.SliceStable(hits, func(i, j int) bool { return hits[i].totalMS > hits[j].totalMS })
 	}
-	if len(recs) > q.Limit {
-		recs = recs[:q.Limit]
+	if len(hits) > q.Limit {
+		hits = hits[:q.Limit]
+	}
+	var recs []TraceRecord
+	for _, s := range hits {
+		recs = append(recs, s.record())
 	}
 	return recs
 }

@@ -43,12 +43,6 @@ func phase(rt *ReqTrace, name string, startMS, durMS float64, attrs ...string) {
 	rt.AddPhase(name, rt.start.Add(ms(startMS)), ms(durMS), attrs...)
 }
 
-// offerGolden hands a finished trace to the tracer the way
-// InstrumentHandler does.
-func offerGolden(tr *Tracer, rt *ReqTrace, status int) {
-	tr.Offer(rt.Finalize(status))
-}
-
 // totalMS masks the wall-clock total, the one field of a golden trace
 // that depends on when the test runs.
 var totalMS = regexp.MustCompile(`("total_ms": )[^,\n}]+`)
@@ -65,7 +59,7 @@ func TestTracesGolden(t *testing.T) {
 	for id := byte(1); id <= 2; id++ {
 		rt := goldenTrace(id, "plan", 0)
 		phase(rt, PhaseCache, 0.01, 0.002, "outcome", "hit")
-		offerGolden(tr, rt, 200)
+		tr.Offer(rt, 200)
 	}
 
 	// A fresh estimate on a cluster replica, stitched under the gate.
@@ -75,26 +69,26 @@ func TestTracesGolden(t *testing.T) {
 	phase(rt, PhaseQueue, 0.81, 0.125)
 	phase(rt, "mc", 1.5, 12.25, "episodes", "20000")
 	phase(rt, PhaseCompute, 0.94, 13)
-	offerGolden(tr, rt, 200)
+	tr.Offer(rt, 200)
 
 	// A follower that rode on another request's compute.
 	rt = goldenTrace(4, "plan", 0)
 	phase(rt, PhaseCache, 0.01, 0.003, "outcome", "miss")
 	phase(rt, PhaseCoalesce, 0.02, 2.5)
-	offerGolden(tr, rt, 200)
+	tr.Offer(rt, 200)
 
 	// Shed load: kept as an error with its cache miss.
 	rt = goldenTrace(5, "plan", 0)
 	phase(rt, PhaseCache, 0.01, 0.003, "outcome", "miss")
 	phase(rt, PhaseQueue, 0.02, 0.001)
-	offerGolden(tr, rt, 429)
+	tr.Offer(rt, 429)
 
 	// A failed compute with two root attributes.
 	rt = goldenTrace(6, "estimate", 0)
 	phase(rt, PhaseCompute, 0.1, 4, "error", "deadline")
 	rt.Annotate("policy", "guideline")
 	rt.Annotate("life", "geomdec(a=1.02)")
-	offerGolden(tr, rt, 504)
+	tr.Offer(rt, 504)
 
 	// A gate request that failed over across ten replicas.
 	rt = goldenTrace(7, "estimate", 0)
@@ -106,7 +100,7 @@ func TestTracesGolden(t *testing.T) {
 		phase(rt, "proxy", float64(i), 0.5, "replica", "http://10.0.0."+string(rune('0'+i))+":8080", "outcome", outcome)
 	}
 	rt.Annotate("replica", "http://10.0.0.9:8080")
-	offerGolden(tr, rt, 200)
+	tr.Offer(rt, 200)
 
 	// More attributes than a slot holds inline, on a phase and the root.
 	rt = goldenTrace(8, "plan", 0x70)
@@ -114,15 +108,15 @@ func TestTracesGolden(t *testing.T) {
 	rt.Annotate("a", "1")
 	rt.Annotate("b", "2")
 	rt.Annotate("c", "3")
-	offerGolden(tr, rt, 200)
+	tr.Offer(rt, 200)
 
 	// No phases at all.
-	offerGolden(tr, goldenTrace(9, "healthz", 0), 200)
+	tr.Offer(goldenTrace(9, "healthz", 0), 200)
 
 	// A cache hit.
 	rt = goldenTrace(10, "plan", 0)
 	phase(rt, PhaseCache, 0.01, 0.002, "outcome", "hit")
-	offerGolden(tr, rt, 200)
+	tr.Offer(rt, 200)
 
 	var out strings.Builder
 	for _, q := range []string{

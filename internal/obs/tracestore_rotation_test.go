@@ -19,17 +19,17 @@ func TestTracerRotationFloorCarryOverFakeClock(t *testing.T) {
 
 	// Window 1 fills the slow buffer: floor will be 100.
 	for i, ms := range []float64{100, 150, 200} {
-		if !tr.Offer(mkRec("w1", 200, ms)) {
+		if !tr.Offer(mkTrace("w1", ms), 200) {
 			t.Fatalf("warm-up keep %d dropped in the first window", i)
 		}
 	}
 	clock.Store(11) // rotate
 
 	// Post-rotation warm-up: below the carried floor drops, above keeps.
-	if tr.Offer(mkRec("fast", 200, 1)) {
+	if tr.Offer(mkTrace("fast", 1), 200) {
 		t.Fatalf("1ms kept as slow right after rotation (floor 100 not carried)")
 	}
-	if !tr.Offer(mkRec("slow", 200, 150)) {
+	if !tr.Offer(mkTrace("slow", 150), 200) {
 		t.Fatalf("150ms dropped during warm-up despite beating the carried floor")
 	}
 
@@ -37,10 +37,10 @@ func TestTracerRotationFloorCarryOverFakeClock(t *testing.T) {
 	// replace the carried one, so 50ms still drops in window 3's warm-up
 	// while a genuinely slow record keeps.
 	clock.Store(22)
-	if tr.Offer(mkRec("mid", 200, 50)) {
+	if tr.Offer(mkTrace("mid", 50), 200) {
 		t.Fatalf("sparse window redefined the admission floor")
 	}
-	if !tr.Offer(mkRec("w3slow", 200, 120)) {
+	if !tr.Offer(mkTrace("w3slow", 120), 200) {
 		t.Fatalf("120ms dropped despite beating the (still carried) floor")
 	}
 }
@@ -62,8 +62,7 @@ func TestTracerConcurrentOffersAcrossRotation(t *testing.T) {
 				if i%7 == 0 {
 					status = 500
 				}
-				rec := mkRec("t", status, float64((w*per+i)%300))
-				tr.Offer(rec)
+				tr.Offer(mkTrace("t", float64((w*per+i)%300)), status)
 				if i%50 == 0 {
 					time.Sleep(time.Millisecond) // straddle rotations
 				}

@@ -215,3 +215,34 @@ func TestHealthzDiagnostics(t *testing.T) {
 		t.Errorf("healthz entries %d != cache len %d", h.PlanCache.Entries, s.plan.cache.Len())
 	}
 }
+
+// The deepest trace csserve records, a fresh estimate on a cluster
+// replica whose peer fill misses, fits one of the tracer's slots
+// inline: at most 8 phases of at most 2 attributes each and at most 2
+// root attributes (see the slot in internal/obs/tracestore.go).
+func TestDeepestTraceFitsASlot(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerConfig{SampleRate: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, Tracer: tr})
+	s.SetPeers(&goldenPeers{})
+	if resp, body := post(t, ts.URL+"/v1/estimate", `{"life":"geomdec","halflife":32,"policy":"guideline","episodes":2000,"seed":3}`); resp.StatusCode != 200 {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	recs := tr.Query(obs.TraceQuery{Route: "estimate", Limit: 1})
+	if len(recs) != 1 {
+		t.Fatalf("stored traces = %d, want 1", len(recs))
+	}
+	rec := recs[0]
+	var names []string
+	for _, p := range rec.Phases {
+		names = append(names, p.Name)
+		if len(p.Attrs) > 2 {
+			t.Errorf("phase %s has %d attrs, a slot holds 2", p.Name, len(p.Attrs))
+		}
+	}
+	if got := strings.Join(names, " "); got != "cache peer queue mc compute" {
+		t.Errorf("phases = %q, want the fresh cluster estimate's", got)
+	}
+	if len(rec.Phases) > 8 || len(rec.Attrs) > 2 {
+		t.Errorf("%d phases and %d root attrs, a slot holds 8 and 2", len(rec.Phases), len(rec.Attrs))
+	}
+}
