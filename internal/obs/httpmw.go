@@ -98,9 +98,14 @@ func InstrumentHandler(reg *Registry, route string, tr *Tracer, slo *SLOTracker,
 		"HTTP request latency in milliseconds (log-bucketed quantile summary)")
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		var rt *ReqTrace
-		if parent, err := ParseTraceparent(req.Header.Get(TraceparentHeader)); err == nil {
-			rt = ContinueReqTrace(parent, route)
-		} else {
+		// Only a present header is parsed: an untraced request starts a
+		// fresh trace without building ParseTraceparent's error.
+		if h := req.Header.Get(TraceparentHeader); h != "" {
+			if parent, err := ParseTraceparent(h); err == nil {
+				rt = ContinueReqTrace(parent, route)
+			}
+		}
+		if rt == nil {
 			rt = NewReqTrace(route)
 		}
 		req = req.WithContext(ContextWithReqTrace(req.Context(), rt))
