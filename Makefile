@@ -84,8 +84,10 @@ loadtest:
 # Short fuzz sessions over the boundary-facing parsers — the CLI spec
 # parsers, the wire-facing traceparent header parser and the raw
 # /v1/plan and /v1/estimate bodies: no panics or 500s, and accepted
-# inputs must round-trip through their canonical forms.
+# inputs must round-trip through their canonical forms. FuzzInverse
+# holds the closed-form p⁻¹ of the paper families to Brent's root.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzInverse$$' -fuzztime $(FUZZTIME) ./internal/lifefn
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDist$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildLife$$' -fuzztime $(FUZZTIME) ./internal/nowsim
