@@ -33,7 +33,8 @@ var closedFormCases = []struct {
 // boundary still survives with probability >= 1e-6 must agree to 1e-6
 // relative. Deeper in the tail the recurrence amplifies Brent's 1e-13
 // root tolerance, so the two drift apart where their contribution to E
-// no longer shows. The Section-4 recurrences must agree as well.
+// no longer shows. TestClosedFormRecurrencesMatchGenericInversion holds
+// the same cases to the Section-4 recurrences.
 func TestGenerateClosedFormMatchesBrent(t *testing.T) {
 	for _, cse := range closedFormCases {
 		t.Run(cse.name, func(t *testing.T) {
@@ -50,37 +51,18 @@ func TestGenerateClosedFormMatchesBrent(t *testing.T) {
 			if d := math.Abs(ef-es) / es; d > 1e-12 {
 				t.Errorf("E: closed form %.17g, Brent %.17g (relative %g)", ef, es, d)
 			}
-			comparePeriods(t, cse.l, "Brent", fast, slow.Periods())
-			rec, ok := FamilyRecurrence(cse.l, cse.c)
-			if !ok {
-				t.Fatal("no family recurrence")
+			boundary := 0.0
+			for k, w := range slow.Periods() {
+				boundary += w
+				if cse.l.P(boundary) < 1e-6 {
+					break
+				}
+				if d := math.Abs(fast.Period(k)-w) / w; d > 1e-6 {
+					t.Errorf("period %d (p(T_k) = %g): closed form %.17g, Brent %.17g", k, cse.l.P(boundary), fast.Period(k), w)
+				}
 			}
-			closed, err := GenerateByRecurrence(rec, cse.l, cse.c, cse.t0, PlanOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePeriods(t, cse.l, "recurrence", fast, closed.Periods())
 		})
 	}
-}
-
-// comparePeriods checks every period of got whose boundary survives
-// with probability >= 1e-6 against want, to 1e-6 relative.
-func comparePeriods(t *testing.T, l lifefn.Life, name string, got interface{ Period(int) float64 }, want []float64) {
-	t.Helper()
-	worst, boundary := 0.0, 0.0
-	for k, w := range want {
-		boundary += w
-		if l.P(boundary) < 1e-6 {
-			break
-		}
-		d := math.Abs(got.Period(k)-w) / w
-		if d > 1e-6 {
-			t.Errorf("period %d (p(T_k) = %g): closed form %.17g, %s %.17g", k, l.P(boundary), got.Period(k), name, w)
-		}
-		worst = math.Max(worst, d)
-	}
-	t.Logf("worst relative period difference against %s: %g", name, worst)
 }
 
 // TestPlanBestClosedFormMatchesBrent runs the whole t0 search both ways:

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"repro/internal/lifefn"
 )
 
 func TestUniformNextPeriod(t *testing.T) {
@@ -71,19 +69,7 @@ func TestGeomIncNextPeriodKnownValues(t *testing.T) {
 func TestClosedFormRecurrencesMatchGenericInversion(t *testing.T) {
 	// The Section 4 closed forms and the generic numeric inversion of
 	// system (3.6) must generate the same schedules.
-	cases := []struct {
-		name string
-		l    lifefn.Life
-		c    float64
-		t0   float64
-	}{
-		{"uniform", mustUniform(1000), 1, 44},
-		{"poly2", mustPoly(2, 800), 1, 90},
-		{"poly4", mustPoly(4, 800), 2, 200},
-		{"geomdec", mustGeomDec(math.Pow(2, 1.0/24)), 1, 8},
-		{"geominc", mustGeomInc(64), 1, 54},
-	}
-	for _, cse := range cases {
+	for _, cse := range closedFormCases {
 		t.Run(cse.name, func(t *testing.T) {
 			rec, ok := FamilyRecurrence(cse.l, cse.c)
 			if !ok {

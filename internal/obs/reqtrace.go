@@ -4,17 +4,18 @@ package obs
 // request by InstrumentHandler and carried down the serving path via
 // context.Context; each stage (cache lookup, pool queue wait,
 // singleflight coalesce wait, plan/Monte-Carlo compute) records a
-// PhaseSpan against it. When the request finishes, Finalize snapshots
-// the trace into a TraceRecord for the tail sampler.
+// PhaseSpan against it. When the request finishes, Tracer.Offer closes
+// the trace and the tail sampler copies it into the store if it keeps
+// it.
 //
 // Concurrency: phases arrive from several goroutines — the handler
 // goroutine, the singleflight leader goroutine and the pool worker —
 // so ReqTrace is mutex-guarded. A computation that outlives its
 // request (a coalesced leader whose client gave up while followers
 // still wait) keeps a pointer to the leader's ReqTrace; phases
-// recorded after Finalize are dropped, which is what preserves the
-// attribution invariant queue + coalesce + compute <= total on every
-// published record.
+// recorded after the trace closes are dropped, which is what preserves
+// the attribution invariant queue + coalesce + compute <= total on
+// every published record.
 
 import (
 	"context"
@@ -98,7 +99,7 @@ func (rt *ReqTrace) TraceID() string {
 
 // AddPhase records one completed phase. attrs are alternating
 // key/value pairs (a trailing odd key is ignored). Phases recorded
-// after Finalize are dropped.
+// after the trace closes (Finalize or Tracer.Offer) are dropped.
 func (rt *ReqTrace) AddPhase(name string, start time.Time, d time.Duration, attrs ...string) {
 	if rt == nil {
 		return

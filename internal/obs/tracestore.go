@@ -11,9 +11,11 @@ package obs
 // the rest are kept with a fixed probability so the store also
 // reflects normal traffic. The decision needs only the status and the
 // total, so a dropped request builds nothing. Kept records are copied
-// into a ring of fixed-size slots that NewTracer allocates once: the
-// store's memory does not grow with throughput. The wire TraceRecord
-// is built only when /debug/traces reads a slot.
+// into a ring of Capacity fixed-size slots. Each slot is allocated once,
+// when the ring's first pass reaches it, and reused ever after: the
+// store's memory stops at Capacity slots however high the throughput,
+// and an idle store costs one pointer per slot. The wire TraceRecord is
+// built only when /debug/traces reads a slot.
 
 import (
 	"encoding/hex"
@@ -25,11 +27,11 @@ import (
 	"time"
 )
 
-// TraceRecord is one finalized request trace — the unit the sampler
-// keeps and /debug/traces serves. Breakdown sums phase durations by
-// name ("queue_ms", "coalesce_ms", "compute_ms", ...) plus "total_ms";
-// the serving path guarantees queue+coalesce+compute <= total because
-// phases arriving after Finalize are dropped.
+// TraceRecord is one finished request trace in its wire form: what
+// /debug/traces serves and Finalize returns. Breakdown sums phase
+// durations by name ("queue_ms", "coalesce_ms", "compute_ms", ...) plus
+// "total_ms"; the serving path guarantees queue+coalesce+compute <=
+// total because phases arriving after the trace closes are dropped.
 type TraceRecord struct {
 	TraceID       string             `json:"trace_id"`
 	SpanID        string             `json:"span_id"`
@@ -69,7 +71,8 @@ type slotPhase struct {
 	attrs          [slotAttrs]slotAttr
 }
 
-// traceSlot is one ring entry: a kept record in its stored form. IDs
+// traceSlot is one ring entry: a kept record in its stored form, 992
+// bytes on 64-bit platforms so that it fills a 1 KiB size class. IDs
 // stay bytes; Breakdown and Cache are derived when record builds the
 // wire form.
 type traceSlot struct {
@@ -77,56 +80,62 @@ type traceSlot struct {
 	spanID    [8]byte
 	parentID  [8]byte
 	remote    bool
+	nphases   uint8
+	nattrs    uint8
+	status    int32
 	route     string
-	status    int
 	start     int64 // Unix nanoseconds
 	totalMS   float64
 	sampledBy string
 
-	nphases int
-	phases  [slotPhases]slotPhase
-	nattrs  int
-	attrs   [slotAttrs]slotAttr
+	phases [slotPhases]slotPhase
+	attrs  [slotAttrs]slotAttr
+	more   *slotOverflow // nil unless the record does not fit inline
+}
 
-	// Overflow, nil unless the record does not fit inline: then every
-	// phase lives in morePhases, and the root attributes in moreAttrs.
-	morePhases []PhaseSpan
-	moreAttrs  map[string]string
+// slotOverflow holds what a record that does not fit inline keeps
+// instead: every phase, or the root attributes.
+type slotOverflow struct {
+	phases []PhaseSpan
+	attrs  map[string]string
 }
 
 // fill copies the closed trace rt into s, allocating only for a record
 // that does not fit inline. rt is closed, so its phases and attributes
 // no longer change and are read without its lock.
 func (s *traceSlot) fill(rt *ReqTrace, status int, totalMS float64, sampledBy string) {
+	// Resetting the slot also drops the previous occupant's overflow.
 	*s = traceSlot{
 		traceID:   rt.tc.TraceID,
 		spanID:    rt.tc.SpanID,
 		parentID:  rt.parent,
 		remote:    rt.remote,
+		status:    int32(status),
 		route:     rt.route,
-		status:    status,
 		start:     rt.start.UnixNano(),
 		totalMS:   totalMS,
 		sampledBy: sampledBy,
-		// The previous occupant's overflow is dropped by the reset.
 	}
 	if fitsInline(rt.phases) {
-		s.nphases = len(rt.phases)
+		s.nphases = uint8(len(rt.phases))
 		for i, p := range rt.phases {
 			sp := &s.phases[i]
 			sp.name, sp.startMS, sp.durMS = p.Name, p.StartMS, p.DurMS
 			sp.nattrs = copyAttrs(sp.attrs[:], p.Attrs)
 		}
 	} else {
-		s.morePhases = append([]PhaseSpan(nil), rt.phases...)
+		s.more = &slotOverflow{phases: append([]PhaseSpan(nil), rt.phases...)}
 	}
 	if len(rt.attrs) <= slotAttrs {
-		s.nattrs = copyAttrs(s.attrs[:], rt.attrs)
-	} else {
-		s.moreAttrs = make(map[string]string, len(rt.attrs))
-		for k, v := range rt.attrs {
-			s.moreAttrs[k] = v
-		}
+		s.nattrs = uint8(copyAttrs(s.attrs[:], rt.attrs))
+		return
+	}
+	if s.more == nil {
+		s.more = &slotOverflow{}
+	}
+	s.more.attrs = make(map[string]string, len(rt.attrs))
+	for k, v := range rt.attrs {
+		s.more.attrs[k] = v
 	}
 }
 
@@ -172,9 +181,11 @@ func (s *traceSlot) phaseMS(name string) float64 {
 			ms += p.durMS
 		}
 	}
-	for _, p := range s.morePhases {
-		if p.Name == name {
-			ms += p.DurMS
+	if s.more != nil {
+		for _, p := range s.more.phases {
+			if p.Name == name {
+				ms += p.DurMS
+			}
 		}
 	}
 	return ms
@@ -188,15 +199,16 @@ func (s *traceSlot) record() TraceRecord {
 		SpanID:        hex.EncodeToString(s.spanID[:]),
 		Remote:        s.remote,
 		Route:         s.route,
-		Status:        s.status,
+		Status:        int(s.status),
 		StartUnixNano: s.start,
 		TotalMS:       s.totalMS,
-		Phases:        s.morePhases,
-		Attrs:         s.moreAttrs,
 		SampledBy:     s.sampledBy,
 	}
 	if s.remote {
 		rec.ParentID = hex.EncodeToString(s.parentID[:])
+	}
+	if s.more != nil {
+		rec.Phases, rec.Attrs = s.more.phases, s.more.attrs
 	}
 	if s.nphases > 0 {
 		rec.Phases = make([]PhaseSpan, s.nphases)
@@ -244,8 +256,8 @@ type Tracer struct {
 	now func() time.Time // injectable clock for window-rotation tests
 
 	mu          sync.Mutex
-	ring        []traceSlot
-	next        int // ring insertion cursor
+	ring        []*traceSlot // a slot is allocated when the first pass reaches it
+	next        int          // ring insertion cursor
 	filled      bool
 	offered     uint64
 	kept        uint64
@@ -256,7 +268,6 @@ type Tracer struct {
 }
 
 // NewTracer builds a Tracer, applying defaults for zero config fields.
-// It allocates all Capacity slots up front.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 2048
@@ -276,7 +287,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{
 		cfg:      cfg,
 		now:      time.Now,
-		ring:     make([]traceSlot, cfg.Capacity),
+		ring:     make([]*traceSlot, cfg.Capacity),
 		byReason: make(map[string]uint64, 3),
 		slowest:  make([]float64, 0, cfg.SlowestK),
 	}
@@ -286,8 +297,9 @@ func NewTracer(cfg TracerConfig) *Tracer {
 
 // Offer closes rt with the response status — later phases are dropped,
 // as by Finalize — and submits it to the tail sampler, reporting
-// whether it was kept. A kept trace is copied into the next slot; a
-// dropped one builds nothing. A nil rt is ignored.
+// whether it was kept. A kept trace is copied into the next slot, which
+// is allocated only on the ring's first pass; a dropped one builds
+// nothing. A nil rt is ignored.
 func (t *Tracer) Offer(rt *ReqTrace, status int) bool {
 	if rt == nil {
 		return false
@@ -305,7 +317,12 @@ func (t *Tracer) Offer(rt *ReqTrace, status int) bool {
 	}
 	t.kept++
 	t.byReason[reason]++
-	t.ring[t.next].fill(rt, status, totalMS, reason)
+	slot := t.ring[t.next]
+	if slot == nil {
+		slot = new(traceSlot)
+		t.ring[t.next] = slot
+	}
+	slot.fill(rt, status, totalMS, reason)
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0
@@ -423,24 +440,25 @@ func (t *Tracer) Query(q TraceQuery) []TraceRecord {
 	if q.Limit <= 0 {
 		q.Limit = 50
 	}
-	// A trace ID that is not 32 lowercase hex digits matches nothing.
 	var traceID [16]byte
-	badID := q.TraceID != "" && hexLower(q.TraceID, traceID[:]) != nil
+	if q.TraceID != "" && hexLower(q.TraceID, traceID[:]) != nil {
+		return nil // not 32 lowercase hex digits: no record has this ID
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	stored := t.storedLocked()
 	var hits []*traceSlot
 	// Walk backwards from the cursor: most recent first.
-	for i := 0; i < stored && !badID; i++ {
+	for i := 0; i < stored; i++ {
 		idx := t.next - 1 - i
 		if idx < 0 {
 			idx += len(t.ring)
 		}
-		s := &t.ring[idx]
+		s := t.ring[idx]
 		if s.totalMS < q.MinMS {
 			continue
 		}
-		if q.Status != 0 && s.status != q.Status {
+		if q.Status != 0 && int(s.status) != q.Status {
 			continue
 		}
 		if q.Route != "" && s.route != q.Route {

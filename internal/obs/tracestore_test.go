@@ -209,11 +209,17 @@ func deepestTrace() *ReqTrace {
 	return rt
 }
 
-// A kept trace is copied into a slot NewTracer allocated, and a dropped
-// one builds nothing: neither allocates.
+// Once the ring has wrapped, a kept trace is copied into an existing
+// slot, and a dropped one builds nothing: neither allocates. Before
+// that, a keep allocates its slot and nothing else.
 func TestTracerOfferAllocs(t *testing.T) {
 	tr := NewTracer(TracerConfig{Capacity: 4, SampleRate: -1, SlowestK: 1, Window: time.Hour})
 	deep := deepestTrace()
+	for i := 0; i < 4; i++ {
+		if got := testing.AllocsPerRun(1, func() { tr.Offer(deep, 500) }); got > 1 {
+			t.Errorf("first-pass keep %d allocates %.0f, want at most its slot", i, got)
+		}
+	}
 	if got := testing.AllocsPerRun(100, func() { tr.Offer(deep, 500) }); got != 0 {
 		t.Errorf("kept Offer allocates %.0f/run, want 0", got)
 	}
@@ -224,11 +230,14 @@ func TestTracerOfferAllocs(t *testing.T) {
 
 	// Slow keeps past warm-up evict the window's minimum in place.
 	slowTr := NewTracer(TracerConfig{Capacity: 4, SampleRate: -1, SlowestK: 3, Window: time.Hour})
-	slow := make([]*ReqTrace, 101)
+	slow := make([]*ReqTrace, 105)
 	for i := range slow {
 		slow[i] = mkTrace("s", 2000+float64(i))
 	}
 	next := 0
+	for ; next < 4; next++ { // the first pass allocates the slots
+		slowTr.Offer(slow[next], 200)
+	}
 	if got := testing.AllocsPerRun(100, func() {
 		if !slowTr.Offer(slow[next], 200) {
 			t.Fatal("ever slower 200 dropped")
