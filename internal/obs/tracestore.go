@@ -444,6 +444,17 @@ func (t *Tracer) Query(q TraceQuery) []TraceRecord {
 	if q.TraceID != "" && hexLower(q.TraceID, traceID[:]) != nil {
 		return nil // not 32 lowercase hex digits: no record has this ID
 	}
+	picked := t.pick(q, traceID)
+	var recs []TraceRecord
+	for i := range picked {
+		recs = append(recs, picked[i].record())
+	}
+	return recs
+}
+
+// pick copies out the slots Query returns, in its order, so that the
+// wire records are built without holding mu.
+func (t *Tracer) pick(q TraceQuery, traceID [16]byte) []traceSlot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	stored := t.storedLocked()
@@ -478,11 +489,11 @@ func (t *Tracer) Query(q TraceQuery) []TraceRecord {
 	if len(hits) > q.Limit {
 		hits = hits[:q.Limit]
 	}
-	var recs []TraceRecord
-	for _, s := range hits {
-		recs = append(recs, s.record())
+	picked := make([]traceSlot, len(hits))
+	for i, s := range hits {
+		picked[i] = *s
 	}
-	return recs
+	return picked
 }
 
 // tracesResponse is the /debug/traces payload.
