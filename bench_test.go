@@ -244,11 +244,15 @@ func perfRows() []perfRow {
 				}
 			}
 		}})
-		// One 20k-episode estimate: the compute behind /v1/estimate.
-		// The reclaim draw (lifefn.Draw) inverts p in closed form for
-		// all four families, so every row is mostly the episode loop:
-		// 1.4-2.1 ms each on a 2-core x86-64 host under go1.24, where the
-		// Brent draw took 2.9-17 ms. ROADMAP item 2 removes the draw.
+		// One 20k-episode estimate: the compute behind /v1/estimate:
+		// 1.3-2.1 ms per row on a 2-core x86-64 host under go1.24, where
+		// the Brent draw took 2.9-17 ms. The reclaim draw (lifefn.Draw)
+		// now inverts p in closed form, so the uniform and poly rows are
+		// mostly the episode loop: running it twice moved them x1.69 and
+		// x1.74. geomdec and geominc episodes commit 2-4 periods, not
+		// 14-15, so the draw and the per-episode bookkeeping still
+		// outweigh their loop (x1.22 and x1.23). ROADMAP item 2 removes
+		// the draw.
 		estimates = append(estimates, perfRow{"mc/20k/" + f.name, func(b *testing.B) {
 			l := life(b)
 			plan := mustPlan(b, l, 1)
