@@ -38,7 +38,8 @@ var closedFormCases = []struct {
 func TestGenerateClosedFormMatchesBrent(t *testing.T) {
 	for _, cse := range closedFormCases {
 		t.Run(cse.name, func(t *testing.T) {
-			fast, err := mustPlanner(t, cse.l, cse.c).GenerateFrom(cse.t0)
+			pl := mustPlanner(t, cse.l, cse.c)
+			fast, err := pl.GenerateFrom(cse.t0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,8 +47,7 @@ func TestGenerateClosedFormMatchesBrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ef := mustPlanner(t, cse.l, cse.c).ExpectedWork(fast)
-			es := mustPlanner(t, cse.l, cse.c).ExpectedWork(slow)
+			ef, es := pl.ExpectedWork(fast), pl.ExpectedWork(slow)
 			if d := math.Abs(ef-es) / es; d > 1e-12 {
 				t.Errorf("E: closed form %.17g, Brent %.17g (relative %g)", ef, es, d)
 			}
