@@ -129,6 +129,84 @@ func TestGeomDecreasingHalfLife(t *testing.T) {
 	}
 }
 
+// TestGeomFamiliesPinnedDigits holds the two geometric families'
+// P, Deriv, inverse and LnA to the literal expressions of their
+// definitions, bit for bit, whether the value came from its
+// constructor or from a struct literal.
+func TestGeomFamiliesPinnedDigits(t *testing.T) {
+	ts := []float64{-1, 0, 1e-9, 0.3, 1, 7.5, 31, 64, 99.9, 100, 500, 1e4}
+	ys := []float64{1e-12, 0.01, 0.25, 0.5, 0.9, 1 - 1e-9}
+	for _, hl := range []float64{0.5, 2, 32, 1000} {
+		a := math.Pow(2, 1/hl)
+		built, err := NewGeomDecreasing(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lnA := math.Log(a)
+		for _, g := range []GeomDecreasing{built, {A: a}} {
+			if !sameBits(g.LnA(), lnA) {
+				t.Errorf("%s: LnA = %.17g, want %.17g", g, g.LnA(), lnA)
+			}
+			for _, x := range ts {
+				wantP, wantD := math.Exp(-x*lnA), -lnA*math.Exp(-x*lnA)
+				if x <= 0 {
+					wantP = 1
+				}
+				if x < 0 {
+					wantD = 0
+				}
+				if got := g.P(x); !sameBits(got, wantP) {
+					t.Errorf("%s: P(%g) = %.17g, want %.17g", g, x, got, wantP)
+				}
+				if got := g.Deriv(x); !sameBits(got, wantD) {
+					t.Errorf("%s: Deriv(%g) = %.17g, want %.17g", g, x, got, wantD)
+				}
+			}
+			for _, y := range ys {
+				if got, want := g.inverse(y), -math.Log(y)/lnA; !sameBits(got, want) {
+					t.Errorf("%s: inverse(%g) = %.17g, want %.17g", g, y, got, want)
+				}
+			}
+		}
+	}
+	for _, L := range []float64{0.5, 20, 100, 1000} {
+		built, err := NewGeomIncreasing(L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		den := -math.Expm1(-L * math.Ln2)
+		for _, g := range []GeomIncreasing{built, {L: L}} {
+			for _, x := range ts {
+				wantP := -math.Expm1((x-L)*math.Ln2) / den
+				switch {
+				case x <= 0:
+					wantP = 1
+				case x >= L:
+					wantP = 0
+				}
+				wantD := -math.Ln2 * math.Exp((x-L)*math.Ln2) / den
+				if x < 0 || x > L {
+					wantD = 0
+				}
+				if got := g.P(x); !sameBits(got, wantP) {
+					t.Errorf("%s: P(%g) = %.17g, want %.17g", g, x, got, wantP)
+				}
+				if got := g.Deriv(x); !sameBits(got, wantD) {
+					t.Errorf("%s: Deriv(%g) = %.17g, want %.17g", g, x, got, wantD)
+				}
+			}
+			for _, y := range ys {
+				if got, want := g.inverse(y), L+math.Log1p(-y*den)/math.Ln2; !sameBits(got, want) {
+					t.Errorf("%s: inverse(%g) = %.17g, want %.17g", g, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestGeomIncreasingMatchesDefinition(t *testing.T) {
 	// For small L, compare against the literal (2^L - 2^t)/(2^L - 1).
 	g, _ := NewGeomIncreasing(20)
