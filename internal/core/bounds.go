@@ -87,7 +87,17 @@ func upperRHS(l lifefn.Life, c, t float64, shape lifefn.Shape) float64 {
 // relative margin is applied on both sides so that the bracketed search
 // cannot lose the optimum to the numerical solution of the implicit
 // bound equations.
+//
+// Lemma 3.1's inner maximum of g(t) = (1 - c/t)·p(t) is found once per
+// plan when p is log-concave (lifefn.LogConcave), which makes g
+// unimodal; for every other life it is found afresh at each probe.
 func (pl *Planner) T0Bracket() (Bracket, error) {
+	return pl.t0Bracket(lifefn.LogConcave(pl.life))
+}
+
+// t0Bracket is T0Bracket; peak selects the once-per-plan Lemma 3.1
+// inner maximum, which is exact only where g is unimodal.
+func (pl *Planner) t0Bracket(peak bool) (Bracket, error) {
 	c := pl.c
 	l := pl.life
 	span := lifefn.Span(l, pl.opt.TailEps)
@@ -130,11 +140,14 @@ func (pl *Planner) T0Bracket() (Bracket, error) {
 
 	// --- Upper bound, Lemma 3.1: largest t0 in [2c, span] satisfying
 	// condition (3.10); 2c if none does.
-	if hi, ok := lastCrossing(func(t0 float64) float64 {
-		return pl.lemma31Slack(t0)
-	}, 2*c, span, 256); ok {
+	lemma31 := pl.lemma31Slack
+	if peak {
+		pk := pl.innerPeak(span)
+		lemma31 = func(t0 float64) float64 { return pl.lemma31PeakSlack(t0, pk) }
+	}
+	if hi, ok := lastCrossing(lemma31, 2*c, span, 256); ok {
 		d.Lemma31Upper = math.Max(hi, 2*c)
-	} else if pl.lemma31Slack(span) >= 0 {
+	} else if lemma31(span) >= 0 {
 		d.Lemma31Upper = span
 	} else {
 		d.Lemma31Upper = 2 * c
@@ -172,19 +185,65 @@ func (pl *Planner) T0Bracket() (Bracket, error) {
 }
 
 // lemma31Slack measures how much t0 satisfies condition (3.10):
-// p(t0) - max_{t in (c, t0-c)} (1 - c/t)·p(t). Nonnegative slack means
-// the condition holds. For t0 <= 2c the inner interval is empty and the
+// p(t0) - max_{t in (c, t0-c)} g(t), with the inner maximum found by a
+// fresh scan of (c, t0-c) at every call. The bracket uses it for lives
+// not known to be log-concave; the others read the maximum from one
+// innerPeak per plan (lemma31PeakSlack). Nonnegative slack means the
+// condition holds. For t0 <= 2c the inner interval is empty and the
 // lemma places no constraint, so the slack is +Inf.
 func (pl *Planner) lemma31Slack(t0 float64) float64 {
 	c := pl.c
 	if t0 <= 2*c {
 		return math.Inf(1)
 	}
-	inner := func(t float64) float64 { return (1 - c/t) * pl.life.P(t) }
 	//lint:allow nonnegwork interval endpoint of (3.10), positive by the t0 > 2c guard above
-	_, best, err := numeric.MaximizeScan(inner, c*(1+1e-9), t0-c, 64, numeric.MaxOptions{Tol: 1e-9})
+	_, best, err := numeric.MaximizeScan(pl.lemma31G, c*(1+1e-9), t0-c, 64, numeric.MaxOptions{Tol: 1e-9})
 	if err != nil {
 		return math.Inf(1)
+	}
+	return pl.life.P(t0) - best
+}
+
+// lemma31G is the function condition (3.10) maximizes:
+// g(t) = (1 - c/t)·p(t).
+func (pl *Planner) lemma31G(t float64) float64 { return (1 - pl.c/t) * pl.life.P(t) }
+
+// innerPeak is the maximizer t of g over [lo, span-c] and its value g.
+// When g is unimodal, its maximum over [lo, x] is g(x) for x < t and g
+// beyond, so one scan serves every probe of the Lemma 3.1 bound.
+type innerPeak struct {
+	lo, t, g float64
+}
+
+// innerPeak scans g once over the widest inner interval any probe of
+// [2c, span] uses. When that interval is empty, lo is +Inf: no probe
+// has an inner maximum, as in lemma31Slack.
+func (pl *Planner) innerPeak(span float64) innerPeak {
+	lo := pl.c * (1 + 1e-9)
+	//lint:allow nonnegwork interval endpoint of (3.10); a negative one makes the interval empty
+	t, g, err := numeric.MaximizeScan(pl.lemma31G, lo, span-pl.c, 64, numeric.MaxOptions{Tol: 1e-9})
+	if err != nil {
+		return innerPeak{lo: math.Inf(1)}
+	}
+	return innerPeak{lo: lo, t: t, g: g}
+}
+
+// lemma31PeakSlack is lemma31Slack with the inner maximum read from pk
+// instead of scanned: exact where g is unimodal. Like the scan, it can
+// only underestimate the maximum, which loosens the bound but never
+// lets it exclude the optimum.
+func (pl *Planner) lemma31PeakSlack(t0 float64, pk innerPeak) float64 {
+	c := pl.c
+	if t0 <= 2*c {
+		return math.Inf(1)
+	}
+	x := t0 - c //lint:allow nonnegwork interval endpoint of (3.10), positive by the t0 > 2c guard above
+	if !(pk.lo <= x) {
+		return math.Inf(1)
+	}
+	best := pk.g
+	if x < pk.t {
+		best = pl.lemma31G(x)
 	}
 	return pl.life.P(t0) - best
 }

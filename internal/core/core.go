@@ -260,6 +260,11 @@ func (pl *Planner) PlanBest() (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
+	return pl.searchBracket(br)
+}
+
+// searchBracket is PlanBest's search for t0 inside br.
+func (pl *Planner) searchBracket(br Bracket) (Plan, error) {
 	// Every evaluation generates into one buffer, local to this call so
 	// that concurrent PlanBest calls share nothing.
 	buf := make([]float64, 0, 64)

@@ -73,6 +73,8 @@ func (c *Conditional) Horizon() float64 {
 	return 0
 }
 
+func (c *Conditional) logConcave() bool { return LogConcave(c.Base) }
+
 // String implements Life.
 func (c *Conditional) String() string {
 	return fmt.Sprintf("%s | survived %g", c.Base.String(), c.Tau)

@@ -57,6 +57,24 @@ func (s Shape) IsConcave() bool { return s == Concave || s == Linear }
 // IsConvex reports whether the shape admits the convex-case bounds.
 func (s Shape) IsConvex() bool { return s == Convex || s == Linear }
 
+// logConcaver is implemented by the life functions known to be
+// log-concave: ln p concave wherever p > 0.
+type logConcaver interface {
+	logConcave() bool
+}
+
+// LogConcave reports whether l is known to be log-concave. It is true
+// for Uniform, Poly, GeomDecreasing and GeomIncreasing (concave, or
+// log-linear), and for a Conditional or Scaled life whose base is
+// log-concave: conditioning and rescaling time both preserve
+// log-concavity. It is false for every other life. For log-concave p,
+// (1 - c/t)·p(t) is log-concave on t > c, hence unimodal, which lets
+// the t0 bracket find Lemma 3.1's inner maximum once per plan.
+func LogConcave(l Life) bool {
+	lc, ok := l.(logConcaver)
+	return ok && lc.logConcave()
+}
+
 // Life is a survival function for a cycle-stealing episode.
 //
 // Implementations must satisfy the paper's model assumptions: P(0) = 1,
@@ -132,6 +150,8 @@ func (u Uniform) Shape() Shape { return Linear }
 //cs:unit return=time
 func (u Uniform) Horizon() float64 { return u.L }
 
+func (Uniform) logConcave() bool { return true }
+
 // inverse implements the closed-form p⁻¹: L(1-y).
 //
 //cs:unit y=probability return=time
@@ -197,6 +217,8 @@ func (p Poly) Shape() Shape {
 //cs:unit return=time
 func (p Poly) Horizon() float64 { return p.L }
 
+func (Poly) logConcave() bool { return true }
+
 // inverse implements the closed-form p⁻¹: L(1-y)^{1/d}.
 //
 //cs:unit y=probability return=time
@@ -247,6 +269,8 @@ func (g GeomDecreasing) Shape() Shape { return Convex }
 
 // Horizon implements Life.
 func (g GeomDecreasing) Horizon() float64 { return math.Inf(1) }
+
+func (GeomDecreasing) logConcave() bool { return true }
 
 // inverse implements the closed-form p⁻¹: -ln y / ln a.
 //
@@ -307,6 +331,8 @@ func (g GeomIncreasing) Shape() Shape { return Concave }
 //
 //cs:unit return=time
 func (g GeomIncreasing) Horizon() float64 { return g.L }
+
+func (GeomIncreasing) logConcave() bool { return true }
 
 // inverse implements the closed-form p⁻¹: L + log1p(-y·den)/ln 2 with
 // den = 1 - 2^{-L}, computed as P computes it.

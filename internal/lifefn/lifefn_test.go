@@ -372,3 +372,61 @@ func TestShapeStrings(t *testing.T) {
 		t.Error("shape predicates wrong")
 	}
 }
+
+// TestLogConcave checks which lives report log-concavity: the four
+// paper families and their conditionals and rescalings do; Mixture,
+// PowerLaw, Weibull, Func, Empirical and unknown wrappers do not, so
+// the planner keeps its per-probe Lemma 3.1 scan for them. Where it is
+// reported, ln p must be concave on a grid: no second difference above
+// rounding.
+func TestLogConcave(t *testing.T) {
+	must := func(l Life, err error) Life {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// everyLife: u, p2, p5, gd, gi, powerlaw, weibull(0.8), cosine
+	// Func, mixture, u|30, gd|13, scaled gd, empirical.
+	lives := everyLife(t)
+	want := []bool{true, true, true, true, true, false, false, false, false, true, true, true, false}
+	if len(lives) != len(want) {
+		t.Fatalf("everyLife has %d lives, want %d", len(lives), len(want))
+	}
+	u, pw, mix := lives[0], lives[5], lives[8]
+	for _, extra := range []struct {
+		l    Life
+		want bool
+	}{
+		{must(NewWeibull(0.5, 10)), false},
+		{must(NewWeibull(3, 10)), false},
+		{must(NewConditional(mix, 5)), false},
+		{must(NewScaled(pw, 2)), false},
+		{must(NewScaled(must(NewConditional(u, 10)), 2)), true},
+		{struct{ Life }{u}, false},
+	} {
+		lives, want = append(lives, extra.l), append(want, extra.want)
+	}
+	for i, l := range lives {
+		if got := LogConcave(l); got != want[i] {
+			t.Errorf("%s: LogConcave = %v, want %v", l, got, want[i])
+		}
+		if !want[i] {
+			continue
+		}
+		const n = 400
+		h := Span(l, 1e-9) / n
+		for j := 1; j < n-1; j++ {
+			x := float64(j) * h
+			a, b, c := l.P(x-h), l.P(x), l.P(x+h)
+			if !(c > 0) {
+				break
+			}
+			if d2 := math.Log(a) - 2*math.Log(b) + math.Log(c); d2 > 1e-12 {
+				t.Errorf("%s: ln p convex near %g (second difference %g)", l, x, d2)
+				break
+			}
+		}
+	}
+}

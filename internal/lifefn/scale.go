@@ -53,6 +53,8 @@ func (s *Scaled) Horizon() float64 {
 	return h * s.K
 }
 
+func (s *Scaled) logConcave() bool { return LogConcave(s.Base) }
+
 // String implements Life.
 func (s *Scaled) String() string {
 	return fmt.Sprintf("scaled(%s, k=%g)", s.Base.String(), s.K)
