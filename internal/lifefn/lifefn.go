@@ -234,7 +234,8 @@ func (p Poly) String() string { return fmt.Sprintf("poly(d=%d, L=%g)", p.D, p.L)
 // conditional risk is identical at every instant. It is convex with an
 // unbounded horizon.
 type GeomDecreasing struct {
-	A float64 // risk factor, > 1
+	A   float64 // risk factor, > 1
+	lnA float64 // ln A, stored by NewGeomDecreasing; 0 in a struct literal
 }
 
 // NewGeomDecreasing returns the life function a^{-t}.
@@ -242,11 +243,17 @@ func NewGeomDecreasing(a float64) (GeomDecreasing, error) {
 	if !(a > 1) || math.IsInf(a, 0) {
 		return GeomDecreasing{}, fmt.Errorf("lifefn: geometric risk factor must be > 1 and finite, got %g", a)
 	}
-	return GeomDecreasing{A: a}, nil
+	return GeomDecreasing{A: a, lnA: math.Log(a)}, nil
 }
 
-// LnA returns ln a, the hazard rate of the episode.
-func (g GeomDecreasing) LnA() float64 { return math.Log(g.A) }
+// LnA returns ln a, the hazard rate of the episode: the value stored by
+// NewGeomDecreasing, or math.Log(a) for a value built without it.
+func (g GeomDecreasing) LnA() float64 {
+	if g.lnA > 0 {
+		return g.lnA
+	}
+	return math.Log(g.A)
+}
 
 // P implements Life.
 func (g GeomDecreasing) P(t float64) float64 {
@@ -261,7 +268,8 @@ func (g GeomDecreasing) Deriv(t float64) float64 {
 	if t < 0 {
 		return 0
 	}
-	return -g.LnA() * math.Exp(-t*g.LnA())
+	lnA := g.LnA()
+	return -lnA * math.Exp(-t*lnA)
 }
 
 // Shape implements Life.
@@ -291,6 +299,9 @@ func (g GeomDecreasing) String() string { return fmt.Sprintf("geomdec(a=%g)", g.
 // finite for large L.
 type GeomIncreasing struct {
 	L float64 //cs:unit time
+	// den is 1 - 2^{-L}, stored by NewGeomIncreasing; 0 in a struct
+	// literal.
+	den float64 //cs:unit probability
 }
 
 // NewGeomIncreasing returns the doubling-risk life function with
@@ -299,7 +310,18 @@ func NewGeomIncreasing(l float64) (GeomIncreasing, error) {
 	if !(l > 0) || math.IsInf(l, 0) {
 		return GeomIncreasing{}, fmt.Errorf("lifefn: geomInc lifespan must be positive and finite, got %g", l)
 	}
-	return GeomIncreasing{L: l}, nil
+	return GeomIncreasing{L: l, den: -math.Expm1(-l * math.Ln2)}, nil
+}
+
+// denom returns 1 - 2^{-L}: the value stored by NewGeomIncreasing, or
+// computed for a value built without it.
+//
+//cs:unit return=probability
+func (g GeomIncreasing) denom() float64 {
+	if g.den > 0 {
+		return g.den
+	}
+	return -math.Expm1(-g.L * math.Ln2)
 }
 
 // P implements Life.
@@ -311,8 +333,7 @@ func (g GeomIncreasing) P(t float64) float64 {
 		return 0
 	}
 	num := -math.Expm1((t - g.L) * math.Ln2) // 1 - 2^{t-L}
-	den := -math.Expm1(-g.L * math.Ln2)      // 1 - 2^{-L}
-	return num / den
+	return num / g.denom()
 }
 
 // Deriv implements Life.
@@ -320,8 +341,7 @@ func (g GeomIncreasing) Deriv(t float64) float64 {
 	if t < 0 || t > g.L {
 		return 0
 	}
-	den := -math.Expm1(-g.L * math.Ln2)
-	return -math.Ln2 * math.Exp((t-g.L)*math.Ln2) / den
+	return -math.Ln2 * math.Exp((t-g.L)*math.Ln2) / g.denom()
 }
 
 // Shape implements Life.
@@ -335,12 +355,11 @@ func (g GeomIncreasing) Horizon() float64 { return g.L }
 func (GeomIncreasing) logConcave() bool { return true }
 
 // inverse implements the closed-form p⁻¹: L + log1p(-y·den)/ln 2 with
-// den = 1 - 2^{-L}, computed as P computes it.
+// den = 1 - 2^{-L}, as P uses it.
 //
 //cs:unit y=probability return=time
 func (g GeomIncreasing) inverse(y float64) float64 {
-	den := -math.Expm1(-g.L * math.Ln2)
-	return g.L + math.Log1p(-y*den)/math.Ln2
+	return g.L + math.Log1p(-y*g.denom())/math.Ln2
 }
 
 // String implements Life.
