@@ -276,6 +276,25 @@ func perfRows() []perfRow {
 			}
 		}})
 	}
+	// One re-plan of Section 6's progressive regimen: the plan
+	// core.Progressive makes after a uniform L=1000 episode has
+	// survived to τ=300.
+	plans = append(plans, perfRow{"plan/conditional", func(b *testing.B) {
+		cond, err := lifefn.NewConditional(mustUniform(b, 1000), 300)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := core.NewPlanner(cond, 1, core.PlanOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pl.PlanBest(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
 	rows = append(rows, plans...)
 	rows = append(rows, estimates...)
 	return append(rows, draws...)
