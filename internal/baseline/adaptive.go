@@ -82,13 +82,6 @@ func (a *Adaptive) NextPeriod(elapsed float64) (float64, bool) {
 	return a.chunk, true
 }
 
-// RecordCommit informs the policy that its latest period completed.
-// The episode driver in nowsim does not call this (policies are
-// observation-free there); Reset infers outcomes instead, so Adaptive
-// works unmodified under nowsim while callers driving it manually can
-// feed explicit outcomes.
-func (a *Adaptive) RecordCommit() { a.committed++ }
-
 // Reset ends an episode and updates the estimate from what the episode
 // revealed: the driver dispatches one more period than commits whenever
 // the owner returned mid-period, so dispatched == committed means a
