@@ -180,14 +180,9 @@ func (r StopReason) Structural() bool {
 // target survival drops to zero or below (the horizon is exhausted),
 // when p(T_k) falls below TailEps, or at MaxPeriods.
 func (pl *Planner) GenerateFrom(t0 float64) (sched.Schedule, error) {
-	s, _, err := pl.GenerateTrace(t0)
-	return s, err
-}
-
-// GenerateTrace is GenerateFrom plus the reason generation stopped.
-func (pl *Planner) GenerateTrace(t0 float64) (sched.Schedule, StopReason, error) {
 	var buf []float64
-	return pl.generate(&buf, t0)
+	s, _, err := pl.generate(&buf, t0)
+	return s, err
 }
 
 // generate runs system (3.6) from t0, appending the periods to (*buf)[:0]
