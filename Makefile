@@ -85,11 +85,14 @@ loadtest:
 # parsers, the wire-facing traceparent header parser and the raw
 # /v1/plan and /v1/estimate bodies: no panics or 500s, and accepted
 # inputs must round-trip through their canonical forms. FuzzInverse
-# holds the closed-form p⁻¹ of the paper families to Brent's root, and
-# FuzzLemma31Upper the once-per-plan Lemma 3.1 bound to the per-probe one.
+# holds the closed-form p⁻¹ of the paper families to Brent's root,
+# FuzzLemma31Upper the once-per-plan Lemma 3.1 bound to the per-probe one,
+# and FuzzExpectedWorkFrom the one-pass E(S;p) of the t0 search to
+# sched.ExpectedWork of the generated schedule, bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInverse$$' -fuzztime $(FUZZTIME) ./internal/lifefn
 	$(GO) test -run '^$$' -fuzz '^FuzzLemma31Upper$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzExpectedWorkFrom$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDist$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildLife$$' -fuzztime $(FUZZTIME) ./internal/nowsim

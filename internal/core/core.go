@@ -19,6 +19,9 @@
 //     convex and concave p), refined by Corollary 5.5 when the horizon
 //     is finite. T0Bracket computes the bracket; PlanBest searches it
 //     for the t_0 whose generated schedule maximizes expected work.
+//     ExpectedWorkFrom scores each candidate t_0 in the one pass of
+//     system (3.6) that generates its schedule, keeping no period; only
+//     the chosen t_0's schedule is kept.
 //
 // The package also provides the closed-form period recurrences the paper
 // derives for its three Section-4 families, the optimal-schedule
@@ -87,8 +90,9 @@ type Plan struct {
 	Bracket Bracket
 	// ExpectedWork is E(Schedule; p) under the planning life function.
 	ExpectedWork float64
-	// Evaluations counts the objective evaluations (schedule generations
-	// plus expected-work integrations) the t0 search spent.
+	// Evaluations counts the objective evaluations the t0 search spent.
+	// Each is one pass of system (3.6) that generates a schedule and
+	// sums its expected work (ExpectedWorkFrom).
 	Evaluations int
 }
 
@@ -181,17 +185,39 @@ func (r StopReason) Structural() bool {
 // when p(T_k) falls below TailEps, or at MaxPeriods.
 func (pl *Planner) GenerateFrom(t0 float64) (sched.Schedule, error) {
 	var buf []float64
-	s, _, err := pl.generate(&buf, t0)
+	s, _, _, err := pl.generate(&buf, t0)
 	return s, err
 }
 
-// generate runs system (3.6) from t0, appending the periods to (*buf)[:0]
-// and keeping the grown slice in *buf, then validates them as sched.New
-// does and normalizes them in place. The returned schedule shares *buf's
-// backing array, so it is valid until the next generate into buf.
-func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, StopReason, error) {
+// ExpectedWorkFrom returns E(S; p) for the schedule S that GenerateFrom
+// builds from t0, equal bit for bit to sched.ExpectedWork of
+// GenerateFrom(t0), and fails exactly where GenerateFrom fails. It
+// scores S in the pass that generates it and keeps no period, which
+// makes it the objective of the t0 search.
+func (pl *Planner) ExpectedWorkFrom(t0 float64) (float64, error) {
+	_, e, _, err := pl.generate(nil, t0)
+	return e, err
+}
+
+// generate runs system (3.6) from t0 and returns E(S; p) of the
+// schedule S it generates. With buf non-nil it also keeps S: it appends
+// the periods to (*buf)[:0], keeps the grown slice in *buf and hands
+// them to sched.Adopt, which normalizes them in place; the returned
+// schedule shares *buf's backing array, so it is valid until the next
+// generate into buf. With buf nil it keeps no period and returns the
+// zero Schedule. Either way it fails where sched.Adopt's validation
+// would, on a NaN, infinite or nonpositive period.
+//
+// E is summed as sched.ExpectedWork sums it over S's productive normal
+// form: Kahan sums of the elapsed time and of (t ⊖ c)·p(elapsed), in
+// period order. The recurrence evaluates p at each boundary T_k, and
+// that value is reused wherever the elapsed sum is T_k bit for bit; it
+// usually is (where t_k <= T_{k-1}, T_k − T_{k-1} is exact), and p is
+// evaluated at the elapsed sum where it is not, as when periods grow
+// (Thm 5.2).
+func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, float64, StopReason, error) {
 	if !(t0 > pl.c) {
-		return sched.Schedule{}, StopUnproductive, fmt.Errorf("%w: t0=%g, c=%g", ErrBadT0, t0, pl.c)
+		return sched.Schedule{}, 0, StopUnproductive, fmt.Errorf("%w: t0=%g, c=%g", ErrBadT0, t0, pl.c)
 	}
 	horizon := pl.life.Horizon()
 	if !math.IsInf(horizon, 1) && t0 >= horizon {
@@ -200,12 +226,41 @@ func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, StopRea
 		// a smooth, zero-valued objective rather than an error.
 		t0 = horizon
 	}
-	periods := append((*buf)[:0], t0)
-	tPrev := t0
-	tk := t0 // running boundary T_{k-1}
+	var periods []float64
+	if buf != nil {
+		periods = append((*buf)[:0], t0)
+	}
+	var e, elapsed numeric.KahanSum
+	carry := 0.0        // a period <= c, which the normal form merges into the next
+	tPrev, tk := t0, t0 // the last period and the boundary T_{k-1} it ends at
 	reason := StopMaxPeriods
-	for len(periods) < pl.opt.MaxPeriods {
-		pPrev := pl.life.P(tk)
+	var err error
+	for n := 1; ; n++ { // n periods generated, the last one tPrev
+		if !(tPrev > 0) || math.IsInf(tPrev, 1) {
+			err = fmt.Errorf("%w: period %d has length %g", sched.ErrInvalidSchedule, n-1, tPrev)
+			break
+		}
+		// The cap stops the recurrence before it evaluates p at T_{k-1}.
+		capped := n >= pl.opt.MaxPeriods
+		var pPrev float64
+		if !capped {
+			pPrev = pl.life.P(tk)
+		}
+		if t := tPrev + carry; t <= pl.c {
+			carry = t
+		} else {
+			carry = 0
+			elapsed.Add(t)
+			p := pPrev
+			//lint:allow floatcmp p(T_{k-1}) stands in for p(elapsed) only when the two times are the same float
+			if at := elapsed.Value(); capped || at != tk {
+				p = pl.life.P(at)
+			}
+			e.Add(sched.PositiveSub(t, pl.c) * p)
+		}
+		if capped {
+			break
+		}
 		if pPrev <= pl.opt.TailEps {
 			reason = StopTail
 			break
@@ -222,22 +277,30 @@ func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, StopRea
 			reason = StopFlat
 			break
 		}
-		next, err := lifefn.Inverse(pl.life, target, tk, pl.c)
-		if err != nil {
-			*buf = periods
-			return sched.Schedule{}, reason, fmt.Errorf("core: inverting system (3.6) at period %d: %w", len(periods), err)
+		next, invErr := lifefn.Inverse(pl.life, target, tk, pl.c)
+		if invErr != nil {
+			err = fmt.Errorf("core: inverting system (3.6) at period %d: %w", n, invErr)
+			break
 		}
 		t := next - tk
 		if t <= pl.c {
 			reason = StopUnproductive
 			break
 		}
-		periods = append(periods, t)
+		if buf != nil {
+			periods = append(periods, t)
+		}
 		tPrev, tk = t, next
+	}
+	if buf == nil || err != nil {
+		if buf != nil {
+			*buf = periods
+		}
+		return sched.Schedule{}, e.Value(), reason, err
 	}
 	*buf = periods
 	s, err := sched.Adopt(periods, pl.c)
-	return s, reason, err
+	return s, e.Value(), reason, err
 }
 
 // ExpectedWork evaluates E(s; p) under the planner's configuration.
@@ -260,33 +323,30 @@ func (pl *Planner) PlanBest() (Plan, error) {
 
 // searchBracket is PlanBest's search for t0 inside br.
 func (pl *Planner) searchBracket(br Bracket) (Plan, error) {
-	// Every evaluation generates into one buffer, local to this call so
-	// that concurrent PlanBest calls share nothing.
-	buf := make([]float64, 0, 64)
 	evaluations := 0
 	objective := func(t0 float64) float64 {
 		evaluations++
-		s, _, genErr := pl.generate(&buf, t0)
-		if genErr != nil {
+		e, err := pl.ExpectedWorkFrom(t0)
+		if err != nil {
 			return math.Inf(-1)
 		}
-		return pl.ExpectedWork(s)
+		return e
 	}
 	t0, _, err := numeric.MaximizeScan(objective, br.Lo, br.Hi, pl.opt.ScanPoints, numeric.MaxOptions{Tol: 1e-10})
 	if err != nil {
 		return Plan{}, fmt.Errorf("core: t0 search failed: %w", err)
 	}
-	s, _, err := pl.generate(&buf, t0)
+	buf := make([]float64, 0, 64)
+	s, e, _, err := pl.generate(&buf, t0)
 	if err != nil {
 		return Plan{}, err
 	}
-	e := pl.ExpectedWork(s)
 	if !(e > 0) {
 		if _, ok := ExistsProductive(pl.life, pl.c); !ok {
 			return Plan{}, ErrNoSchedule
 		}
 		return Plan{}, fmt.Errorf("core: search found no productive schedule in bracket [%g, %g]", br.Lo, br.Hi)
 	}
-	// The plan leaves the buffer as its one copy.
+	// The plan copies the schedule out of the buffer at its length.
 	return Plan{Schedule: s.Prefix(s.Len()), T0: t0, Bracket: br, ExpectedWork: e, Evaluations: evaluations}, nil
 }

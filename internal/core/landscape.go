@@ -13,7 +13,7 @@ type LocalMax struct {
 // T0Landscape probes Section 6's uniqueness question ("Are optimal
 // cycle-stealing schedules unique? ... Theorem 3.1 implies that
 // distinct optimal schedules must have different initial
-// period-lengths"): it samples E(generate(t0)) over the guideline
+// period-lengths"): it samples ExpectedWorkFrom(t0) over the guideline
 // bracket at n points and returns the interior local maxima in t0
 // order. A single reported maximum supports uniqueness for the
 // configuration; several materially-tied maxima would witness
@@ -39,12 +39,11 @@ func (pl *Planner) T0Landscape(n int, relTol float64) ([]LocalMax, error) {
 	for i := 0; i <= n; i++ {
 		t0 := br.Lo + (br.Hi-br.Lo)*float64(i)/float64(n)
 		ts[i] = t0
-		s, err := pl.GenerateFrom(t0)
+		e, err := pl.ExpectedWorkFrom(t0)
 		if err != nil {
-			es[i] = math.Inf(-1)
-			continue
+			e = math.Inf(-1)
 		}
-		es[i] = pl.ExpectedWork(s)
+		es[i] = e
 	}
 	var maxima []LocalMax
 	best := math.Inf(-1)
