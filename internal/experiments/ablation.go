@@ -61,13 +61,15 @@ func RunE16() (*report.Table, error) {
 				evals, ratio(float64(evals), float64(refEvals)))
 		}
 	}
-	t.AddNote("the bounds themselves take under a tenth of the reference's P evaluations: both lives are log-concave, so Lemma 3.1's inner maximum is found once per plan, not once per probe. The bracketless scan still costs fewer: most of its cells sit at large t0, whose schedules have few periods, while every bracketed cell is a near-optimal schedule of many. The bracket's value is its guarantee (provable containment of the optimum; protection when E(t0) is singular/multimodal, cf. E8), not raw speed")
+	t.AddNote("the bounds themselves take about a seventh of the reference's P evaluations: both lives are log-concave, so Lemma 3.1's inner maximum is found once per plan, not once per probe, and each scan cell costs one P evaluation per period, since E(S;p) is summed in the pass that generates S. The bracketless scan still costs fewer: most of its cells sit at large t0, whose schedules have few periods, while every bracketed cell is a near-optimal schedule of many. The bracket's value is its guarantee (provable containment of the optimum; protection when E(t0) is singular/multimodal, cf. E8), not raw speed")
 	t.AddNote("scan resolution and tail eps barely move E here: the t0 objective is flat near its maximum, which is itself a guideline selling point (Section 6's 'manageably narrow search space')")
 	return t, nil
 }
 
 // planCounted plans with an instrumented life function; fullSpan
-// replaces the guideline bracket by a naive search over (c, span].
+// replaces the guideline bracket by a naive search over (c, span] with
+// the planner's own objective, ExpectedWorkFrom, and returns a plan
+// without its schedule.
 func planCounted(l lifefn.Life, c float64, opt core.PlanOptions, fullSpan bool) (core.Plan, int64, error) {
 	var evals int64
 	counted := lifefn.Counting{Life: l, Evals: &evals}
@@ -86,19 +88,19 @@ func planCounted(l lifefn.Life, c float64, opt core.PlanOptions, fullSpan bool) 
 		scan = 64
 	}
 	objective := func(t0 float64) float64 {
-		s, genErr := pl.GenerateFrom(t0)
+		e, genErr := pl.ExpectedWorkFrom(t0)
 		if genErr != nil {
 			return math.Inf(-1)
 		}
-		return pl.ExpectedWork(s)
+		return e
 	}
 	t0, _, err := numeric.MaximizeScan(objective, c*(1+1e-9), span, scan, numeric.MaxOptions{Tol: 1e-10})
 	if err != nil {
 		return core.Plan{}, evals, err
 	}
-	s, err := pl.GenerateFrom(t0)
+	e, err := pl.ExpectedWorkFrom(t0)
 	if err != nil {
 		return core.Plan{}, evals, err
 	}
-	return core.Plan{Schedule: s, T0: t0, ExpectedWork: pl.ExpectedWork(s)}, evals, nil
+	return core.Plan{T0: t0, ExpectedWork: e}, evals, nil
 }
