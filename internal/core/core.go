@@ -184,8 +184,7 @@ func (r StopReason) Structural() bool {
 // target survival drops to zero or below (the horizon is exhausted),
 // when p(T_k) falls below TailEps, or at MaxPeriods.
 func (pl *Planner) GenerateFrom(t0 float64) (sched.Schedule, error) {
-	var buf []float64
-	s, _, _, err := pl.generate(&buf, t0)
+	s, _, _, err := pl.generate(t0, true)
 	return s, err
 }
 
@@ -195,18 +194,16 @@ func (pl *Planner) GenerateFrom(t0 float64) (sched.Schedule, error) {
 // scores S in the pass that generates it and keeps no period, which
 // makes it the objective of the t0 search.
 func (pl *Planner) ExpectedWorkFrom(t0 float64) (float64, error) {
-	_, e, _, err := pl.generate(nil, t0)
+	_, e, _, err := pl.generate(t0, false)
 	return e, err
 }
 
 // generate runs system (3.6) from t0 and returns E(S; p) of the
-// schedule S it generates. With buf non-nil it also keeps S: it appends
-// the periods to (*buf)[:0], keeps the grown slice in *buf and hands
-// them to sched.Adopt, which normalizes them in place; the returned
-// schedule shares *buf's backing array, so it is valid until the next
-// generate into buf. With buf nil it keeps no period and returns the
-// zero Schedule. Either way it fails where sched.Adopt's validation
-// would, on a NaN, infinite or nonpositive period.
+// schedule S it generates. With keep it also returns S: it collects the
+// periods in a new slice and hands them to sched.Adopt, which
+// normalizes them in place. Without keep it stores no period and
+// returns the zero Schedule. Either way it fails where sched.Adopt's
+// validation would, on a NaN, infinite or nonpositive period.
 //
 // E is summed as sched.ExpectedWork sums it over S's productive normal
 // form: Kahan sums of the elapsed time and of (t ⊖ c)·p(elapsed), in
@@ -215,7 +212,7 @@ func (pl *Planner) ExpectedWorkFrom(t0 float64) (float64, error) {
 // usually is (where t_k <= T_{k-1}, T_k − T_{k-1} is exact), and p is
 // evaluated at the elapsed sum where it is not, as when periods grow
 // (Thm 5.2).
-func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, float64, StopReason, error) {
+func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, StopReason, error) {
 	if !(t0 > pl.c) {
 		return sched.Schedule{}, 0, StopUnproductive, fmt.Errorf("%w: t0=%g, c=%g", ErrBadT0, t0, pl.c)
 	}
@@ -227,8 +224,8 @@ func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, float64
 		t0 = horizon
 	}
 	var periods []float64
-	if buf != nil {
-		periods = append((*buf)[:0], t0)
+	if keep {
+		periods = append(make([]float64, 0, 64), t0)
 	}
 	var e, elapsed numeric.KahanSum
 	carry := 0.0        // a period <= c, which the normal form merges into the next
@@ -236,7 +233,7 @@ func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, float64
 	reason := StopMaxPeriods
 	var err error
 	for n := 1; ; n++ { // n periods generated, the last one tPrev
-		if !(tPrev > 0) || math.IsInf(tPrev, 1) {
+		if !(tPrev > 0) || math.IsInf(tPrev, 1) { // sched.Adopt rejects it
 			err = fmt.Errorf("%w: period %d has length %g", sched.ErrInvalidSchedule, n-1, tPrev)
 			break
 		}
@@ -287,18 +284,17 @@ func (pl *Planner) generate(buf *[]float64, t0 float64) (sched.Schedule, float64
 			reason = StopUnproductive
 			break
 		}
-		if buf != nil {
+		if keep {
 			periods = append(periods, t)
 		}
 		tPrev, tk = t, next
 	}
-	if buf == nil || err != nil {
-		if buf != nil {
-			*buf = periods
-		}
-		return sched.Schedule{}, e.Value(), reason, err
+	if err != nil {
+		return sched.Schedule{}, 0, reason, err
 	}
-	*buf = periods
+	if !keep {
+		return sched.Schedule{}, e.Value(), reason, nil
+	}
 	s, err := sched.Adopt(periods, pl.c)
 	return s, e.Value(), reason, err
 }
@@ -336,8 +332,7 @@ func (pl *Planner) searchBracket(br Bracket) (Plan, error) {
 	if err != nil {
 		return Plan{}, fmt.Errorf("core: t0 search failed: %w", err)
 	}
-	buf := make([]float64, 0, 64)
-	s, e, _, err := pl.generate(&buf, t0)
+	s, e, _, err := pl.generate(t0, true)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -347,6 +342,7 @@ func (pl *Planner) searchBracket(br Bracket) (Plan, error) {
 		}
 		return Plan{}, fmt.Errorf("core: search found no productive schedule in bracket [%g, %g]", br.Lo, br.Hi)
 	}
-	// The plan copies the schedule out of the buffer at its length.
+	// The plan copies the schedule out at its length, leaving the
+	// spare capacity behind.
 	return Plan{Schedule: s.Prefix(s.Len()), T0: t0, Bracket: br, ExpectedWork: e, Evaluations: evaluations}, nil
 }

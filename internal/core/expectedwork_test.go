@@ -103,8 +103,7 @@ func checkOnePass(t *testing.T, pl *Planner, t0 float64) {
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("%s c=%g max=%d t0=%.17g: ExpectedWorkFrom = %.17g, two-pass %.17g", pl.Life(), pl.Overhead(), pl.opt.MaxPeriods, t0, got, want)
 	}
-	var buf []float64
-	if _, kept, _, _ := pl.generate(&buf, t0); math.Float64bits(kept) != math.Float64bits(want) {
+	if _, kept, _, _ := pl.generate(t0, true); math.Float64bits(kept) != math.Float64bits(want) {
 		t.Errorf("%s c=%g max=%d t0=%.17g: E while keeping the schedule = %.17g, two-pass %.17g", pl.Life(), pl.Overhead(), pl.opt.MaxPeriods, t0, kept, want)
 	}
 }
