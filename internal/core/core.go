@@ -205,9 +205,11 @@ func (pl *Planner) ExpectedWorkFrom(t0 float64) (float64, error) {
 // returns the zero Schedule. Either way it fails where sched.Adopt's
 // validation would, on a NaN, infinite or nonpositive period.
 //
-// E is summed as sched.ExpectedWork sums it over S's productive normal
-// form: Kahan sums of the elapsed time and of (t ⊖ c)·p(elapsed), in
-// period order. The recurrence evaluates p at each boundary T_k, and
+// E is summed as sched.ExpectedWork sums it: Kahan sums of the elapsed
+// time and of (t ⊖ c)·p(elapsed), in period order. Only a first period
+// clamped to a horizon at or below c is unproductive, and no period can
+// follow it, so the normal form sched.Adopt gives S has the same E. The
+// recurrence evaluates p at each boundary T_k, and
 // that value is reused wherever the elapsed sum is T_k bit for bit; it
 // usually is (where t_k <= T_{k-1}, T_k − T_{k-1} is exact), and p is
 // evaluated at the elapsed sum where it is not, as when periods grow
@@ -228,7 +230,6 @@ func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, Sto
 		periods = append(make([]float64, 0, 64), t0)
 	}
 	var e, elapsed numeric.KahanSum
-	carry := 0.0        // a period <= c, which the normal form merges into the next
 	tPrev, tk := t0, t0 // the last period and the boundary T_{k-1} it ends at
 	reason := StopMaxPeriods
 	var err error
@@ -243,17 +244,14 @@ func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, Sto
 		if !capped {
 			pPrev = pl.life.P(tk)
 		}
-		if t := tPrev + carry; t <= pl.c {
-			carry = t
-		} else {
-			carry = 0
-			elapsed.Add(t)
+		elapsed.Add(tPrev)
+		if w := sched.PositiveSub(tPrev, pl.c); w > 0 {
 			p := pPrev
 			//lint:allow floatcmp p(T_{k-1}) stands in for p(elapsed) only when the two times are the same float
 			if at := elapsed.Value(); capped || at != tk {
 				p = pl.life.P(at)
 			}
-			e.Add(sched.PositiveSub(t, pl.c) * p)
+			e.Add(w * p)
 		}
 		if capped {
 			break
