@@ -208,12 +208,11 @@ func (pl *Planner) ExpectedWorkFrom(t0 float64) (float64, error) {
 // E is summed as sched.ExpectedWork sums it: Kahan sums of the elapsed
 // time and of (t ⊖ c)·p(elapsed), in period order. Only a first period
 // clamped to a horizon at or below c is unproductive, and no period can
-// follow it, so the normal form sched.Adopt gives S has the same E. The
-// recurrence evaluates p at each boundary T_k, and
-// that value is reused wherever the elapsed sum is T_k bit for bit; it
-// usually is (where t_k <= T_{k-1}, T_k − T_{k-1} is exact), and p is
-// evaluated at the elapsed sum where it is not, as when periods grow
-// (Thm 5.2).
+// follow it, so the normal form sched.Adopt gives S has the same E.
+// The recurrence evaluates p at each boundary T_k, and that value is
+// reused wherever the elapsed sum is T_k bit for bit; it usually is
+// (where t_k <= T_{k-1}, T_k − T_{k-1} is exact), and p is evaluated at
+// the elapsed sum where it is not, as when periods grow (Thm 5.2).
 func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, StopReason, error) {
 	if !(t0 > pl.c) {
 		return sched.Schedule{}, 0, StopUnproductive, fmt.Errorf("%w: t0=%g, c=%g", ErrBadT0, t0, pl.c)
