@@ -231,11 +231,9 @@ func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, Sto
 	var e, elapsed numeric.KahanSum
 	tPrev, tk := t0, t0 // the last period and the boundary T_{k-1} it ends at
 	reason := StopMaxPeriods
-	var err error
 	for n := 1; ; n++ { // n periods generated, the last one tPrev
 		if !(tPrev > 0) || math.IsInf(tPrev, 1) { // sched.Adopt rejects it
-			err = fmt.Errorf("%w: period %d has length %g", sched.ErrInvalidSchedule, n-1, tPrev)
-			break
+			return sched.Schedule{}, 0, reason, fmt.Errorf("%w: period %d has length %g", sched.ErrInvalidSchedule, n-1, tPrev)
 		}
 		// The cap stops the recurrence before it evaluates p at T_{k-1}.
 		capped := n >= pl.opt.MaxPeriods
@@ -271,10 +269,9 @@ func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, Sto
 			reason = StopFlat
 			break
 		}
-		next, invErr := lifefn.Inverse(pl.life, target, tk, pl.c)
-		if invErr != nil {
-			err = fmt.Errorf("core: inverting system (3.6) at period %d: %w", n, invErr)
-			break
+		next, err := lifefn.Inverse(pl.life, target, tk, pl.c)
+		if err != nil {
+			return sched.Schedule{}, 0, reason, fmt.Errorf("core: inverting system (3.6) at period %d: %w", n, err)
 		}
 		t := next - tk
 		if t <= pl.c {
@@ -285,9 +282,6 @@ func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, Sto
 			periods = append(periods, t)
 		}
 		tPrev, tk = t, next
-	}
-	if err != nil {
-		return sched.Schedule{}, 0, reason, err
 	}
 	if !keep {
 		return sched.Schedule{}, e.Value(), reason, nil
