@@ -28,7 +28,7 @@ CSLINT_SRCS := $(shell find cmd/cslint internal/analysis -name '*.go' -not -path
 bin/cslint: $(CSLINT_SRCS) go.mod
 	$(GO) build -o $@ ./cmd/cslint
 
-# Build the repo's own analyzer suite (all nine analyzers, including the
+# Build the repo's own analyzer suite (all seven analyzers, including the
 # cfg+dataflow abstract-interpretation pair unitflow/probrange and the
 # call-graph analyzer hotalloc) and run it over the whole tree. Any
 # finding (see DESIGN.md sections 7, 9, 12 and 14) fails the build;
@@ -87,12 +87,20 @@ loadtest:
 # inputs must round-trip through their canonical forms. FuzzInverse
 # holds the closed-form p⁻¹ of the paper families to Brent's root,
 # FuzzLemma31Upper the once-per-plan Lemma 3.1 bound to the per-probe one,
-# and FuzzExpectedWorkFrom the one-pass E(S;p) of the t0 search to
+# FuzzExpectedWorkFrom the one-pass E(S;p) of the t0 search to
 # sched.ExpectedWork of the generated schedule, bit for bit.
+# FuzzBrentPlantedRoot holds Brent's method, which inverts every life
+# function outside the paper's families, to a planted root;
+# FuzzPCHIPStaysInRange keeps the interpolant behind every Kaplan-Meier
+# fit inside its data's range; FuzzProductLimitInvariants holds the
+# product-limit estimator to its survival-curve invariants.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInverse$$' -fuzztime $(FUZZTIME) ./internal/lifefn
 	$(GO) test -run '^$$' -fuzz '^FuzzLemma31Upper$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzExpectedWorkFrom$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBrentPlantedRoot$$' -fuzztime $(FUZZTIME) ./internal/numeric
+	$(GO) test -run '^$$' -fuzz '^FuzzPCHIPStaysInRange$$' -fuzztime $(FUZZTIME) ./internal/numeric
+	$(GO) test -run '^$$' -fuzz '^FuzzProductLimitInvariants$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDist$$' -fuzztime $(FUZZTIME) ./internal/nowsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildLife$$' -fuzztime $(FUZZTIME) ./internal/nowsim

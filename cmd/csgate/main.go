@@ -348,10 +348,8 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		timeout  = fs.Duration("timeout", 5*time.Minute, "outbound request timeout (covers a cold Monte-Carlo estimate)")
 		grace    = fs.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
 
-		traceStore   = fs.Int("trace-store", 2048, "request trace store capacity in records (negative disables tracing)")
-		traceSample  = fs.Float64("trace-sample", 0.1, "probability of keeping an unremarkable request's trace")
-		traceSlowest = fs.Int("trace-slowest", 8, "always keep the slowest N requests per -trace-window")
-		traceWindow  = fs.Duration("trace-window", 10*time.Second, "comparison window for -trace-slowest")
+		traceStore  = fs.Int("trace-store", 2048, "request trace store capacity in records (negative disables tracing)")
+		traceSample = fs.Float64("trace-sample", 0.1, "probability of keeping an unremarkable request's trace")
 
 		sloTarget        = fs.Float64("slo-target", 0.999, "availability objective: target fraction of non-5xx responses")
 		sloLatencyMS     = fs.Float64("slo-latency-ms", 250, "latency SLI threshold in milliseconds")
@@ -382,8 +380,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		tracer = obs.NewTracer(obs.TracerConfig{
 			Capacity:   *traceStore,
 			SampleRate: *traceSample,
-			SlowestK:   *traceSlowest,
-			Window:     *traceWindow,
 		})
 	}
 	slo := obs.NewSLOTracker(obs.SLOConfig{

@@ -40,7 +40,7 @@ func TestStandaloneDirty(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", code, out)
 	}
-	for _, want := range []string{"[floatcmp]", "[printlint]"} {
+	for _, want := range []string{"[floatcmp]", "[nonnegwork]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %s finding:\n%s", want, out)
 		}
@@ -220,7 +220,7 @@ func TestSARIFOutput(t *testing.T) {
 			t.Errorf("region end precedes start: %+v", reg)
 		}
 	}
-	if !seen["floatcmp"] || !seen["printlint"] {
+	if !seen["floatcmp"] || !seen["nonnegwork"] {
 		t.Errorf("sarif results missing expected analyzers: %v", seen)
 	}
 	// floatcmp reports the whole comparison: range diagnostics must

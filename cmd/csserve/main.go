@@ -9,10 +9,10 @@
 //
 //	csserve                              # listen on :8080
 //	csserve -addr :9000 -workers 8 -queue 128
-//	csserve -plan-cache 8192 -est-cache 1024 -shards 32
+//	csserve -plan-cache 8192 -est-cache 1024
 //	csserve -timeout 5s -max-timeout 30s -max-episodes 1000000
-//	csserve -trace-store 4096 -trace-sample 0.5 -trace-slowest 16
-//	csserve -runtime-sample 10s -leak-limit 0
+//	csserve -trace-store 4096 -trace-sample 0.5
+//	csserve -runtime-sample 10s
 //	csserve -slo-target 0.999 -slo-latency-ms 250 -slo-latency-target 0.99
 //	csserve -self http://h1:8080 -peers http://h2:8080,http://h3:8080
 //	                                     # join a cluster (see csgate)
@@ -20,8 +20,8 @@
 // Endpoints: POST /v1/plan, POST /v1/estimate, GET /v1/healthz, plus
 // /metrics and /debug/pprof from the shared obs mux, and
 // GET /debug/traces — the tail-sampled request trace store (always
-// keeps errors and the slowest -trace-slowest per -trace-window;
-// keeps the rest with probability -trace-sample). Requests carry W3C
+// keeps errors and the 8 slowest requests of each 10 s window; keeps
+// the rest with probability -trace-sample). Requests carry W3C
 // traceparent in, X-Trace-Id and Server-Timing out.
 //
 // Runtime observability: the runtime/metrics bridge samples GC pause
@@ -96,19 +96,15 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		queue       = fs.Int("queue", 64, "computations that may wait for a -workers slot (0 = default 64, negative = admit only while a slot is free); full queue answers 429")
 		planCache   = fs.Int("plan-cache", 4096, "plan LRU cache entries (0 = default, negative disables)")
 		estCache    = fs.Int("est-cache", 512, "estimate LRU cache entries (0 = default, negative disables)")
-		shards      = fs.Int("shards", 16, "LRU cache shard count")
 		timeout     = fs.Duration("timeout", 10*time.Second, "default per-request compute deadline")
 		maxTimeout  = fs.Duration("max-timeout", 60*time.Second, "ceiling on client-requested timeout_ms")
 		maxEpisodes = fs.Int("max-episodes", 2_000_000, "ceiling on episodes per /v1/estimate request")
 		grace       = fs.Duration("grace", 15*time.Second, "shutdown grace period for in-flight requests")
 
-		traceStore   = fs.Int("trace-store", 2048, "request trace store capacity in records (negative disables tracing)")
-		traceSample  = fs.Float64("trace-sample", 0.1, "probability of keeping an unremarkable request's trace (errors and the slowest are always kept; negative keeps none)")
-		traceSlowest = fs.Int("trace-slowest", 8, "always keep the slowest N requests per -trace-window")
-		traceWindow  = fs.Duration("trace-window", 10*time.Second, "comparison window for -trace-slowest")
+		traceStore  = fs.Int("trace-store", 2048, "request trace store capacity in records (negative disables tracing)")
+		traceSample = fs.Float64("trace-sample", 0.1, "probability of keeping an unremarkable request's trace (errors and the slowest are always kept; negative keeps none)")
 
 		runtimeSample = fs.Duration("runtime-sample", 10*time.Second, "runtime/metrics bridge sampling interval (negative disables the bridge)")
-		leakLimit     = fs.Int("leak-limit", 0, "goroutine count the leak watchdog alarms on (0 = derive from the first sample)")
 
 		sloTarget        = fs.Float64("slo-target", 0.999, "availability objective: target fraction of non-5xx responses")
 		sloLatencyMS     = fs.Float64("slo-latency-ms", 250, "latency SLI threshold in milliseconds")
@@ -131,8 +127,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		tracer = obs.NewTracer(obs.TracerConfig{
 			Capacity:   *traceStore,
 			SampleRate: *traceSample,
-			SlowestK:   *traceSlowest,
-			Window:     *traceWindow,
 		})
 	}
 	slo := obs.NewSLOTracker(obs.SLOConfig{
@@ -142,10 +136,7 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 	})
 	var bridge *obs.RuntimeBridge
 	if *runtimeSample >= 0 {
-		bridge = obs.NewRuntimeBridge(reg, obs.RuntimeBridgeConfig{
-			Interval:  *runtimeSample,
-			LeakLimit: *leakLimit,
-		})
+		bridge = obs.NewRuntimeBridge(reg, obs.RuntimeBridgeConfig{Interval: *runtimeSample})
 		bridge.Start()
 		defer bridge.Stop()
 	}
@@ -154,7 +145,6 @@ func runApp(argv []string, stdout, stderr io.Writer, ready chan<- string, stop <
 		Queue:                *queue,
 		PlanCacheEntries:     *planCache,
 		EstimateCacheEntries: *estCache,
-		CacheShards:          *shards,
 		DefaultTimeout:       *timeout,
 		MaxTimeout:           *maxTimeout,
 		MaxEpisodes:          *maxEpisodes,

@@ -114,6 +114,10 @@ func PlanWith(l Life, c float64, opt PlanOptions) (PlanResult, error) {
 	return pl.PlanBest()
 }
 
+// NewSchedule returns a schedule with the given period lengths. Every
+// period must be positive and finite.
+func NewSchedule(periods ...float64) (Schedule, error) { return sched.New(periods...) }
+
 // ExpectedWork evaluates E(S; p) — equation (2.1) — for any schedule.
 func ExpectedWork(s Schedule, l Life, c float64) float64 {
 	return sched.ExpectedWork(s, l, c)

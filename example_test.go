@@ -57,17 +57,9 @@ func ExampleAdmitsOptimal() {
 }
 
 func mustSchedule(periods ...float64) cyclesteal.Schedule {
-	s, err := newSchedule(periods...)
+	s, err := cyclesteal.NewSchedule(periods...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	return s
-}
-
-func newSchedule(periods ...float64) (cyclesteal.Schedule, error) {
-	// The facade re-exports sched.Schedule; build through the internal
-	// constructor via a plan-free path: FromTraceSamples would be
-	// overkill, so use the exported type's zero value plus Append.
-	var s cyclesteal.Schedule
-	return s.Append(periods...)
 }

@@ -9,7 +9,7 @@ import (
 // allowMarker introduces an in-source suppression:
 //
 //	//lint:allow floatcmp exact plateau detection is intentional
-//	//lint:allow floatcmp,determinism reason...
+//	//lint:allow floatcmp,nonnegwork reason...
 //
 // The directive names one or more analyzers (comma-separated, no
 // spaces) followed by a free-form justification. By convention a reason

@@ -9,9 +9,10 @@
 // The suite exists to enforce, at analysis time, contracts the
 // simulators otherwise defend only with runtime tests: tolerance-aware
 // float comparisons (the landscape/bounds code compares expected work
-// everywhere), seeded determinism (bit-identical traces across runs),
-// the zero-cost-when-nil Obs instrumentation contract, checked sink
-// errors, and silence of library packages on stdout.
+// everywhere), positive subtraction of the overhead (eq. 2.1), time,
+// work and probability dimensions, the zero-cost-when-nil Obs
+// instrumentation contract, checked sink errors and allocation-free
+// hot paths.
 //
 // # Escape hatch
 //

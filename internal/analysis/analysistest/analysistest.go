@@ -46,8 +46,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 	cfg := load.Config{
 		Dir:     testdata,
 		SrcDirs: []string{filepath.Join(testdata, "src")},
-		// Test files participate: the real drivers analyze them too, and
-		// some analyzers (printlint) exempt them explicitly.
+		// Test files participate: the real drivers analyze them too.
 		Tests: true,
 	}
 	pkgs, err := cfg.Load(pkgpaths...)

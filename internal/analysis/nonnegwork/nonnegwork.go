@@ -32,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// guarded names the simulator packages, matching determinism's set.
+// guarded names the simulator packages.
 var guarded = map[string]bool{
 	"nowsim":   true,
 	"core":     true,

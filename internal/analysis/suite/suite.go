@@ -5,13 +5,11 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/errsink"
 	"repro/internal/analysis/floatcmp"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/nonnegwork"
 	"repro/internal/analysis/obssafe"
-	"repro/internal/analysis/printlint"
 	"repro/internal/analysis/probrange"
 	"repro/internal/analysis/unitflow"
 )
@@ -23,13 +21,11 @@ import (
 // one dimension build (internal/analysis/dim) on top of the
 // cfg+dataflow abstract-interpretation engine.
 var All = []*analysis.Analyzer{
-	determinism.Analyzer,
 	errsink.Analyzer,
 	floatcmp.Analyzer,
 	hotalloc.Analyzer,
 	nonnegwork.Analyzer,
 	obssafe.Analyzer,
-	printlint.Analyzer,
 	probrange.Analyzer,
 	unitflow.Analyzer,
 }

@@ -447,9 +447,6 @@ func (n *Node) handleHot(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(hotResponse{Entries: entries})
 }
 
-// Ring returns the node's replica ring.
-func (n *Node) Ring() *Ring { return n.ring }
-
 // Close is a no-op: a Node owns no goroutines or connections beyond
 // its HTTP client's. It stays so callers can release a Node
 // uniformly.

@@ -154,7 +154,7 @@ func TestHandoffThenWarmStart(t *testing.T) {
 
 	owned := 0
 	for _, key := range keys {
-		if restarted.Ring().Owner(key) == self {
+		if restarted.ring.Owner(key) == self {
 			owned++
 			if !newStore.has(key) {
 				t.Errorf("own-arc key %q missing after warm start", key)

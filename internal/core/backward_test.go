@@ -1,9 +1,141 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/numeric"
+	"repro/internal/sched"
 )
+
+// This file provides the backward counterpart of GenerateFrom. Forward
+// generation fixes t0 and induces every later period through system
+// (3.6); it leaves the *terminal* stationarity — the (k = m-1) instance
+// of system (3.1), p(T_{m-1}) = -(t_{m-1}-c)·p'(T_{m-1}) — to the t0
+// search. Backward generation does the opposite: it fixes the episode's
+// final boundary T_end, reads the last period off the terminal
+// condition, and walks system (3.6) backwards
+//
+//	t_{k-1} = c + (p(T_k) - p(T_{k-1})) / p'(T_{k-1}),
+//
+// explicitly (no root finding), until the chain crosses time zero; the
+// leftover segment becomes the free initial period. The two
+// constructions parameterize the same family of stationary schedules
+// from opposite ends, so their optima must agree — a strong
+// cross-check the tests enforce.
+
+// GenerateBackward builds a schedule whose final boundary is tEnd,
+// satisfying the terminal stationarity exactly and system (3.6) at
+// every interior boundary. It requires a finite-horizon life function
+// (infinite optimal schedules have no final period to anchor on) and
+// tEnd in (c, horizon).
+func (pl *Planner) GenerateBackward(tEnd float64) (sched.Schedule, error) {
+	horizon := pl.life.Horizon()
+	if math.IsInf(horizon, 1) {
+		return sched.Schedule{}, fmt.Errorf("core: backward generation needs a finite horizon (got %s)", pl.life)
+	}
+	if !(tEnd > pl.c) || !(tEnd < horizon) {
+		return sched.Schedule{}, fmt.Errorf("%w: tEnd=%g outside (c, horizon)=(%g, %g)", ErrBadT0, tEnd, pl.c, horizon)
+	}
+	// Terminal condition: t_last = c - p(T)/p'(T).
+	dp := pl.life.Deriv(tEnd)
+	if dp >= 0 {
+		return sched.Schedule{}, fmt.Errorf("core: derivative vanishes at tEnd=%g", tEnd)
+	}
+	tLast := pl.c - pl.life.P(tEnd)/dp
+	// The periods accumulate back-to-front.
+	var reversed []float64
+	boundary := tEnd // T_k
+	period := tLast  // t_k
+	for len(reversed) < pl.opt.MaxPeriods {
+		prevBoundary := boundary - period // T_{k-1}
+		if prevBoundary < -1e-12*boundary {
+			// The period overshoots time zero: clip it to start at 0 —
+			// t0 is the free parameter, unconstrained by the system.
+			reversed = append(reversed, boundary)
+			boundary = 0
+			break
+		}
+		if prevBoundary <= 1e-12*boundary {
+			// The chain landed (numerically) exactly at zero: the
+			// current period is the first.
+			reversed = append(reversed, period)
+			boundary = 0
+			break
+		}
+		reversed = append(reversed, period)
+		dpPrev := pl.life.Deriv(prevBoundary)
+		if dpPrev >= 0 {
+			// Flat region: no further period is prescribed; everything
+			// before prevBoundary merges into the initial period.
+			reversed = append(reversed, prevBoundary)
+			boundary = 0
+			break
+		}
+		prevPeriod := pl.c + (pl.life.P(boundary)-pl.life.P(prevBoundary))/dpPrev
+		if !(prevPeriod > pl.c) || math.IsNaN(prevPeriod) {
+			// The system prescribes an unproductive predecessor:
+			// everything before prevBoundary is the initial period.
+			reversed = append(reversed, prevBoundary)
+			boundary = 0
+			break
+		}
+		boundary = prevBoundary
+		period = prevPeriod
+	}
+	if boundary != 0 {
+		return sched.Schedule{}, fmt.Errorf("core: backward chain did not reach time zero from tEnd=%g within %d periods", tEnd, pl.opt.MaxPeriods)
+	}
+	// Reverse into forward order.
+	periods := make([]float64, 0, len(reversed))
+	for i := len(reversed) - 1; i >= 0; i-- {
+		periods = append(periods, reversed[i])
+	}
+	s, err := sched.New(periods...)
+	if err != nil {
+		return sched.Schedule{}, err
+	}
+	return sched.Normalize(s, pl.c), nil
+}
+
+// PlanBestBackward searches the final boundary T_end over (c, horizon)
+// for the backward-generated schedule maximizing expected work. For
+// finite-horizon life functions it must agree with PlanBest (the two
+// parameterize the same stationary family); the package tests pin that
+// agreement down.
+func (pl *Planner) PlanBestBackward() (Plan, error) {
+	horizon := pl.life.Horizon()
+	if math.IsInf(horizon, 1) {
+		return Plan{}, fmt.Errorf("core: backward planning needs a finite horizon (got %s)", pl.life)
+	}
+	objective := func(tEnd float64) float64 {
+		s, err := pl.GenerateBackward(tEnd)
+		if err != nil {
+			return math.Inf(-1)
+		}
+		return sched.ExpectedWork(s, pl.life, pl.c)
+	}
+	lo := pl.c * (1 + 1e-9)
+	hi := horizon * (1 - 1e-9)
+	tEnd, _, err := numeric.MaximizeScan(objective, lo, hi, 128, numeric.MaxOptions{Tol: 1e-10})
+	if err != nil {
+		return Plan{}, fmt.Errorf("core: backward tEnd search: %w", err)
+	}
+	s, err := pl.GenerateBackward(tEnd)
+	if err != nil {
+		return Plan{}, err
+	}
+	e := sched.ExpectedWork(s, pl.life, pl.c)
+	if !(e > 0) {
+		return Plan{}, fmt.Errorf("core: backward search found no productive schedule")
+	}
+	t0 := 0.0
+	if s.Len() > 0 {
+		t0 = s.Period(0)
+	}
+	return Plan{Schedule: s, T0: t0, ExpectedWork: e}, nil
+}
 
 func TestBackwardSatisfiesTerminalAndInteriorConditions(t *testing.T) {
 	l := mustUniform(500)
@@ -64,7 +196,7 @@ func TestBackwardAgreesWithForwardPlan(t *testing.T) {
 		// may settle on different near-optimal stationary members with
 		// different period counts; what must hold is that the backward
 		// schedule is itself structurally sound.
-		if err := CheckGrowthRate(bwd.Schedule, sc.pl.Life().Shape(), sc.pl.Overhead(), 1e-4); err != nil {
+		if err := CheckGrowthRate(bwd.Schedule, sc.pl.life.Shape(), sc.pl.c, 1e-4); err != nil {
 			t.Errorf("%s: backward schedule violates growth law: %v", sc.name, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/lifefn"
+	"repro/internal/sched"
 )
 
 // brentOnly hides l's closed-form inverse, so that lifefn.Inverse finds
@@ -47,7 +48,7 @@ func TestGenerateClosedFormMatchesBrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ef, es := pl.ExpectedWork(fast), pl.ExpectedWork(slow)
+			ef, es := sched.ExpectedWork(fast, pl.life, pl.c), sched.ExpectedWork(slow, pl.life, pl.c)
 			if d := math.Abs(ef-es) / es; d > 1e-12 {
 				t.Errorf("E: closed form %.17g, Brent %.17g (relative %g)", ef, es, d)
 			}

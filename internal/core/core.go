@@ -116,12 +116,6 @@ func NewPlanner(l lifefn.Life, c float64, opt PlanOptions) (*Planner, error) {
 	return &Planner{life: l, c: c, opt: opt.withDefaults()}, nil
 }
 
-// Life returns the planner's life function.
-func (pl *Planner) Life() lifefn.Life { return pl.life }
-
-// Overhead returns the planner's communication overhead c.
-func (pl *Planner) Overhead() float64 { return pl.c }
-
 // StopReason records why the forward induction of system (3.6) stopped
 // emitting periods. The distinction matters to the existence decision:
 // a schedule whose generation stopped because the remaining survival
@@ -288,11 +282,6 @@ func (pl *Planner) generate(t0 float64, keep bool) (sched.Schedule, float64, Sto
 	}
 	s, err := sched.Adopt(periods, pl.c)
 	return s, e.Value(), reason, err
-}
-
-// ExpectedWork evaluates E(s; p) under the planner's configuration.
-func (pl *Planner) ExpectedWork(s sched.Schedule) float64 {
-	return sched.ExpectedWork(s, pl.life, pl.c)
 }
 
 // PlanBest computes the guideline bracket for t0, searches it for the

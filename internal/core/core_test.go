@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/lifefn"
-	"repro/internal/sched"
 )
 
 func mustPlanner(t *testing.T, l lifefn.Life, c float64) *Planner {
@@ -230,21 +229,6 @@ func TestPlanBestOnInadmissibleLifeIsBestEffort(t *testing.T) {
 	}
 	if !(plan.ExpectedWork > 0) {
 		t.Errorf("E = %g", plan.ExpectedWork)
-	}
-}
-
-func TestExpectedWorkAccessors(t *testing.T) {
-	l, _ := lifefn.NewUniform(10)
-	pl := mustPlanner(t, l, 1)
-	if pl.Overhead() != 1 {
-		t.Error("Overhead accessor")
-	}
-	if pl.Life() == nil {
-		t.Error("Life accessor")
-	}
-	s := sched.MustNew(4, 3)
-	if got := pl.ExpectedWork(s); math.Abs(got-2.4) > 1e-12 {
-		t.Errorf("E = %g, want 2.4", got)
 	}
 }
 

@@ -67,10 +67,10 @@ func onePassLives(t *testing.T) []lifefn.Life {
 // t0 where pl has them, points drawn from (c, span], and t0 at and past
 // the horizon, +Inf and NaN.
 func onePassT0s(pl *Planner, src *rng.Source) []float64 {
-	c := pl.Overhead()
-	span := lifefn.Span(pl.Life(), 1e-12)
+	c := pl.c
+	span := lifefn.Span(pl.life, 1e-12)
 	t0s := []float64{c / 2, c, math.Nextafter(c, math.Inf(1)), span, 2 * span, math.Inf(1), math.NaN()}
-	if h := pl.Life().Horizon(); !math.IsInf(h, 1) {
+	if h := pl.life.Horizon(); !math.IsInf(h, 1) {
 		t0s = append(t0s, h, math.Nextafter(h, 0))
 	}
 	if br, err := pl.T0Bracket(); err == nil {
@@ -94,17 +94,17 @@ func checkOnePass(t *testing.T, pl *Planner, t0 float64) {
 	got, err := pl.ExpectedWorkFrom(t0)
 	s, refErr := pl.GenerateFrom(t0)
 	if (err != nil) != (refErr != nil) {
-		t.Fatalf("%s c=%g max=%d t0=%g: ExpectedWorkFrom error %v, GenerateFrom error %v", pl.Life(), pl.Overhead(), pl.opt.MaxPeriods, t0, err, refErr)
+		t.Fatalf("%s c=%g max=%d t0=%g: ExpectedWorkFrom error %v, GenerateFrom error %v", pl.life, pl.c, pl.opt.MaxPeriods, t0, err, refErr)
 	}
 	if err != nil {
 		return
 	}
-	want := sched.ExpectedWork(s, pl.Life(), pl.Overhead())
+	want := sched.ExpectedWork(s, pl.life, pl.c)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("%s c=%g max=%d t0=%.17g: ExpectedWorkFrom = %.17g, two-pass %.17g", pl.Life(), pl.Overhead(), pl.opt.MaxPeriods, t0, got, want)
+		t.Errorf("%s c=%g max=%d t0=%.17g: ExpectedWorkFrom = %.17g, two-pass %.17g", pl.life, pl.c, pl.opt.MaxPeriods, t0, got, want)
 	}
 	if _, kept, _, _ := pl.generate(t0, true); math.Float64bits(kept) != math.Float64bits(want) {
-		t.Errorf("%s c=%g max=%d t0=%.17g: E while keeping the schedule = %.17g, two-pass %.17g", pl.Life(), pl.Overhead(), pl.opt.MaxPeriods, t0, kept, want)
+		t.Errorf("%s c=%g max=%d t0=%.17g: E while keeping the schedule = %.17g, two-pass %.17g", pl.life, pl.c, pl.opt.MaxPeriods, t0, kept, want)
 	}
 }
 
@@ -203,7 +203,7 @@ func checkPCalls(t *testing.T, pl *Planner, log *callLog, t0 float64) (reused, r
 		}
 	}
 	log.calls = log.calls[:0]
-	sched.ExpectedWork(s, log, pl.Overhead())
+	sched.ExpectedWork(s, log, pl.c)
 	elapsed := make([]float64, len(log.calls))
 	for i, c := range log.calls {
 		elapsed[i] = c.t

@@ -4,38 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lifefn"
 	"repro/internal/numeric"
-	"repro/internal/sched"
 )
 
-// This file carries the closed-form instantiations of the guidelines
-// that Section 4 of the paper derives for its three life-function
-// families. Each family gets (a) the explicit next-period recurrence
-// obtained from system (3.6) and (b) the explicit t0 bounds obtained
-// from Theorems 3.2/3.3. They exist both as a user-facing fast path
-// (no root finding) and as an independent cross-check of the generic
-// numerical machinery in core.go / bounds.go.
+// This file carries the explicit t0 bounds that Section 4 of the paper
+// derives from Theorems 3.2/3.3 for its life-function families. The
+// experiments set them beside the generic bracket of bounds.go; the
+// family recurrences obtained from system (3.6), which cross-check the
+// generic forward induction, live in this package's tests.
 
 // T0Bounds is an explicit closed-form bracket on the optimal initial
 // period length for one of the Section 4 families.
 type T0Bounds struct {
 	Lo, Hi float64
-}
-
-// Contains reports whether t lies within the bounds (inclusive).
-func (b T0Bounds) Contains(t float64) bool { return t >= b.Lo && t <= b.Hi }
-
-// Width returns Hi - Lo.
-func (b T0Bounds) Width() float64 { return b.Hi - b.Lo }
-
-// UniformNextPeriod is recurrence (4.1) for the uniform-risk scenario
-// p_{1,L}: t_k = t_{k-1} - c, which coincides with the optimal
-// recurrence of [BCLR97]. The raw difference is deliberate: a
-// non-positive result signals exhaustion to the schedule builder.
-func UniformNextPeriod(tPrev, c float64) float64 {
-	//lint:allow nonnegwork recurrence (4.1); non-positive result signals exhaustion
-	return tPrev - c
 }
 
 // UniformT0Bounds is the explicit bracket (4.4) for the uniform-risk
@@ -46,35 +27,12 @@ func UniformT0Bounds(c, l float64) T0Bounds {
 	return T0Bounds{Lo: r, Hi: 2*r + 1}
 }
 
-// PolyNextPeriod is the Section 4.1 recurrence for p_{d,L}:
-// t_k = ((1 + d(t_{k-1}-c)/T_{k-1})^{1/d} - 1)·T_{k-1}, where T_{k-1}
-// is the boundary preceding the new period. For d = 1 it reduces to
-// recurrence (4.1); note the d = 1 form is T-free only after algebraic
-// simplification, which the general formula reproduces numerically.
-func PolyNextPeriod(d int, tPrev, boundary, c float64) float64 {
-	dd := float64(d)
-	//lint:allow nonnegwork recurrence (4.1) generalized; sign carries exhaustion
-	return (math.Pow(1+dd*(tPrev-c)/boundary, 1/dd) - 1) * boundary
-}
-
 // PolyT0Bounds is the simplified Section 4.1 bracket for p_{d,L}:
 // (c/d)^{1/(d+1)}·L^{d/(d+1)} <= t0 <= 2·(c/d)^{1/(d+1)}·L^{d/(d+1)} + 1.
 func PolyT0Bounds(d int, c, l float64) T0Bounds {
 	dd := float64(d)
 	base := math.Pow(c/dd, 1/(dd+1)) * math.Pow(l, dd/(dd+1))
 	return T0Bounds{Lo: base, Hi: 2*base + 1}
-}
-
-// GeomDecNextPeriod is recurrence (4.6) for p_a(t) = a^{-t}:
-// a^{-t_k} + t_{k-1}·ln a = 1 + c·ln a, solvable whenever
-// t_{k-1} < c + 1/ln a. The second return value reports solvability.
-func GeomDecNextPeriod(a, tPrev, c float64) (float64, bool) {
-	lna := math.Log(a)
-	arg := 1 + (c-tPrev)*lna
-	if arg <= 0 {
-		return 0, false
-	}
-	return -math.Log(arg) / lna, true
 }
 
 // GeomDecT0Bounds is the Section 4.2 bracket for p_a:
@@ -86,13 +44,6 @@ func GeomDecT0Bounds(a, c float64) T0Bounds {
 		Lo: math.Sqrt(c*c/4+c/lna) + c/2,
 		Hi: c + 1/lna,
 	}
-}
-
-// GeomIncNextPeriod is recurrence (4.7) for the doubling-risk scenario:
-// t_{k+1} = log2((t_k - c)·ln 2 + 1).
-func GeomIncNextPeriod(tPrev, c float64) float64 {
-	//lint:allow nonnegwork recurrence (4.7); sign carries exhaustion
-	return math.Log2((tPrev-c)*math.Ln2 + 1)
 }
 
 // GeomIncT0Window solves the Section 4.3 window
@@ -117,69 +68,4 @@ func GeomIncT0Window(l float64) (T0Bounds, error) {
 // (tiny, max].
 func solveIncreasing(f func(float64) float64, max float64) (float64, error) {
 	return numeric.Brent(f, 1e-9, max, numeric.RootOptions{AbsTol: 1e-12})
-}
-
-// Recurrence yields the next period length from the previous period and
-// the boundary (cumulative time) before the new period. ok=false ends
-// generation.
-type Recurrence func(tPrev, boundary float64) (t float64, ok bool)
-
-// GenerateByRecurrence iterates a closed-form family recurrence from t0,
-// applying the same termination rules as Planner.GenerateFrom: periods
-// stay productive (> c), the cumulative time stays inside the horizon,
-// survival stays above tailEps, and at most maxPeriods are emitted.
-func GenerateByRecurrence(rec Recurrence, l lifefn.Life, c, t0 float64, opt PlanOptions) (sched.Schedule, error) {
-	opt = opt.withDefaults()
-	if !(t0 > c) {
-		return sched.Schedule{}, fmt.Errorf("%w: t0=%g, c=%g", ErrBadT0, t0, c)
-	}
-	horizon := l.Horizon()
-	periods := []float64{t0}
-	tPrev, boundary := t0, t0
-	for len(periods) < opt.MaxPeriods {
-		if l.P(boundary) <= opt.TailEps {
-			break
-		}
-		t, ok := rec(tPrev, boundary)
-		if !ok || !(t > c) || math.IsNaN(t) {
-			break
-		}
-		if !math.IsInf(horizon, 1) && boundary+t > horizon {
-			break
-		}
-		periods = append(periods, t)
-		tPrev, boundary = t, boundary+t
-	}
-	s, err := sched.New(periods...)
-	if err != nil {
-		return sched.Schedule{}, err
-	}
-	return sched.Normalize(s, c), nil
-}
-
-// FamilyRecurrence returns the Section 4 closed-form recurrence matching
-// the given life function, or ok=false when the paper derives none for
-// its type.
-func FamilyRecurrence(l lifefn.Life, c float64) (Recurrence, bool) {
-	switch f := l.(type) {
-	case lifefn.Uniform:
-		return func(tPrev, _ float64) (float64, bool) {
-			//lint:allow nonnegwork forwards recurrence (4.1); caller stops on t <= c
-			return UniformNextPeriod(tPrev, c), true
-		}, true
-	case lifefn.Poly:
-		return func(tPrev, boundary float64) (float64, bool) {
-			return PolyNextPeriod(f.D, tPrev, boundary, c), true
-		}, true
-	case lifefn.GeomDecreasing:
-		return func(tPrev, _ float64) (float64, bool) {
-			return GeomDecNextPeriod(f.A, tPrev, c)
-		}, true
-	case lifefn.GeomIncreasing:
-		return func(tPrev, _ float64) (float64, bool) {
-			return GeomIncNextPeriod(tPrev, c), true
-		}, true
-	default:
-		return nil, false
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/lifefn"
+	"repro/internal/sched"
 )
 
 func TestScaleInvarianceOfGuidelines(t *testing.T) {
@@ -116,7 +117,7 @@ func TestPropertyExpectedWorkBoundedByMeanLifetime(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return pl.ExpectedWork(s) <= mean+1e-9
+		return sched.ExpectedWork(s, pl.life, pl.c) <= mean+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

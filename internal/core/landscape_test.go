@@ -51,7 +51,6 @@ func TestT0LandscapeMatchesPlanBest(t *testing.T) {
 }
 
 func TestStopReasonStrings(t *testing.T) {
-	//lint:allow determinism iteration order does not affect assertions
 	for r, want := range map[StopReason]string{
 		StopTail:         "tail-converged",
 		StopExhausted:    "target-exhausted",

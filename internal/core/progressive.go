@@ -22,7 +22,6 @@ type Progressive struct {
 	c       float64
 	opt     PlanOptions
 	elapsed float64
-	planned int
 }
 
 // NewProgressive returns a progressive planner over life function l
@@ -33,12 +32,6 @@ func NewProgressive(l lifefn.Life, c float64, opt PlanOptions) (*Progressive, er
 	}
 	return &Progressive{base: l, c: c, opt: opt.withDefaults()}, nil
 }
-
-// Elapsed returns the episode time conditioned on so far.
-func (pr *Progressive) Elapsed() float64 { return pr.elapsed }
-
-// PeriodsPlanned returns how many periods NextPeriod has produced.
-func (pr *Progressive) PeriodsPlanned() int { return pr.planned }
 
 // NextPeriod returns the next period length for an episode that has
 // survived to the current elapsed time, or ok=false when no further
@@ -69,9 +62,8 @@ func (pr *Progressive) NextPeriod() (t float64, ok bool, err error) {
 		return 0, false, fmt.Errorf("core: progressive re-plan at τ=%g: %w", pr.elapsed, err)
 	}
 	pr.elapsed += plan.T0
-	pr.planned++
 	return plan.T0, true, nil
 }
 
 // Reset rewinds the planner to the episode start.
-func (pr *Progressive) Reset() { pr.elapsed = 0; pr.planned = 0 }
+func (pr *Progressive) Reset() { pr.elapsed = 0 }

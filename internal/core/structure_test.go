@@ -144,7 +144,7 @@ func TestPropertyPerturbationsNeverBeatGuidelineUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := pl.ExpectedWork(plan.Schedule)
+	base := sched.ExpectedWork(plan.Schedule, pl.life, pl.c)
 	check := func(ki uint8, di uint16) bool {
 		k := int(ki) % (plan.Schedule.Len() - 1)
 		delta := (float64(di)/65535)*2 - 1 // (-1, 1)
@@ -155,11 +155,31 @@ func TestPropertyPerturbationsNeverBeatGuidelineUniform(t *testing.T) {
 		if err != nil {
 			return true // perturbation infeasible
 		}
-		return pl.ExpectedWork(pert) <= base+1e-9
+		return sched.ExpectedWork(pert, pl.life, pl.c) <= base+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Residual36 measures how well a schedule satisfies system (3.6): it
+// returns the maximum absolute residual
+// |p(T_k) - p(T_{k-1}) - (t_{k-1}-c)·p'(T_{k-1})| over all interior
+// boundaries. Guideline-generated schedules should have residuals at
+// the root-finder tolerance.
+func Residual36(s sched.Schedule, l lifefn.Life, c float64) float64 {
+	worst := 0.0
+	bounds := s.Boundaries()
+	for k := 1; k < s.Len(); k++ {
+		tPrev := s.Period(k - 1)
+		//lint:allow nonnegwork residual of recurrence (3.6), raw by definition
+		want := l.P(bounds[k-1]) + (tPrev-c)*l.Deriv(bounds[k-1])
+		if r := math.Abs(l.P(bounds[k]) - want); r > worst {
+			worst = r
+		}
+	}
+	//lint:allow probrange a residual of probabilities carries the probability dimension but is a diagnostic magnitude, not itself a probability
+	return worst
 }
 
 func TestResidual36FlagsNonconformingSchedule(t *testing.T) {

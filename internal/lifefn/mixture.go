@@ -115,8 +115,3 @@ func (m *Mixture) Horizon() float64 { return m.horizon }
 
 // String implements Life.
 func (m *Mixture) String() string { return m.name }
-
-// Weights returns a copy of the normalized mixture weights.
-//
-//cs:unit return=probability
-func (m *Mixture) Weights() []float64 { return append([]float64(nil), m.weights...) }

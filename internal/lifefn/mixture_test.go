@@ -12,7 +12,7 @@ func TestMixtureBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.Weights()
+	w := m.weights
 	if math.Abs(w[0]-0.7) > 1e-12 || math.Abs(w[1]-0.3) > 1e-12 {
 		t.Errorf("weights = %v", w)
 	}

@@ -18,7 +18,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	nop := func() {}
 	// Prime: first events and any queue growth allocate once.
 	eng.After(1, nop)
-	eng.RunAll()
+	eng.Run(math.Inf(1))
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
 			eng.After(1, nop)

@@ -18,10 +18,7 @@
 //     engine (heap-ordered, deterministic tie-breaking).
 package nowsim
 
-import (
-	"container/heap"
-	"math"
-)
+import "container/heap"
 
 // Action is a scheduled event body. It runs when the simulation clock
 // reaches its event's time.
@@ -144,6 +141,3 @@ func (e *Engine) Run(until float64) {
 		e.Step()
 	}
 }
-
-// RunAll drains the queue completely.
-func (e *Engine) RunAll() { e.Run(math.Inf(1)) }

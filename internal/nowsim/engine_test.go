@@ -11,7 +11,7 @@ func TestEngineOrdersEvents(t *testing.T) {
 	e.At(3, func() { order = append(order, 3) })
 	e.At(1, func() { order = append(order, 1) })
 	e.At(2, func() { order = append(order, 2) })
-	e.RunAll()
+	e.Run(math.Inf(1))
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
@@ -29,7 +29,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	e.At(5, func() { order = append(order, 1) })
 	e.At(5, func() { order = append(order, 2) })
 	e.At(5, func() { order = append(order, 3) })
-	e.RunAll()
+	e.Run(math.Inf(1))
 	for i, v := range order {
 		if v != i+1 {
 			t.Fatalf("tie-break violated FIFO: %v", order)
@@ -48,7 +48,7 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 		}
 	}
 	e.After(1, chain)
-	e.RunAll()
+	e.Run(math.Inf(1))
 	if count != 5 || e.Now() != 5 {
 		t.Errorf("count = %d, clock = %g", count, e.Now())
 	}
@@ -94,7 +94,7 @@ func TestEnginePanicsOnPastEvent(t *testing.T) {
 		}()
 		e.At(1, func() {})
 	})
-	e.RunAll()
+	e.Run(math.Inf(1))
 }
 
 func TestEnginePanicsOnNegativeDelay(t *testing.T) {

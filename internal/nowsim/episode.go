@@ -49,8 +49,8 @@ func RunEpisode(policy Policy, c, reclaim float64) (res EpisodeResult) {
 // period ends the episode at the time it was dispatched, unreclaimed.
 //
 // emit, when non-nil, receives the event log as it happens
-// (RunEpisodeRecorded collects it; MonteCarloCtx forwards it to an
-// obs.Sink). A nil emit costs one predictable branch per event.
+// (MonteCarloCtx forwards it to an obs.Sink; the package tests collect
+// it). A nil emit costs one predictable branch per event.
 //
 // The result goes out through a pointer so that MonteCarloCtx can
 // reuse one EpisodeResult across all its episodes.

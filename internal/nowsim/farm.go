@@ -231,7 +231,6 @@ func RunFarm(cfg FarmConfig, pool *TaskPool) (FarmResult, error) {
 					res.CommittedWork += used
 					res.OverheadTime += cfg.Overhead
 					fo.commit(w, period, eng.Now(), t, used, bundle)
-					pool.Commit(bundle)
 					checkDone()
 					if done {
 						res.Makespan = eng.Now()

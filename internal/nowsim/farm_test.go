@@ -202,18 +202,6 @@ func TestOwnerStrings(t *testing.T) {
 	if (LifeOwner{Life: u}).String() == "" {
 		t.Error("empty life-owner string")
 	}
-	so := SessionOwner{AbsenceSampler: func(r *rng.Source) float64 { return 1 }}
-	if so.String() != "session-owner" {
-		t.Error("default session-owner string")
-	}
-	named := SessionOwner{Name: "alice", AbsenceSampler: so.AbsenceSampler}
-	if named.String() != "alice" {
-		t.Error("named session-owner string")
-	}
-	src := rng.New(1)
-	if so.ReclaimAfter(src) != 1 {
-		t.Error("session owner sampling")
-	}
 }
 
 func TestLifeOwnerSamplesWithinSupport(t *testing.T) {

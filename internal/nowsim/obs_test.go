@@ -285,7 +285,6 @@ func TestFarmChromeSpanNesting(t *testing.T) {
 			stacks[ev.Tid] = st[:len(st)-1]
 		}
 	}
-	//lint:allow determinism order-independent assertion over test-local state
 	for tid, st := range stacks {
 		if len(st) != 0 {
 			t.Errorf("tid %d: spans left open at end of trace: %v", tid, st)

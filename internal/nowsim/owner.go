@@ -29,26 +29,3 @@ func (o LifeOwner) ReclaimAfter(r *rng.Source) float64 {
 
 // String implements Owner.
 func (o LifeOwner) String() string { return fmt.Sprintf("life-owner(%s)", o.Life) }
-
-// SessionOwner alternates presence and absence sessions; an episode
-// begins when the owner leaves, and the reclaim time is the absence
-// duration. Absences are sampled from the given sampler (e.g. the
-// synthetic session generators in internal/trace).
-type SessionOwner struct {
-	// AbsenceSampler draws one absence duration.
-	AbsenceSampler func(r *rng.Source) float64
-	Name           string
-}
-
-// ReclaimAfter implements Owner.
-func (o SessionOwner) ReclaimAfter(r *rng.Source) float64 {
-	return o.AbsenceSampler(r)
-}
-
-// String implements Owner.
-func (o SessionOwner) String() string {
-	if o.Name != "" {
-		return o.Name
-	}
-	return "session-owner"
-}

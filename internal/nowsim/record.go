@@ -56,17 +56,3 @@ type EpisodeEvent struct {
 func (e EpisodeEvent) String() string {
 	return fmt.Sprintf("t=%.4g %s period=%d len=%.4g", e.Time, e.Kind, e.Period, e.Length)
 }
-
-// RunEpisodeRecorded is RunEpisode plus a full event log — the
-// observability hook for debugging policies and for teaching: the log
-// shows exactly which periods the schedule risked and what the owner's
-// return destroyed. The result is RunEpisode's, and the log ends in a
-// kill exactly when the result is Reclaimed.
-func RunEpisodeRecorded(policy Policy, c, reclaim float64) (EpisodeResult, []EpisodeEvent) {
-	var res EpisodeResult
-	var log []EpisodeEvent
-	runEpisode(&res, policy, c, reclaim, func(e EpisodeEvent) {
-		log = append(log, e)
-	})
-	return res, log
-}

@@ -8,6 +8,20 @@ import (
 	"repro/internal/sched"
 )
 
+// RunEpisodeRecorded is RunEpisode plus a full event log — the
+// observability hook for debugging policies and for teaching: the log
+// shows exactly which periods the schedule risked and what the owner's
+// return destroyed. The result is RunEpisode's, and the log ends in a
+// kill exactly when the result is Reclaimed.
+func RunEpisodeRecorded(policy Policy, c, reclaim float64) (EpisodeResult, []EpisodeEvent) {
+	var res EpisodeResult
+	var log []EpisodeEvent
+	runEpisode(&res, policy, c, reclaim, func(e EpisodeEvent) {
+		log = append(log, e)
+	})
+	return res, log
+}
+
 func TestRunEpisodeRecordedEventSequence(t *testing.T) {
 	s := sched.MustNew(4, 3, 2)
 	pol := NewSchedulePolicy(s, "rec")
@@ -44,7 +58,6 @@ func TestRunEpisodeRecordedVoluntaryEnd(t *testing.T) {
 }
 
 func TestEventStrings(t *testing.T) {
-	//lint:allow determinism iteration order does not affect assertions
 	for k, want := range map[EventKind]string{
 		EventDispatch: "dispatch", EventCommit: "commit",
 		EventKill: "kill", EventVoluntaryEnd: "voluntary-end",

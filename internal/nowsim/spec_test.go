@@ -87,7 +87,6 @@ func TestParsePolicyGuidelineMatchesPlanner(t *testing.T) {
 }
 
 func TestParseDist(t *testing.T) {
-	//lint:allow determinism iteration order does not affect assertions
 	for name, want := range map[string]DurationDist{
 		"uniform":   DistUniform,
 		"lognormal": DistLogNormal,

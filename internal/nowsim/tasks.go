@@ -22,8 +22,6 @@ type Task struct {
 // pool.
 type TaskPool struct {
 	queue []Task
-	total float64
-	done  []Task
 }
 
 // NewUniformTasks returns a pool of n tasks of identical duration d.
@@ -54,26 +52,10 @@ func NewRandomTasks(n int, lo, hi float64, src *rng.Source) (*TaskPool, error) {
 // Push enqueues a task.
 func (p *TaskPool) Push(t Task) {
 	p.queue = append(p.queue, t)
-	p.total += t.Duration
 }
 
 // Remaining returns the number of outstanding tasks.
 func (p *TaskPool) Remaining() int { return len(p.queue) }
-
-// RemainingWork returns the total duration of outstanding tasks.
-func (p *TaskPool) RemainingWork() float64 { return p.total }
-
-// Completed returns the tasks committed so far.
-func (p *TaskPool) Completed() []Task { return p.done }
-
-// CompletedWork returns the total duration of committed tasks.
-func (p *TaskPool) CompletedWork() float64 {
-	w := 0.0
-	for _, t := range p.done {
-		w += t.Duration
-	}
-	return w
-}
 
 // TakeBundle removes tasks from the front of the queue whose durations
 // fit within budget and returns them with their total duration. Tasks
@@ -91,25 +73,15 @@ func (p *TaskPool) TakeBundle(budget float64) ([]Task, float64) {
 		bundle = append(bundle, t)
 		used += t.Duration
 		p.queue = p.queue[1:]
-		p.total -= t.Duration
 	}
 	return bundle, used
 }
 
-// Commit records a bundle as successfully completed.
-func (p *TaskPool) Commit(bundle []Task) {
-	p.done = append(p.done, bundle...)
-}
-
-// Clone returns an independent copy of the pool's outstanding queue
-// (completed-task history is not copied). Monte-Carlo experiments use
-// it to replay the same workload across replications without paying
-// workload generation each time.
+// Clone returns an independent copy of the pool's outstanding queue.
+// Monte-Carlo experiments use it to replay the same workload across
+// replications without paying workload generation each time.
 func (p *TaskPool) Clone() *TaskPool {
-	return &TaskPool{
-		queue: append([]Task(nil), p.queue...),
-		total: p.total,
-	}
+	return &TaskPool{queue: append([]Task(nil), p.queue...)}
 }
 
 // Requeue returns a lost bundle to the front of the queue: its results
@@ -120,9 +92,6 @@ func (p *TaskPool) Requeue(bundle []Task) {
 		return
 	}
 	p.queue = append(append([]Task(nil), bundle...), p.queue...)
-	for _, t := range bundle {
-		p.total += t.Duration
-	}
 }
 
 // TaskEpisodeResult is the outcome of a task-level episode.
@@ -195,7 +164,6 @@ func RunTaskEpisodeOpt(policy Policy, pool *TaskPool, c, reclaim float64, opt Ta
 			res.Work += used
 			res.Overhead += c
 			res.TasksCompleted += len(bundle)
-			pool.Commit(bundle)
 			now = periodEnd
 			continue
 		}

@@ -159,6 +159,5 @@ func (p *TaskPool) TakeBundleBestFit(budget float64, window int) ([]Task, float6
 		rest = append(rest, task)
 	}
 	p.queue = rest
-	p.total -= used
 	return bundle, used
 }

@@ -48,7 +48,7 @@ func TestNewWorkloadDistributionShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := pool2.RemainingWork() / 10_000
+	mean := remainingWork(pool2) / 10_000
 	if mean < 1.5 || mean > 4 {
 		t.Errorf("pareto mean = %g", mean)
 	}
@@ -73,7 +73,6 @@ func TestDurationDistStrings(t *testing.T) {
 		DistBimodal: "bimodal", DistParetoCapped: "pareto-capped",
 		DurationDist(99): "unknown",
 	}
-	//lint:allow determinism iteration order does not affect assertions
 	for d, want := range names {
 		if d.String() != want {
 			t.Errorf("%d.String() = %q, want %q", d, d.String(), want)
@@ -105,8 +104,8 @@ func TestTakeBundleBestFitPacksTighter(t *testing.T) {
 	if bfPool.Remaining() != 2 || bfPool.queue[0].Duration != 2 || bfPool.queue[1].Duration != 5 {
 		t.Errorf("best-fit queue after = %v", bfPool.queue)
 	}
-	if math.Abs(bfPool.RemainingWork()-7) > 1e-12 {
-		t.Errorf("remaining work = %g", bfPool.RemainingWork())
+	if math.Abs(remainingWork(bfPool)-7) > 1e-12 {
+		t.Errorf("remaining work = %g", remainingWork(bfPool))
 	}
 }
 

@@ -22,27 +22,6 @@ func (k *KahanSum) Add(v float64) {
 // Value returns the compensated total.
 func (k *KahanSum) Value() float64 { return k.sum + k.c }
 
-// Reset clears the accumulator.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
-// Sum returns the compensated sum of xs.
-func Sum(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Value()
-}
-
-// Mean returns the compensated arithmetic mean of xs, or 0 for an empty
-// slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -29,42 +29,17 @@ func TestKahanSumManySmall(t *testing.T) {
 	}
 }
 
-func TestKahanReset(t *testing.T) {
-	var k KahanSum
-	k.Add(5)
-	k.Reset()
-	k.Add(2)
-	if k.Value() != 2 {
-		t.Errorf("after reset sum = %g, want 2", k.Value())
-	}
-}
-
-func TestSumEmpty(t *testing.T) {
-	if Sum(nil) != 0 {
-		t.Error("Sum(nil) != 0")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("mean = %g, want 2.5", got)
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-}
-
-func TestSumPropertyMatchesExactIntegers(t *testing.T) {
+func TestKahanSumPropertyMatchesExactIntegers(t *testing.T) {
 	// Property: sums of small integers are exact.
 	check := func(xs []int8) bool {
-		fs := make([]float64, len(xs))
+		var k KahanSum
 		var exact int64
-		for i, v := range xs {
-			fs[i] = float64(v)
+		for _, v := range xs {
+			k.Add(float64(v))
 			exact += int64(v)
 		}
 		//lint:allow floatcmp compensated sum of small ints is exact
-		return Sum(fs) == float64(exact)
+		return k.Value() == float64(exact)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

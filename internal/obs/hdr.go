@@ -40,11 +40,6 @@ const (
 	hdrBuckets  = (hdrMaxExp - hdrMinExp + 1) * hdrSubCount
 )
 
-// HDRRelativeError is the advertised worst-case relative error of
-// Quantile against any exact order statistic in the same bucket:
-// half of one sub-bucket's width over its lower bound.
-const HDRRelativeError = 1.0 / (2 * hdrSubCount)
-
 // hdrIndex maps a positive value to its bucket index.
 func hdrIndex(v float64) int {
 	bits := math.Float64bits(v)
@@ -108,8 +103,9 @@ func (h *QuantileHist) Max() float64 {
 
 // Quantile returns the q-quantile (q in [0, 1]) as the representative
 // value of the bucket holding the ceil(q·n)-th smallest observation,
-// within HDRRelativeError of the exact order statistic. It returns NaN
-// on an empty histogram and clamps q outside [0, 1].
+// within a relative error of 1/(2·hdrSubCount) (half of one sub-bucket's
+// width over its lower bound) of the exact order statistic. It returns
+// NaN on an empty histogram and clamps q outside [0, 1].
 func (h *QuantileHist) Quantile(q float64) float64 {
 	n := h.n.Load()
 	if n == 0 {

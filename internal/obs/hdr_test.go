@@ -8,6 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
+// HDRRelativeError is the advertised worst-case relative error of
+// Quantile against any exact order statistic in the same bucket:
+// half of one sub-bucket's width over its lower bound.
+const HDRRelativeError = 1.0 / (2 * hdrSubCount)
+
 // hdrSamplers are the distribution shapes the paper's quantities span:
 // bounded uniform busy periods, skewed lognormal latencies, and
 // heavy-tailed pareto episode lengths where only the log-bucketed

@@ -6,67 +6,40 @@ import (
 	"time"
 )
 
-// ResponseRecorder wraps a ResponseWriter and captures the status code
-// actually sent, so middleware can attribute a request to its outcome.
-// A handler that writes a body without an explicit WriteHeader is
-// recorded as 200, matching net/http's behaviour.
-type ResponseRecorder struct {
+// timingWriter records the status code a handler sends, so the
+// middleware can attribute the request to its outcome, and stamps the
+// trace response headers (Server-Timing with the per-phase breakdown,
+// X-Trace-Id) at the moment the handler commits the response — the
+// latest point headers can still be set, and by then the serving path
+// has recorded its phases. A handler that writes a body without an
+// explicit WriteHeader is recorded as 200, matching net/http's
+// behaviour; code stays 0 when nothing was written at all.
+type timingWriter struct {
 	http.ResponseWriter
+	rt   *ReqTrace
 	code int
 }
 
-// NewResponseRecorder wraps w.
-func NewResponseRecorder(w http.ResponseWriter) *ResponseRecorder {
-	return &ResponseRecorder{ResponseWriter: w}
-}
-
-// WriteHeader records the first status code and forwards it.
-func (r *ResponseRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Write forwards the body, defaulting the recorded status to 200 the
-// way the underlying ResponseWriter does.
-func (r *ResponseRecorder) Write(p []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.ResponseWriter.Write(p)
-}
-
-// Code returns the recorded status code (200 when the handler wrote a
-// body without WriteHeader, 0 when nothing was written at all).
-func (r *ResponseRecorder) Code() int { return r.code }
-
-// timingWriter stamps the trace response headers (Server-Timing with
-// the per-phase breakdown, X-Trace-Id) at the moment the handler
-// commits the response — the latest point headers can still be set,
-// and by then the serving path has recorded its phases.
-type timingWriter struct {
-	*ResponseRecorder
-	rt *ReqTrace
-}
-
 func (tw *timingWriter) stamp() {
-	if tw.Code() != 0 {
-		return // headers already committed
-	}
 	h := tw.Header()
 	h.Set("Server-Timing", tw.rt.ServerTiming())
 	h.Set(TraceIDHeader, tw.rt.TraceID())
 }
 
 func (tw *timingWriter) WriteHeader(code int) {
-	tw.stamp()
-	tw.ResponseRecorder.WriteHeader(code)
+	if tw.code == 0 {
+		tw.stamp()
+		tw.code = code
+	}
+	tw.ResponseWriter.WriteHeader(code)
 }
 
 func (tw *timingWriter) Write(p []byte) (int, error) {
-	tw.stamp()
-	return tw.ResponseRecorder.Write(p)
+	if tw.code == 0 {
+		tw.stamp()
+		tw.code = http.StatusOK
+	}
+	return tw.ResponseWriter.Write(p)
 }
 
 // InstrumentHandler wraps next so every request updates two series on
@@ -109,10 +82,10 @@ func InstrumentHandler(reg *Registry, route string, tr *Tracer, slo *SLOTracker,
 			rt = NewReqTrace(route)
 		}
 		req = req.WithContext(ContextWithReqTrace(req.Context(), rt))
-		tw := &timingWriter{ResponseRecorder: NewResponseRecorder(w), rt: rt}
+		tw := &timingWriter{ResponseWriter: w, rt: rt}
 		start := time.Now()
 		next.ServeHTTP(tw, req)
-		code := tw.Code()
+		code := tw.code
 		if code == 0 {
 			code = http.StatusOK
 		}

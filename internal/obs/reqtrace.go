@@ -240,8 +240,3 @@ func ReqTraceFrom(ctx context.Context) *ReqTrace {
 func StartPhase(ctx context.Context, name string) func(attrs ...string) {
 	return ReqTraceFrom(ctx).StartPhase(name)
 }
-
-// Annotate attaches an attribute to the context's trace, if any.
-func Annotate(ctx context.Context, k, v string) {
-	ReqTraceFrom(ctx).Annotate(k, v)
-}

@@ -28,7 +28,6 @@ func TestReqTraceNilSafe(t *testing.T) {
 		t.Errorf("ReqTraceFrom(background) != nil")
 	}
 	StartPhase(ctx, PhaseCompute)("k", "v")
-	Annotate(ctx, "k", "v")
 	if ContextWithReqTrace(ctx, nil) != ctx {
 		t.Errorf("ContextWithReqTrace(nil) must return ctx unchanged")
 	}

@@ -106,11 +106,6 @@ func (s Span) End(time float64) {
 	})
 }
 
-// ID returns the span's trace-unique ID, or 0 for an inactive Span —
-// the value point events carry in their Parent field to attach to this
-// span.
-func (s Span) ID() uint64 { return s.id }
-
 // Attach returns e with its Parent set to this span — the sanctioned
 // way to attribute a point event to a span without a raw literal (which
 // obssafe would flag). On an inactive Span, e passes through with

@@ -147,8 +147,7 @@ func hexByte(s string) (byte, error) {
 // crypto/rand. Trace IDs need uniqueness, not unpredictability, and
 // splitmix64 over a random seed gives collision-free IDs within a
 // process and a 2^-64-per-pair chance across processes — without
-// putting math/rand anywhere near the determinism-guarded simulator
-// packages.
+// putting math/rand anywhere near the seeded simulator packages.
 var idState atomic.Uint64
 
 func init() {

@@ -20,7 +20,6 @@
 package optimal
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -28,10 +27,6 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/sched"
 )
-
-// ErrUnsupported reports a life function outside the three [BCLR97]
-// scenarios.
-var ErrUnsupported = errors.New("optimal: no closed-form optimal schedule for this life function")
 
 // Result is an optimal (or ground-truth) schedule with its expected
 // work.

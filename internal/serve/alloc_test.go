@@ -30,7 +30,9 @@ var raceEnabled bool
 
 // TestPlanCacheHitAllocs bounds the allocations of a cache-hit POST
 // /v1/plan through the instrumented handler, request and recorder
-// included: 70 on go1.24 linux/amd64, under a budget of 72.
+// included: 59 on go1.24 linux/amd64, and the budget is that count with
+// no margin (AllocsPerRun truncates its average, so a sync.Pool refill
+// after a GC does not move it).
 func TestPlanCacheHitAllocs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Drain)
@@ -48,7 +50,7 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 		t.Skip("-race makes sync.Pool drop items, so allocation counts vary")
 	}
 	post()
-	if avg := testing.AllocsPerRun(200, post); avg > 72 {
-		t.Errorf("cache-hit plan request allocates %.0f/run, want <= 72", avg)
+	if avg := testing.AllocsPerRun(200, post); avg > 59 {
+		t.Errorf("cache-hit plan request allocates %.0f/run, want <= 59", avg)
 	}
 }

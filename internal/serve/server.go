@@ -167,9 +167,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry returns the registry the server publishes to.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Routes mounts the service endpoints on mux. Each route is wrapped in
 // the obs latency/status middleware.
 func (s *Server) Routes(mux *http.ServeMux) {
@@ -193,9 +190,6 @@ func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.pool.Close()
 }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Band is a confidence band over a Monte-Carlo statistic.
 type Band struct {

@@ -513,9 +513,6 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 
 	s.Drain()
-	if !s.Draining() {
-		t.Error("Draining() false after Drain")
-	}
 	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +532,7 @@ func TestMetricsExposition(t *testing.T) {
 	post(t, ts.URL+"/v1/plan", body)
 
 	var sb strings.Builder
-	if err := s.Registry().WritePrometheus(&sb); err != nil {
+	if err := s.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

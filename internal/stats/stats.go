@@ -1,17 +1,12 @@
 // Package stats provides the summary statistics the Monte-Carlo
 // experiments report: streaming mean/variance, confidence intervals,
-// quantiles and the chi-square goodness-of-fit test.
+// Student-t quantiles and the chi-square goodness-of-fit test.
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// ErrNoData reports a statistic requested over an empty sample.
-var ErrNoData = errors.New("stats: no data")
 
 // Running accumulates a sample one observation at a time using
 // Welford's algorithm, which is numerically stable over the millions of
@@ -111,28 +106,6 @@ func Summarize(r *Running) Summary {
 // String renders the summary as "mean ± ci95 (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.3g (n=%d)", s.Mean, s.CI95, s.N)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7). It does not modify
-// xs.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g outside [0, 1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // TQuantile returns the p-quantile of the Student-t distribution with

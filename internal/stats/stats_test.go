@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -51,38 +50,6 @@ func TestSummaryString(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty summary string")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4, 5}
-	q, err := Quantile(xs, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q != 3 {
-		t.Errorf("median = %g, want 3", q)
-	}
-	if xs[0] != 3 {
-		t.Error("Quantile mutated input")
-	}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	if q0 != 1 || q1 != 5 {
-		t.Errorf("extremes = %g, %g", q0, q1)
-	}
-	qm, _ := Quantile(xs, 0.25)
-	if qm != 2 {
-		t.Errorf("q25 = %g, want 2", qm)
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrNoData) {
-		t.Error("empty input accepted")
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Error("q > 1 accepted")
 	}
 }
 
