@@ -1,8 +1,11 @@
 package cyclesteal
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -75,5 +78,25 @@ func TestFacadePlanWithOptions(t *testing.T) {
 	}
 	if plan.Schedule.Len() > 50 {
 		t.Errorf("MaxPeriods ignored: %d periods", plan.Schedule.Len())
+	}
+}
+
+func TestNewScheduleRejectsInvalidPeriods(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSchedule(4, bad); !errors.Is(err, sched.ErrInvalidSchedule) {
+			t.Errorf("NewSchedule(4, %g) error = %v, want ErrInvalidSchedule", bad, err)
+		}
+	}
+}
+
+func TestNewScheduleCopiesPeriods(t *testing.T) {
+	periods := []float64{4, 3}
+	s, err := NewSchedule(periods...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	periods[0] = 100
+	if s.Period(0) != 4 || s.Len() != 2 {
+		t.Errorf("schedule = %v, want [4 3] unaffected by the caller's slice", s)
 	}
 }

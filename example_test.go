@@ -36,6 +36,16 @@ func ExampleExpectedWork() {
 	// Output: 2.40
 }
 
+// Build a schedule from period lengths and read it back.
+func ExampleNewSchedule() {
+	s, err := cyclesteal.NewSchedule(4, 3, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("periods=%d total=%g t1=%g\n", s.Len(), s.Total(), s.Period(1))
+	// Output: periods=3 total=9 t1=3
+}
+
 // The memoryless scenario: equal periods are optimal, and the planner
 // finds them.
 func ExampleHalfLife() {

@@ -196,3 +196,22 @@ func TestRunTaskEpisodeTightPeriodBudgetClamped(t *testing.T) {
 		t.Errorf("remaining = %d, want 0", pool.Remaining())
 	}
 }
+
+func TestTaskPoolCloneIsIndependent(t *testing.T) {
+	p, err := NewUniformTasks(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Clone()
+	bundle, _ := c.TakeBundle(2)
+	if c.Remaining() != 2 || p.Remaining() != 4 {
+		t.Errorf("after taking from the clone: clone %d, original %d; want 2, 4", c.Remaining(), p.Remaining())
+	}
+	p.Requeue(bundle)
+	if c.Remaining() != 2 || p.Remaining() != 6 {
+		t.Errorf("after requeueing into the original: clone %d, original %d; want 2, 6", c.Remaining(), p.Remaining())
+	}
+	if next, _ := c.TakeBundle(1); len(next) != 1 || next[0].ID != 2 {
+		t.Errorf("clone's next task = %+v, want ID 2", next)
+	}
+}

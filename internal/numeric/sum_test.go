@@ -45,3 +45,22 @@ func TestKahanSumPropertyMatchesExactIntegers(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestKahanSumZeroValueIsEmpty(t *testing.T) {
+	var k KahanSum
+	if got := k.Value(); got != 0 {
+		t.Errorf("empty sum = %g, want 0", got)
+	}
+}
+
+func TestKahanSumLargeTermFirst(t *testing.T) {
+	// Plain Kahan loses the 1 when the large term comes first; the
+	// Neumaier branch keeps it.
+	var k KahanSum
+	k.Add(1e100)
+	k.Add(1)
+	k.Add(-1e100)
+	if got := k.Value(); got != 1 {
+		t.Errorf("compensated sum = %g, want 1", got)
+	}
+}

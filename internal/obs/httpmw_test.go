@@ -214,3 +214,56 @@ func TestInstrumentHandlerAllocs(t *testing.T) {
 		t.Errorf("instrumented request allocates %.0f/run, want 14", got)
 	}
 }
+
+func TestTimingWriterKeepsFirstStatus(t *testing.T) {
+	rec := httptest.NewRecorder()
+	tw := &timingWriter{ResponseWriter: rec, rt: NewReqTrace("plan")}
+	tw.WriteHeader(http.StatusNotFound)
+	tw.WriteHeader(http.StatusInternalServerError)
+	_, _ = tw.Write([]byte("x"))
+	if tw.code != http.StatusNotFound {
+		t.Errorf("recorded code = %d, want %d", tw.code, http.StatusNotFound)
+	}
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("response code = %d, want %d", rec.Code, http.StatusNotFound)
+	}
+}
+
+func TestTimingWriterImplicitOKStampsHeaders(t *testing.T) {
+	rec := httptest.NewRecorder()
+	tw := &timingWriter{ResponseWriter: rec, rt: NewReqTrace("plan")}
+	if _, err := tw.Write([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if tw.code != http.StatusOK {
+		t.Errorf("recorded code = %d, want 200", tw.code)
+	}
+	if rec.Header().Get(TraceIDHeader) == "" || rec.Header().Get("Server-Timing") == "" {
+		t.Errorf("headers not stamped: %v", rec.Header())
+	}
+}
+
+func TestTimingWriterNothingWrittenLeavesCodeZero(t *testing.T) {
+	rec := httptest.NewRecorder()
+	tw := &timingWriter{ResponseWriter: rec, rt: NewReqTrace("plan")}
+	if tw.code != 0 {
+		t.Errorf("recorded code = %d before any write, want 0", tw.code)
+	}
+	if len(rec.Header()) != 0 {
+		t.Errorf("headers stamped before any write: %v", rec.Header())
+	}
+}
+
+func TestInstrumentHandlerCountsSilentHandlerAsOK(t *testing.T) {
+	reg := NewRegistry()
+	h := InstrumentHandler(reg, "healthz", nil, nil, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `cs_http_requests_total{route="healthz",code="200"} 1`; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, sb.String())
+	}
+}

@@ -116,3 +116,60 @@ func TestLogNormalPositive(t *testing.T) {
 		}
 	}
 }
+
+func TestSplitReproducible(t *testing.T) {
+	a, b := New(7).Split(), New(7).Split()
+	for i := 0; i < 1000; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("children of equally seeded parents diverged at draw %d", i)
+		}
+	}
+}
+
+func TestFloat64OpenInOpenInterval(t *testing.T) {
+	r := New(5)
+	for i := 0; i < 100_000; i++ {
+		if v := r.Float64Open(); !(v > 0 && v < 1) {
+			t.Fatalf("Float64Open = %g outside (0, 1)", v)
+		}
+	}
+}
+
+func TestUniformDegenerateInterval(t *testing.T) {
+	r := New(13)
+	for i := 0; i < 100; i++ {
+		//lint:allow floatcmp lo + 0·u is lo exactly
+		if v := r.Uniform(2.5, 2.5); v != 2.5 {
+			t.Fatalf("Uniform(2.5, 2.5) = %g", v)
+		}
+	}
+}
+
+func TestLogNormalLogMoments(t *testing.T) {
+	r := New(41)
+	n := 200_000
+	mu, sigma := 1.5, 0.5
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		v := math.Log(r.LogNormal(mu, sigma))
+		sum += v
+		sumSq += v * v
+	}
+	mean := sum / float64(n)
+	sd := math.Sqrt(sumSq/float64(n) - mean*mean)
+	if math.Abs(mean-mu) > 0.01 {
+		t.Errorf("log mean = %g, want %g", mean, mu)
+	}
+	if math.Abs(sd-sigma) > 0.01 {
+		t.Errorf("log sd = %g, want %g", sd, sigma)
+	}
+}
+
+func TestLogNormalPanicsOnNegativeSigma(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("LogNormal with sigma < 0 did not panic")
+		}
+	}()
+	New(1).LogNormal(0, -1)
+}

@@ -100,3 +100,18 @@ func TestCIShrinksWithN(t *testing.T) {
 		t.Errorf("CI did not shrink: %g vs %g", large.CI(0.95), small.CI(0.95))
 	}
 }
+
+func TestRunningLargeOffset(t *testing.T) {
+	// Welford's update keeps the variance of a sample far from zero,
+	// where the one-pass sum-of-squares formula cancels catastrophically.
+	var r Running
+	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		r.Add(1e9 + v)
+	}
+	if math.Abs(r.Mean()-(1e9+5)) > 1e-6 {
+		t.Errorf("mean = %.6f, want %.6f", r.Mean(), 1e9+5)
+	}
+	if math.Abs(r.Variance()-32.0/7) > 1e-6 {
+		t.Errorf("variance = %g, want %g", r.Variance(), 32.0/7)
+	}
+}
