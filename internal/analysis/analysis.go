@@ -70,12 +70,7 @@ type Pass struct {
 	Report    func(Diagnostic)
 
 	session *Session
-	shared  map[string]sharedEntry
-}
-
-type sharedEntry struct {
-	val interface{}
-	err error
+	shared  map[string]any
 }
 
 // Reportf reports a formatted point diagnostic at pos.
@@ -95,33 +90,33 @@ func (p *Pass) ReportRangef(rng Range, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
 }
 
-// Facts returns the facts blob exported under namespace ns by an
+// Facts returns the facts value exported under namespace ns by an
 // earlier analysis of the package at path (an import of this one), or
 // nil when the run has no session or the package exported none.
-func (p *Pass) Facts(path, ns string) []byte {
+func (p *Pass) Facts(path, ns string) any {
 	return p.session.Facts(path, ns)
 }
 
-// ExportFacts records this package's facts blob under namespace ns for
-// later packages in the session. Facts are keyed by the package's
+// ExportFacts records this package's facts value under namespace ns
+// for later packages in the session. Facts are keyed by the package's
 // import path with build variant decorations intact; importers look
 // packages up by the plain path types.Package.Path() reports, which
 // matches for everything an importer can actually name.
-func (p *Pass) ExportFacts(ns string, data []byte) {
-	p.session.SetFacts(p.Pkg.Path(), ns, data)
+func (p *Pass) ExportFacts(ns string, v any) {
+	p.session.SetFacts(p.Pkg.Path(), ns, v)
 }
 
 // Shared memoizes an expensive per-package computation (for example the
 // flow engine's call graph and summaries) across the analyzers of one
 // Session.Run call: the first analyzer to ask builds, the rest reuse.
 // The key names the computation; build runs at most once per package.
-func (p *Pass) Shared(key string, build func() (interface{}, error)) (interface{}, error) {
-	if e, ok := p.shared[key]; ok {
-		return e.val, e.err
+func (p *Pass) Shared(key string, build func() any) any {
+	if v, ok := p.shared[key]; ok {
+		return v
 	}
-	val, err := build()
-	p.shared[key] = sharedEntry{val, err}
-	return val, err
+	v := build()
+	p.shared[key] = v
+	return v
 }
 
 // PkgBase returns the last element of a package path with build-variant
@@ -137,6 +132,30 @@ func PkgBase(path string) string {
 		path = path[i+1:]
 	}
 	return strings.TrimSuffix(path, "_test")
+}
+
+// StaticCallee resolves a call's static target: a plain or
+// package-qualified function, or a method (concrete or interface)
+// selected on a value, in which case method reports that the receiver
+// occupies normalized argument 0. Instantiated generics resolve to
+// their origin. Calls through function values, builtins and
+// conversions have no static callee and yield nil.
+func StaticCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, method bool) {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			fn, _ = sel.Obj().(*types.Func)
+			method = fn != nil
+		} else {
+			fn, _ = info.Uses[fun.Sel].(*types.Func) // package-qualified call
+		}
+	}
+	if fn == nil {
+		return nil, false
+	}
+	return fn.Origin(), method
 }
 
 // A Finding is a resolved diagnostic: position translated, analyzer
@@ -164,7 +183,7 @@ func (f Finding) String() string {
 // interprocedural analyses see their callees' summaries.
 func (s *Session) Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
 	sup := CollectSuppressions(fset, files)
-	shared := make(map[string]sharedEntry)
+	shared := make(map[string]any)
 	var out []Finding
 	for _, a := range analyzers {
 		pass := &Pass{

@@ -14,7 +14,7 @@
 //     which sees strictly more implementations than the defining
 //     package did — so the graph sharpens as the package set grows.
 //
-// Per-package node lists ride the analysis.Session facts store under
+// Per-package node maps ride the analysis.Session facts store under
 // FactsNamespace, exactly like the flow engine's summaries, so
 // reachability queries cross package boundaries: a //cs:hotpath root in
 // serve can reach an allocation three packages down in sched.
@@ -36,25 +36,29 @@ package callgraph
 import (
 	"go/types"
 	"sort"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/flow"
 )
 
-// FactsNamespace keys the call graph's packed node lists in an
-// analysis.Session.
+// FactsNamespace keys the call graph's Nodes in an analysis.Session.
 const FactsNamespace = "callgraph"
 
 const sharedKey = "callgraph"
 
-// A Node is the serialized view of one function: its resolved static
+// A Node is the exported view of one function: its resolved static
 // callees, the abstract interface methods it calls, and its hot-root
 // label when //cs:hotpath-annotated.
 type Node struct {
-	Callees []string `json:"callees,omitempty"`
-	Dynamic []string `json:"dynamic,omitempty"`
-	Hot     string   `json:"hot,omitempty"`
+	Callees []string
+	Dynamic []string
+	Hot     string
 }
+
+// Nodes maps a function's full name to its node, the per-package
+// facts value.
+type Nodes map[string]Node
 
 // Graph is the call-graph view from one analyzed package: full bodies
 // for local functions, facts for imported ones, and the CHA universe
@@ -67,10 +71,9 @@ type Graph struct {
 	// hotalloc analyzer to report.
 	BadAnnots []BadAnnot
 
-	pass     *analysis.Pass
-	local    map[string]*flow.FuncInfo
-	nodes    Nodes            // local nodes, as exported
-	imported map[string]Nodes // decoded facts per import path
+	pass  *analysis.Pass
+	local map[string]*flow.FuncInfo
+	nodes Nodes // local nodes, as exported
 	// world is the import-closure package list (analyzed package first),
 	// the CHA universe; pkgByPath indexes it for abstract-name lookup.
 	world     []*types.Package
@@ -81,30 +84,20 @@ type Graph struct {
 
 // Of returns the call graph for the pass's package, building it on
 // first request and sharing it between analyzers of the same run.
-// Building exports the package's node list as session facts for
+// Building exports the package's node map as session facts for
 // packages analyzed later.
-func Of(pass *analysis.Pass) (*Graph, error) {
-	v, err := pass.Shared(sharedKey, func() (interface{}, error) {
-		return build(pass)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Graph), nil
+func Of(pass *analysis.Pass) *Graph {
+	return pass.Shared(sharedKey, func() any { return build(pass) }).(*Graph)
 }
 
-func build(pass *analysis.Pass) (*Graph, error) {
-	fl, err := flow.Of(pass)
-	if err != nil {
-		return nil, err
-	}
+func build(pass *analysis.Pass) *Graph {
+	fl := flow.Of(pass)
 	g := &Graph{
 		Pkg:       pass.Pkg,
 		Flow:      fl,
 		pass:      pass,
 		local:     make(map[string]*flow.FuncInfo),
 		nodes:     make(Nodes),
-		imported:  make(map[string]Nodes),
 		pkgByPath: make(map[string]*types.Package),
 		resolved:  make(map[string][]string),
 	}
@@ -124,23 +117,18 @@ func build(pass *analysis.Pass) (*Graph, error) {
 			if site.Callee == nil {
 				continue // builtin or function value: no edge
 			}
-			callee := origin(site.Callee)
-			if abstractMethod(callee) {
-				dynamic[callee.FullName()] = true
+			if abstractMethod(site.Callee) {
+				dynamic[site.Callee.FullName()] = true
 			} else {
-				static[callee.FullName()] = true
+				static[site.Callee.FullName()] = true
 			}
 		}
 		node.Callees = sortedKeys(static)
 		node.Dynamic = sortedKeys(dynamic)
 		g.nodes[name] = node
 	}
-	data, err := g.nodes.Encode()
-	if err != nil {
-		return nil, err
-	}
-	pass.ExportFacts(FactsNamespace, data)
-	return g, nil
+	pass.ExportFacts(FactsNamespace, g.nodes)
+	return g
 }
 
 // collectWorld walks the import closure once, recording every package
@@ -161,13 +149,6 @@ func (g *Graph) collectWorld(root *types.Package) {
 		}
 	}
 	walk(root)
-}
-
-func origin(fn *types.Func) *types.Func {
-	if o := fn.Origin(); o != nil {
-		return o
-	}
-	return fn
 }
 
 // abstractMethod reports whether fn is an interface method (a call to
@@ -197,15 +178,7 @@ func (g *Graph) NodeOf(name string, pkgPath string) (Node, bool) {
 	if pkgPath == "" || pkgPath == g.Pkg.Path() {
 		return Node{}, false
 	}
-	nodes, ok := g.imported[pkgPath]
-	if !ok {
-		var err error
-		nodes, err = DecodeNodes(g.pass.Facts(pkgPath, FactsNamespace))
-		if err != nil {
-			nodes = Nodes{}
-		}
-		g.imported[pkgPath] = nodes
-	}
+	nodes, _ := g.pass.Facts(pkgPath, FactsNamespace).(Nodes)
 	n, ok := nodes[name]
 	return n, ok
 }
@@ -232,14 +205,13 @@ func (g *Graph) Out(name, pkgPath string) []OutEdge {
 			if site.Callee == nil {
 				continue
 			}
-			callee := origin(site.Callee)
-			if abstractMethod(callee) {
-				for _, impl := range g.resolve(callee.FullName()) {
+			if abstractMethod(site.Callee) {
+				for _, impl := range g.resolve(site.Callee.FullName()) {
 					edges = append(edges, OutEdge{To: impl, Site: site, Dynamic: true})
 				}
 				continue
 			}
-			edges = append(edges, OutEdge{To: callee.FullName(), Site: site})
+			edges = append(edges, OutEdge{To: site.Callee.FullName(), Site: site})
 		}
 		return edges
 	}
@@ -264,7 +236,7 @@ func (g *Graph) Out(name, pkgPath string) []OutEdge {
 func PkgPathOf(name string) string {
 	s := name
 	if len(s) > 0 && s[0] == '(' {
-		if i := indexByte(s, ')'); i >= 0 {
+		if i := strings.IndexByte(s, ')'); i >= 0 {
 			s = s[1:i]
 		}
 		if len(s) > 0 && s[0] == '*' {
@@ -274,28 +246,10 @@ func PkgPathOf(name string) string {
 	// s is now "path.Type" or "path.Func": the path is everything up to
 	// the last dot (import paths may contain dots in their domain part,
 	// never after the final slash).
-	if i := lastIndexByte(s, '.'); i >= 0 {
+	if i := strings.LastIndexByte(s, '.'); i >= 0 {
 		return s[:i]
 	}
 	return ""
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-func lastIndexByte(s string, c byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // resolve performs the CHA query for an abstract interface method full
@@ -351,7 +305,7 @@ func (g *Graph) resolveUncached(abstract string) []string {
 			}
 			fnObj, _, _ := types.LookupFieldOrMethod(recv, true, p, method)
 			if fn, ok := fnObj.(*types.Func); ok {
-				found[origin(fn).FullName()] = true
+				found[fn.Origin().FullName()] = true
 			}
 		}
 	}
@@ -364,7 +318,7 @@ func splitAbstract(name string) (iface, method string, ok bool) {
 	if len(name) == 0 || name[0] != '(' {
 		return "", "", false
 	}
-	i := indexByte(name, ')')
+	i := strings.IndexByte(name, ')')
 	if i < 0 || i+2 > len(name) || name[i+1] != '.' {
 		return "", "", false
 	}
@@ -372,7 +326,7 @@ func splitAbstract(name string) (iface, method string, ok bool) {
 }
 
 func baseName(qualified string) string {
-	if i := lastIndexByte(qualified, '.'); i >= 0 {
+	if i := strings.LastIndexByte(qualified, '.'); i >= 0 {
 		return qualified[i+1:]
 	}
 	return qualified

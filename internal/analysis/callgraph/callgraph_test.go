@@ -39,11 +39,7 @@ func probe(t *testing.T, sess *analysis.Session, path, src string, imp types.Imp
 		Name: "probe",
 		Doc:  "captures the call graph",
 		Run: func(pass *analysis.Pass) error {
-			g, err := callgraph.Of(pass)
-			if err != nil {
-				return err
-			}
-			got = g
+			got = callgraph.Of(pass)
 			return nil
 		},
 	}
@@ -188,27 +184,5 @@ func TestPkgPathOf(t *testing.T) {
 		if got := callgraph.PkgPathOf(name); got != want {
 			t.Errorf("PkgPathOf(%q) = %q, want %q", name, got, want)
 		}
-	}
-}
-
-func TestNodesEncodeRoundTrip(t *testing.T) {
-	n := callgraph.Nodes{
-		"p.f": {Callees: []string{"p.g"}, Hot: "loop"},
-		"p.g": {Dynamic: []string{"(p.I).M"}},
-	}
-	data, err := n.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, _ := n.Encode()
-	if string(data) != string(data2) {
-		t.Error("Encode is not deterministic")
-	}
-	back, err := callgraph.DecodeNodes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(n, back) {
-		t.Errorf("round trip: got %+v, want %+v", back, n)
 	}
 }

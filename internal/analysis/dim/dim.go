@@ -49,13 +49,9 @@
 // diagnostic rests on two concretely known dimensions.
 package dim
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// FactsNamespace keys the dimension engine's facts blobs in an
+// FactsNamespace keys the dimension engine's Facts in an
 // analysis.Session.
 const FactsNamespace = "unitdim"
 
@@ -190,8 +186,8 @@ func Div(a, b Dim) Dim {
 // function's parameters and results. Params is indexed receiver-first
 // like flow.FuncSummary; holes are Unknown.
 type FuncDims struct {
-	Params  []Dim `json:"params,omitempty"`
-	Results []Dim `json:"results,omitempty"`
+	Params  []Dim
+	Results []Dim
 }
 
 // Param returns the dimension of normalized argument index i,
@@ -255,69 +251,6 @@ func (f FuncDims) equal(g FuncDims) bool {
 type Facts struct {
 	Funcs map[string]FuncDims
 	Vars  map[string]Dim
-}
-
-// Encode packs facts deterministically (sorted keys) so identical
-// analyses produce identical bytes.
-func (f Facts) Encode() ([]byte, error) {
-	type funcEntry struct {
-		Name string   `json:"name"`
-		Dims FuncDims `json:"dims"`
-	}
-	type varEntry struct {
-		Name string `json:"name"`
-		Dim  Dim    `json:"dim"`
-	}
-	var packed struct {
-		Funcs []funcEntry `json:"funcs,omitempty"`
-		Vars  []varEntry  `json:"vars,omitempty"`
-	}
-	names := make([]string, 0, len(f.Funcs))
-	for name := range f.Funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		packed.Funcs = append(packed.Funcs, funcEntry{name, f.Funcs[name]})
-	}
-	names = names[:0]
-	for name := range f.Vars {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		packed.Vars = append(packed.Vars, varEntry{name, f.Vars[name]})
-	}
-	return json.Marshal(packed)
-}
-
-// DecodeFacts unpacks a blob produced by Encode. A nil or empty blob
-// yields empty (non-nil) maps.
-func DecodeFacts(data []byte) (Facts, error) {
-	out := Facts{Funcs: make(map[string]FuncDims), Vars: make(map[string]Dim)}
-	if len(data) == 0 {
-		return out, nil
-	}
-	var packed struct {
-		Funcs []struct {
-			Name string   `json:"name"`
-			Dims FuncDims `json:"dims"`
-		} `json:"funcs"`
-		Vars []struct {
-			Name string `json:"name"`
-			Dim  Dim    `json:"dim"`
-		} `json:"vars"`
-	}
-	if err := json.Unmarshal(data, &packed); err != nil {
-		return Facts{}, fmt.Errorf("dim: decoding facts: %v", err)
-	}
-	for _, e := range packed.Funcs {
-		out.Funcs[e.Name] = e.Dims
-	}
-	for _, e := range packed.Vars {
-		out.Vars[e.Name] = e.Dim
-	}
-	return out, nil
 }
 
 // builtinFuncs seeds dimensions for APIs the issue names explicitly,

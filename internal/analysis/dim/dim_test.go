@@ -38,11 +38,7 @@ func probe(t *testing.T, sess *analysis.Session, path, src string, imp types.Imp
 		Name: "probe",
 		Doc:  "captures dim info",
 		Run: func(pass *analysis.Pass) error {
-			in, err := dim.Of(pass)
-			if err != nil {
-				return err
-			}
-			got = in
+			got = dim.Of(pass)
 			return nil
 		},
 	}
@@ -269,31 +265,5 @@ func period(s lib.Sched) float64 { return s.Period }
 	}
 	if got := funcDimsOf(t, in, usePkg, "period").Result(0); got != dim.Time {
 		t.Errorf("period result = %v, want time (field dim via imported facts)", got)
-	}
-}
-
-func TestFactsRoundTrip(t *testing.T) {
-	f := dim.Facts{
-		Funcs: map[string]dim.FuncDims{
-			"p.F": {Params: []dim.Dim{dim.Time}, Results: []dim.Dim{dim.Work}},
-		},
-		Vars: map[string]dim.Dim{
-			"Sched.Period": dim.Time,
-			"horizon":      dim.Time,
-		},
-	}
-	data, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dim.DecodeFacts(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Funcs["p.F"].Result(0) != dim.Work || got.Vars["Sched.Period"] != dim.Time || got.Vars["horizon"] != dim.Time {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := dim.DecodeFacts(nil); err != nil {
-		t.Fatalf("nil blob should decode: %v", err)
 	}
 }

@@ -91,7 +91,6 @@ type Info struct {
 	varKeys  map[*types.Var]string // facts key for exported fields / package vars
 	funcDims map[*types.Func]FuncDims
 	decls    []funcRec
-	imported map[string]Facts
 	memo     map[*ast.FuncDecl]*FuncResult
 	memoErr  map[*ast.FuncDecl]error
 }
@@ -107,17 +106,11 @@ const sharedKey = "dim"
 // on first request and sharing it between the dimension-based
 // analyzers of the same run. Building also exports the package's
 // dimension facts for packages analyzed later in the session.
-func Of(pass *analysis.Pass) (*Info, error) {
-	v, err := pass.Shared(sharedKey, func() (interface{}, error) {
-		return build(pass)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Info), nil
+func Of(pass *analysis.Pass) *Info {
+	return pass.Shared(sharedKey, func() any { return build(pass) }).(*Info)
 }
 
-func build(pass *analysis.Pass) (*Info, error) {
+func build(pass *analysis.Pass) *Info {
 	in := &Info{
 		Pkg:       pass.Pkg,
 		Fset:      pass.Fset,
@@ -126,7 +119,6 @@ func build(pass *analysis.Pass) (*Info, error) {
 		objDims:   make(map[*types.Var]Dim),
 		varKeys:   make(map[*types.Var]string),
 		funcDims:  make(map[*types.Func]FuncDims),
-		imported:  make(map[string]Facts),
 		memo:      make(map[*ast.FuncDecl]*FuncResult),
 		memoErr:   make(map[*ast.FuncDecl]error),
 	}
@@ -211,12 +203,8 @@ func build(pass *analysis.Pass) (*Info, error) {
 	for v, key := range in.varKeys {
 		facts.Vars[key] = in.objDims[v]
 	}
-	data, err := facts.Encode()
-	if err != nil {
-		return nil, err
-	}
-	pass.ExportFacts(FactsNamespace, data)
-	return in, nil
+	pass.ExportFacts(FactsNamespace, facts)
+	return in
 }
 
 // mergeFuncDims overlays base's dimensions into the Unknown slots of
@@ -608,7 +596,7 @@ func (in *Info) callDim(env Env, call *ast.CallExpr, resultIndex int) Dim {
 			return Unknown
 		}
 	}
-	fn, _ := in.Callee(call)
+	fn, _ := analysis.StaticCallee(in.TypesInfo, call)
 	if fn == nil {
 		return Unknown
 	}
@@ -628,26 +616,6 @@ func (in *Info) callDim(env Env, call *ast.CallExpr, resultIndex int) Dim {
 	return in.FuncDimsOf(fn).Result(resultIndex)
 }
 
-// Callee resolves a call's static target; method reports whether the
-// receiver occupies normalized argument index 0.
-func (in *Info) Callee(call *ast.CallExpr) (fn *types.Func, method bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := in.TypesInfo.Uses[fun].(*types.Func); ok {
-			return f, false
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := in.TypesInfo.Selections[fun]; ok {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f, true
-			}
-		} else if f, ok := in.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return f, false
-		}
-	}
-	return nil, false
-}
-
 // FuncDimsOf returns fn's declared-or-inferred dimensions: from this
 // package's fixpoint for local functions, then the built-in table of
 // known APIs, then imported session facts.
@@ -655,9 +623,7 @@ func (in *Info) FuncDimsOf(fn *types.Func) FuncDims {
 	if fn == nil {
 		return FuncDims{}
 	}
-	if o := fn.Origin(); o != nil {
-		fn = o
-	}
+	fn = fn.Origin()
 	if fd, ok := in.funcDims[fn]; ok {
 		return fd
 	}
@@ -671,14 +637,9 @@ func (in *Info) FuncDimsOf(fn *types.Func) FuncDims {
 	return in.factsFor(fn.Pkg().Path()).Funcs[full]
 }
 
+// factsFor returns the dimension facts the package at path exported,
+// empty when the session holds none.
 func (in *Info) factsFor(path string) Facts {
-	if f, ok := in.imported[path]; ok {
-		return f
-	}
-	f, err := DecodeFacts(in.pass.Facts(path, FactsNamespace))
-	if err != nil {
-		f = Facts{Funcs: map[string]FuncDims{}, Vars: map[string]Dim{}}
-	}
-	in.imported[path] = f
+	f, _ := in.pass.Facts(path, FactsNamespace).(Facts)
 	return f
 }

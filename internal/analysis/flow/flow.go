@@ -32,9 +32,8 @@ type Info struct {
 	TypesInfo *types.Info
 	Funcs     []*FuncInfo
 
-	pass     *analysis.Pass
-	byObj    map[*types.Func]*FuncInfo
-	imported map[string]Summaries // decoded facts per import path
+	pass  *analysis.Pass
+	byObj map[*types.Func]*FuncInfo
 }
 
 // FuncInfo is the engine's view of one declared function body.
@@ -85,23 +84,16 @@ const sharedKey = "flow"
 // first request and sharing it between the flow-based analyzers of the
 // same run. Building also exports the package's summaries as session
 // facts for packages analyzed later.
-func Of(pass *analysis.Pass) (*Info, error) {
-	v, err := pass.Shared(sharedKey, func() (interface{}, error) {
-		return build(pass)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Info), nil
+func Of(pass *analysis.Pass) *Info {
+	return pass.Shared(sharedKey, func() any { return build(pass) }).(*Info)
 }
 
-func build(pass *analysis.Pass) (*Info, error) {
+func build(pass *analysis.Pass) *Info {
 	in := &Info{
 		Pkg:       pass.Pkg,
 		TypesInfo: pass.TypesInfo,
 		pass:      pass,
 		byObj:     make(map[*types.Func]*FuncInfo),
-		imported:  make(map[string]Summaries),
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -115,7 +107,7 @@ func build(pass *analysis.Pass) (*Info, error) {
 			}
 			fi := in.collect(fd, obj)
 			in.Funcs = append(in.Funcs, fi)
-			in.byObj[origin(obj)] = fi
+			in.byObj[obj.Origin()] = fi
 		}
 	}
 	// Fixpoint: summaries only accumulate raw subtractions, so
@@ -134,23 +126,12 @@ func build(pass *analysis.Pass) (*Info, error) {
 			break
 		}
 	}
-	packed := make(Summaries, len(in.Funcs))
+	sums := make(Summaries, len(in.Funcs))
 	for _, fi := range in.Funcs {
-		packed[fi.Obj.FullName()] = fi.summary
+		sums[fi.Obj.FullName()] = fi.summary
 	}
-	data, err := packed.Encode()
-	if err != nil {
-		return nil, err
-	}
-	pass.ExportFacts(FactsNamespace, data)
-	return in, nil
-}
-
-func origin(fn *types.Func) *types.Func {
-	if o := fn.Origin(); o != nil {
-		return o
-	}
-	return fn
+	pass.ExportFacts(FactsNamespace, sums)
+	return in
 }
 
 // SummaryOf returns fn's summary: from this package's fixpoint for
@@ -160,7 +141,7 @@ func (in *Info) SummaryOf(fn *types.Func) (FuncSummary, bool) {
 	if fn == nil {
 		return FuncSummary{}, false
 	}
-	fn = origin(fn)
+	fn = fn.Origin()
 	if fn.Pkg() == in.Pkg {
 		if fi, ok := in.byObj[fn]; ok {
 			return fi.summary, true
@@ -170,16 +151,7 @@ func (in *Info) SummaryOf(fn *types.Func) (FuncSummary, bool) {
 	if fn.Pkg() == nil {
 		return FuncSummary{}, false
 	}
-	path := fn.Pkg().Path()
-	sums, ok := in.imported[path]
-	if !ok {
-		var err error
-		sums, err = DecodeSummaries(in.pass.Facts(path, FactsNamespace))
-		if err != nil {
-			sums = Summaries{}
-		}
-		in.imported[path] = sums
-	}
+	sums, _ := in.pass.Facts(fn.Pkg().Path(), FactsNamespace).(Summaries)
 	s, ok := sums[fn.FullName()]
 	return s, ok
 }
@@ -381,21 +353,7 @@ func (fi *FuncInfo) trackable(v *types.Var) bool {
 // collectCall resolves the static callee and records the call site.
 func (fi *FuncInfo) collectCall(call *ast.CallExpr, info *types.Info) {
 	site := &CallSite{Call: call}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			site.Callee = fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				site.Callee = fn
-				site.method = true
-			}
-		} else if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			site.Callee = fn // package-qualified call
-		}
-	}
+	site.Callee, site.method = analysis.StaticCallee(info, call)
 	fi.Calls = append(fi.Calls, site)
 	fi.callByExpr[call] = site
 }

@@ -38,11 +38,7 @@ func probe(t *testing.T, sess *analysis.Session, path, src string, imp types.Imp
 		Name: "probe",
 		Doc:  "captures flow info",
 		Run: func(pass *analysis.Pass) error {
-			in, err := flow.Of(pass)
-			if err != nil {
-				return err
-			}
-			got = in
+			got = flow.Of(pass)
 			return nil
 		},
 	}
@@ -195,33 +191,5 @@ func Wrap(t, c float64) float64 { return fixa.Sub(t, c) }
 	inC, pkgC := probe(t, analysis.NewSession(), "fixb", wrapSrc, importerFor{"fixa", pkgA})
 	if subs := summaryOf(t, inC, pkgC, "Wrap").RawSubs; len(subs) != 0 {
 		t.Errorf("sessionless Wrap RawSubs = %v, want none", subs)
-	}
-}
-
-func TestSummaryEncodeRoundTrip(t *testing.T) {
-	s := flow.Summaries{
-		"p.f": {},
-		"p.g": {RawSubs: []flow.RawSub{{X: 0, Y: 1}}},
-	}
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Error("Encode is not deterministic")
-	}
-	back, err := flow.DecodeSummaries(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back["p.g"].RawSubs[0] != (flow.RawSub{X: 0, Y: 1}) {
-		t.Errorf("round trip mismatch: %+v", back)
-	}
-	if empty, err := flow.DecodeSummaries(nil); err != nil || len(empty) != 0 {
-		t.Errorf("DecodeSummaries(nil) = %v, %v", empty, err)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"go/types"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/cfg"
@@ -35,14 +36,13 @@ import (
 // A localSite is an AllocSite still carrying its real position for
 // in-package reporting.
 type localSite struct {
-	kind string
 	pos  token.Pos
 	end  token.Pos
 	desc string
 }
 
-func (s localSite) packed(fset *token.FileSet) AllocSite {
-	return AllocSite{Kind: s.kind, Pos: shortPos(fset, s.pos), Desc: s.desc}
+func (s localSite) exported(fset *token.FileSet) AllocSite {
+	return AllocSite{Pos: shortPos(fset, s.pos), Desc: s.desc}
 }
 
 // Pos and End make localSite an analysis.Range for ReportRangef.
@@ -53,13 +53,7 @@ func (s localSite) End() token.Pos { return s.end }
 // across checkout roots (facts strings must not embed absolute paths).
 func shortPos(fset *token.FileSet, p token.Pos) string {
 	pos := fset.Position(p)
-	name := pos.Filename
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '/' {
-			name = name[i+1:]
-			break
-		}
-	}
+	name := pos.Filename[strings.LastIndexByte(pos.Filename, '/')+1:]
 	return name + ":" + strconv.Itoa(pos.Line)
 }
 
@@ -104,8 +98,8 @@ type collector struct {
 	sites []localSite
 }
 
-func (c *collector) add(kind string, n ast.Node, desc string) {
-	c.sites = append(c.sites, localSite{kind: kind, pos: n.Pos(), end: n.End(), desc: desc})
+func (c *collector) add(n ast.Node, desc string) {
+	c.sites = append(c.sites, localSite{pos: n.Pos(), end: n.End(), desc: desc})
 }
 
 // node dispatches the context-free checks (everything but append
@@ -124,11 +118,11 @@ func (c *collector) node(n ast.Node) {
 		c.composite(n)
 	case *ast.BinaryExpr:
 		if n.Op == token.ADD && c.isString(n) && !c.constant(n) {
-			c.add("concat", n, "string concatenation allocates")
+			c.add(n, "string concatenation allocates")
 		}
 	case *ast.AssignStmt:
 		if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && c.isString(n.Lhs[0]) {
-			c.add("concat", n, "string += allocates")
+			c.add(n, "string += allocates")
 		}
 		c.boxedAssign(n)
 	case *ast.ReturnStmt:
@@ -136,7 +130,7 @@ func (c *collector) node(n ast.Node) {
 	case *ast.RangeStmt:
 		if t := c.info.TypeOf(n.X); t != nil {
 			if _, ok := t.Underlying().(*types.Map); ok {
-				c.add("mapiter", n, "map iteration (hash-order walk) on the hot path")
+				c.add(n, "map iteration (hash-order walk) on the hot path")
 			}
 		}
 	}
@@ -170,14 +164,14 @@ func (c *collector) call(call *ast.CallExpr) {
 			if c.constSized(call.Args[1:]) && !c.escapes(call) {
 				return // stack-allocatable: constant size, never leaves
 			}
-			c.add("make", call, render(c.pass.Fset, call)+" allocates")
+			c.add(call, render(c.pass.Fset, call)+" allocates")
 		}
 		return
 	case "new":
 		if !c.escapes(call) {
 			return
 		}
-		c.add("new", call, render(c.pass.Fset, call)+" allocates")
+		c.add(call, render(c.pass.Fset, call)+" allocates")
 		return
 	case "":
 		// not a builtin: fall through to signature checks
@@ -190,8 +184,8 @@ func (c *collector) call(call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	if fn := calleeOf(c.info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-		c.add("fmt", call, "fmt."+fn.Name()+" allocates (formats through interfaces)")
+	if fn, _ := analysis.StaticCallee(c.info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+		c.add(call, "fmt."+fn.Name()+" allocates (formats through interfaces)")
 		return // the fmt finding subsumes per-argument boxing
 	}
 	params := sig.Params()
@@ -212,7 +206,7 @@ func (c *collector) call(call *ast.CallExpr) {
 			continue
 		}
 		if c.boxes(pt, arg) {
-			c.add("box", arg, render(c.pass.Fset, arg)+" boxed into "+pt.String()+" argument")
+			c.add(arg, render(c.pass.Fset, arg)+" boxed into "+pt.String()+" argument")
 		}
 	}
 }
@@ -224,18 +218,6 @@ func typeAsSignature(info *types.Info, fun ast.Expr) (*types.Signature, bool) {
 	}
 	sig, ok := tv.Type.(*types.Signature)
 	return sig, ok
-}
-
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // boxes reports whether storing arg into a location of type dst is an
@@ -290,7 +272,7 @@ func (c *collector) boxedAssign(n *ast.AssignStmt) {
 			lt = c.info.TypeOf(lhs)
 		}
 		if c.boxes(lt, n.Rhs[i]) {
-			c.add("box", n.Rhs[i], render(c.pass.Fset, n.Rhs[i])+" boxed into "+lt.String())
+			c.add(n.Rhs[i], render(c.pass.Fset, n.Rhs[i])+" boxed into "+lt.String())
 		}
 	}
 }
@@ -302,7 +284,7 @@ func (c *collector) boxedReturn(n *ast.ReturnStmt) {
 	}
 	for i, res := range n.Results {
 		if c.boxes(sig.Results().At(i).Type(), res) {
-			c.add("box", res, render(c.pass.Fset, res)+" boxed into "+sig.Results().At(i).Type().String()+" result")
+			c.add(res, render(c.pass.Fset, res)+" boxed into "+sig.Results().At(i).Type().String()+" result")
 		}
 	}
 }
@@ -313,7 +295,7 @@ func (c *collector) compositeAddr(addr *ast.UnaryExpr, lit *ast.CompositeLit) {
 	if !c.escapes(addr) {
 		return
 	}
-	c.add("lit", addr, "&"+render(c.pass.Fset, lit)+" escapes to the heap")
+	c.add(addr, "&"+render(c.pass.Fset, lit)+" escapes to the heap")
 }
 
 // composite checks value literals of reference kinds: slice and map
@@ -328,7 +310,7 @@ func (c *collector) composite(lit *ast.CompositeLit) {
 		if !c.escapes(lit) {
 			return
 		}
-		c.add("lit", lit, render(c.pass.Fset, lit)+" allocates its backing store")
+		c.add(lit, render(c.pass.Fset, lit)+" allocates its backing store")
 	}
 }
 
@@ -363,7 +345,7 @@ func (c *collector) closure(lit *ast.FuncLit) {
 	if loopy {
 		desc = "closure captures a loop variable (allocates per iteration)"
 	}
-	c.add("closure", lit, desc)
+	c.add(lit, desc)
 }
 
 // captures lists the variables lit closes over: objects declared in
@@ -787,7 +769,7 @@ func (c *collector) checkAppends(env capEnv, n ast.Node, body *ast.BlockStmt) {
 		if c.capOf(env, call.Args[0]) == capReserved {
 			return true
 		}
-		c.add("append", call, "append may grow "+render(c.pass.Fset, call.Args[0])+" (no provable capacity)")
+		c.add(call, "append may grow "+render(c.pass.Fset, call.Args[0])+" (no provable capacity)")
 		return true
 	})
 }

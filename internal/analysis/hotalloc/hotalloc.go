@@ -50,34 +50,35 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+// FactsNamespace keys hotalloc's per-function allocation summaries in
+// an analysis.Session.
+const FactsNamespace = "hotalloc"
+
+// An AllocSite is one heap-allocating construct in a function body, as
+// exported in facts. Pos is a short "file.go:line" anchor (base
+// filename, so the string is stable across checkouts); Desc is the
+// human fragment diagnostics embed.
+type AllocSite struct {
+	Pos  string
+	Desc string
+}
+
+// Sites maps a function's full name to its unsuppressed allocation
+// sites — the per-package facts value. Sites carry //lint:allow
+// filtering already applied in the defining package, so an importer
+// never re-reports an allocation its owner justified.
+type Sites map[string][]AllocSite
+
 // maxSitesInMessage bounds how many allocation sites a cross-package
 // finding enumerates; the rest are summarized by count.
 const maxSitesInMessage = 2
 
-// info is the per-package shared build: every local function's
-// unsuppressed allocation sites, already exported as facts.
-type info struct {
-	sites map[string][]localSite // function full name -> sites
-}
-
-func infoOf(pass *analysis.Pass) (*info, *callgraph.Graph, error) {
-	g, err := callgraph.Of(pass)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := pass.Shared("hotalloc", func() (interface{}, error) {
-		return build(pass, g)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.(*info), g, nil
-}
-
-func build(pass *analysis.Pass, g *callgraph.Graph) (*info, error) {
-	in := &info{sites: make(map[string][]localSite)}
+// localSites collects every local function's unsuppressed allocation
+// sites, keyed by full name, and exports them as facts.
+func localSites(pass *analysis.Pass, g *callgraph.Graph) map[string][]localSite {
+	local := make(map[string][]localSite)
 	sup := analysis.CollectSuppressions(pass.Fset, pass.Files)
-	packed := make(Sites)
+	exported := make(Sites)
 	for _, fi := range g.Flow.Funcs {
 		all := collectSites(pass, fi)
 		kept := all[:0]
@@ -91,26 +92,20 @@ func build(pass *analysis.Pass, g *callgraph.Graph) (*info, error) {
 			continue
 		}
 		name := fi.Obj.FullName()
-		in.sites[name] = kept
+		local[name] = kept
 		sites := make([]AllocSite, len(kept))
 		for i, s := range kept {
-			sites[i] = s.packed(pass.Fset)
+			sites[i] = s.exported(pass.Fset)
 		}
-		packed[name] = sites
+		exported[name] = sites
 	}
-	data, err := packed.Encode()
-	if err != nil {
-		return nil, err
-	}
-	pass.ExportFacts(FactsNamespace, data)
-	return in, nil
+	pass.ExportFacts(FactsNamespace, exported)
+	return local
 }
 
 func run(pass *analysis.Pass) error {
-	in, g, err := infoOf(pass)
-	if err != nil {
-		return err
-	}
+	g := callgraph.Of(pass)
+	local := localSites(pass, g)
 	for _, ba := range g.BadAnnots {
 		pass.Reportf(ba.Pos, "malformed //cs:hotpath annotation: %s", ba.Msg)
 	}
@@ -125,7 +120,7 @@ func run(pass *analysis.Pass) error {
 		reach := g.ReachableFrom(root.Name)
 		for _, name := range reach.Order {
 			if g.IsLocal(name) {
-				for _, s := range in.sites[name] {
+				for _, s := range local[name] {
 					if reportedLocal[s] {
 						continue
 					}
@@ -134,7 +129,7 @@ func run(pass *analysis.Pass) error {
 				}
 				continue
 			}
-			remote := remoteSites(pass, g, name)
+			remote := remoteSites(pass, name)
 			if len(remote) == 0 {
 				continue
 			}
@@ -157,15 +152,12 @@ func run(pass *analysis.Pass) error {
 
 // remoteSites returns the exported allocation summary of an imported
 // function, empty when it has none (or is outside the analyzed world).
-func remoteSites(pass *analysis.Pass, g *callgraph.Graph, name string) []AllocSite {
+func remoteSites(pass *analysis.Pass, name string) []AllocSite {
 	path := callgraph.PkgPathOf(name)
 	if path == "" || path == pass.Pkg.Path() {
 		return nil
 	}
-	sites, err := DecodeSites(pass.Facts(path, FactsNamespace))
-	if err != nil {
-		return nil
-	}
+	sites, _ := pass.Facts(path, FactsNamespace).(Sites)
 	return sites[name]
 }
 

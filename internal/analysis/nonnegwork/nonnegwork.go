@@ -44,10 +44,7 @@ func run(pass *analysis.Pass) error {
 	// Build (and export) flow facts even when this package is not
 	// guarded: downstream guarded packages need the summaries to see
 	// through wrappers defined here.
-	in, err := flow.Of(pass)
-	if err != nil {
-		return err
-	}
+	in := flow.Of(pass)
 	if !guarded[analysis.PkgBase(pass.Pkg.Path())] {
 		return nil
 	}

@@ -56,10 +56,7 @@ var guarded = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	in, err := dim.Of(pass)
-	if err != nil {
-		return err
-	}
+	in := dim.Of(pass)
 	if !guarded[analysis.PkgBase(pass.Pkg.Path())] {
 		return nil
 	}
@@ -435,7 +432,7 @@ func (a *analyzer) evalCall(e env, call *ast.CallExpr) interval {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return a.eval(e, call.Args[0])
 	}
-	fn, _ := a.dims.Callee(call)
+	fn, _ := analysis.StaticCallee(info, call)
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "math" {
 		switch fn.Name() {
 		case "Min":
@@ -567,7 +564,7 @@ func (a *analyzer) checkNode(e env, n ast.Node) {
 }
 
 func (a *analyzer) checkCallArgs(e env, call *ast.CallExpr) {
-	fn, method := a.dims.Callee(call)
+	fn, method := analysis.StaticCallee(a.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}

@@ -4,10 +4,12 @@ package analysis
 // golang.org/x/tools/go/analysis sense — through a multi-package run.
 // Interprocedural analyses (the flow engine under
 // internal/analysis/flow) summarize each package's functions once and
-// export the summaries as an opaque blob keyed by a namespace; when a
-// later package in the same session calls into an already-summarized
-// package, the propagator consults the session instead of re-deriving
-// (or worse, guessing) the callee's behavior.
+// export the summaries under a namespace as the Go value they built;
+// when a later package in the same session calls into an
+// already-summarized package, the propagator consults the session
+// instead of re-deriving (or worse, guessing) the callee's behavior.
+// Each namespace belongs to one engine, which alone knows the value's
+// type and asserts it on read.
 //
 // The cslint driver and the analysistest harness analyze packages
 // dependency-first (load.Sort) with one shared session, so facts flow
@@ -16,33 +18,30 @@ package analysis
 // A nil *Session is valid everywhere and simply has no facts, degrading
 // interprocedural analyses to conservative intra-package results.
 type Session struct {
-	facts map[string]map[string][]byte // package path -> namespace -> blob
+	facts map[factKey]any
 }
+
+type factKey struct{ path, ns string }
 
 // NewSession returns an empty session.
 func NewSession() *Session {
-	return &Session{facts: make(map[string]map[string][]byte)}
+	return &Session{facts: make(map[factKey]any)}
 }
 
-// SetFacts records the blob as package path's facts under namespace ns,
-// replacing any previous blob. A nil session ignores the write.
-func (s *Session) SetFacts(path, ns string, data []byte) {
+// SetFacts records v as package path's facts under namespace ns,
+// replacing any previous value. A nil session ignores the write.
+func (s *Session) SetFacts(path, ns string, v any) {
 	if s == nil {
 		return
 	}
-	m := s.facts[path]
-	if m == nil {
-		m = make(map[string][]byte)
-		s.facts[path] = m
-	}
-	m[ns] = data
+	s.facts[factKey{path, ns}] = v
 }
 
-// Facts returns package path's blob under namespace ns, or nil when the
-// session is nil or holds none.
-func (s *Session) Facts(path, ns string) []byte {
+// Facts returns package path's facts under namespace ns, or nil when
+// the session is nil or holds none.
+func (s *Session) Facts(path, ns string) any {
 	if s == nil {
 		return nil
 	}
-	return s.facts[path][ns]
+	return s.facts[factKey{path, ns}]
 }

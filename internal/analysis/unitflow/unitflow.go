@@ -53,10 +53,7 @@ var guarded = map[string]bool{
 func run(pass *analysis.Pass) error {
 	// Build (and export) dimension facts even when this package is not
 	// guarded: guarded importers need annotations declared here.
-	in, err := dim.Of(pass)
-	if err != nil {
-		return err
-	}
+	in := dim.Of(pass)
 	for _, ba := range in.BadAnnots {
 		pass.Reportf(ba.Pos, "malformed //cs:unit annotation: %s", ba.Msg)
 	}
@@ -133,7 +130,7 @@ func checkBinary(pass *analysis.Pass, in *dim.Info, env dim.Env, e *ast.BinaryEx
 }
 
 func checkCall(pass *analysis.Pass, in *dim.Info, env dim.Env, call *ast.CallExpr) {
-	fn, method := in.Callee(call)
+	fn, method := analysis.StaticCallee(in.TypesInfo, call)
 	if fn == nil {
 		return
 	}
